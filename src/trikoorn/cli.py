@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -31,11 +32,11 @@ from .koornwinder import (
     TriPoint,
     Jet2,
     _tri_tables,
-    basis_size,
     tri_eval,
     tri_eval_jet,
     jjp_residual,
     jpj_residual,
+    weight_eval,
 )
 from .ladders import (
     CompositionId,
@@ -437,28 +438,24 @@ def _synth_at(vec, x, y):
     return synthesize(vec, pts)
 
 
-def _fd1(vec, x, y, axis, h=2e-3):
-    """Richardson-extrapolated central first difference of the synthesized field."""
-
-    def diff(hh):
-        dx = hh if axis == 0 else 0.0
-        dy = hh if axis == 1 else 0.0
-        return (_synth_at(vec, x + dx, y + dy) - _synth_at(vec, x - dx, y - dy)) / (2.0 * hh)
-
-    return (4.0 * diff(0.5 * h) - diff(h)) / 3.0
-
-
 def _synth_jets(vec, x, y):
-    """Exact value and first partials of an unweighted coefficient vector."""
-    U, UX, UY = _tri_tables(
-        vec.basis.maxdeg,
-        vec.basis.params,
-        np.asarray(x, dtype=float),
-        np.asarray(y, dtype=float),
-        partials=True,
-    )
+    """Exact value and first partials of the synthesized field.
+
+    On a weighted basis the field is w p with w = x^a y^b z^c, so its x
+    partial is w (p_x + p (a/x - c/z)) and its y partial w (p_y + p (b/y - c/z));
+    there the points must be interior.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    U, UX, UY = _tri_tables(vec.basis.maxdeg, vec.basis.params, x, y, partials=True)
     v = vec.values
-    return v @ U, v @ UX, v @ UY
+    u, ux, uy = v @ U, v @ UX, v @ UY
+    if not vec.basis.weighted:
+        return u, ux, uy
+    p = vec.basis.params
+    z = 1.0 - x - y
+    w = weight_eval(p, TriPoint(x, y))
+    return w * u, w * (ux + u * (p.a / x - p.c / z)), w * (uy + u * (p.b / y - p.c / z))
 
 
 def _second_jets(jetfun, x, y, h=1e-5):
@@ -543,7 +540,7 @@ def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
     """Every coefficient-space builder against its pointwise meaning.
 
     Conversion and multiplication are exact checks; differentiation is
-    checked against Richardson finite differences; the diagonal operators
+    checked against exact partials of the synthesized field; the diagonal operators
     against their second-order pointwise expressions with differenced
     Hessians; structure checks cover stencil counts and the coordinate
     partition of unity.
@@ -558,15 +555,11 @@ def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
         pts = np.column_stack([x, y])
         pset = {"a": params.a, "b": params.b, "c": params.c}
         for name, builder in OP_BUILDERS.items():
+            acc = acc_exact if name in _EXACT_REFS else acc_fd if name in _FD_REFS else acc_fd2
             try:
                 op = builder(N, params)
             except ValueError:
-                if name in _EXACT_REFS:
-                    acc_exact.skip()
-                elif name in _FD_REFS:
-                    acc_fd.skip()
-                else:
-                    acc_fd2.skip()
+                acc.skip()
                 acc_struct.skip()
                 continue
             bound = _COLUMN_BOUNDS[name]
@@ -583,44 +576,18 @@ def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
                 vec = CoeffVec(op.domain, v)
                 out = apply_op(op, vec)
                 rhs = synthesize(out, pts)
-                case = {"id": name, "trial": trial, **pset}
                 if name in _EXACT_REFS:
-                    f = synthesize(vec, pts)
-                    kind = _EXACT_REFS[name]
-                    if kind == "same":
-                        lhs = f
-                    elif kind == "x":
-                        lhs = x * f
-                    elif kind == "y":
-                        lhs = y * f
-                    else:
-                        lhs = (1.0 - x - y) * f
-                    r, j = _scaled_residual(lhs, rhs)
-                    case["x"] = float(x[j])
-                    case["y"] = float(y[j])
-                    acc_exact.update(r, case)
+                    factor = {"same": 1.0, "x": x, "y": y, "z": 1.0 - x - y}[_EXACT_REFS[name]]
+                    lhs = factor * synthesize(vec, pts)
                 elif name in _FD_REFS:
-                    kind = _FD_REFS[name]
-                    if kind == "dx":
-                        lhs = _fd1(vec, x, y, 0)
-                    elif kind == "dy":
-                        lhs = _fd1(vec, x, y, 1)
-                    else:
-                        lhs = _fd1(vec, x, y, 1) - _fd1(vec, x, y, 0)
-                    r, j = _scaled_residual(lhs, rhs)
-                    case["x"] = float(x[j])
-                    case["y"] = float(y[j])
-                    acc_fd.update(r, case)
+                    _, ux, uy = _synth_jets(vec, x, y)
+                    lhs = {"dx": ux, "dy": uy, "dz": uy - ux}[_FD_REFS[name]]
                 else:
                     jets = _second_jets(lambda xx, yy: _synth_jets(vec, xx, yy), x, y)
-                    if name == "eigen_k":
-                        lhs = _second_order_k(params, x, y, jets)
-                    else:
-                        lhs = _second_order_n(params, x, y, jets)
-                    r, j = _scaled_residual(lhs, rhs)
-                    case["x"] = float(x[j])
-                    case["y"] = float(y[j])
-                    acc_fd2.update(r, case)
+                    second_order = _second_order_k if name == "eigen_k" else _second_order_n
+                    lhs = second_order(params, x, y, jets)
+                r, j = _scaled_residual(lhs, rhs)
+                acc.update(r, {"id": name, "trial": trial, **pset, "x": float(x[j]), "y": float(y[j])})
         dy_op = build_diff_y(N, params)
         count_ok = dy_op.nnz == N * (N + 1) // 2
         acc_struct.update(0.0 if count_ok else 1.0, {"id": "diff_y", "check": "nnz", **pset})
@@ -629,10 +596,7 @@ def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
             jy = to_dense(build_mult_same_y(N, params))
             jz = to_dense(build_mult_same_z(N, params))
             total = jx + jy + jz
-            ident = np.zeros_like(total)
-            for i in range(basis_size(N)):
-                ident[i, i] = 1.0
-            r = float(np.max(np.abs(total - ident)))
+            r = float(np.max(np.abs(total - np.eye(*total.shape))))
             acc_struct.update(r, {"id": "partition_of_unity", "check": "sum", **pset})
         else:
             acc_struct.skip()
@@ -954,8 +918,6 @@ def cmd_solve(args):
         fc = analyze(f, args.N, params)
     u = _solve_coeffs(fc, getattr(args, "lam"))
     g = args.grid
-    if g < 1:
-        raise UsageError(f"grid subdivision must be at least 1, got {g}")
     pts = []
     for i in range(g + 1):
         for jj in range(g + 1 - i):
@@ -989,10 +951,31 @@ def cmd_info(args):
     return 0
 
 
+def _checked(convert, ok, need):
+    """argparse type: convert the text, then reject values failing `ok` as usage errors.
+
+    The converter's name is kept so unparsable text still reads "invalid int value".
+    """
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{need}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_DEGREE = _checked(int, lambda v: v >= 0, "must be a nonnegative integer")
+_COUNT = _checked(int, lambda v: v >= 1, "must be a positive integer")
+_FINITE = _checked(float, math.isfinite, "must be a finite number")
+
+
 def _add_params(sp):
-    sp.add_argument("--a", type=float, default=0.0)
-    sp.add_argument("--b", type=float, default=0.0)
-    sp.add_argument("--c", type=float, default=0.0)
+    sp.add_argument("--a", type=_FINITE, default=0.0)
+    sp.add_argument("--b", type=_FINITE, default=0.0)
+    sp.add_argument("--c", type=_FINITE, default=0.0)
 
 
 def build_parser():
@@ -1010,7 +993,7 @@ def build_parser():
 
     sp = sub.add_parser("build-op", help="export a coefficient-space operator")
     sp.add_argument("--name", required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_DEGREE, required=True)
     _add_params(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_build_op)
@@ -1020,18 +1003,18 @@ def build_parser():
     group.add_argument("--name", help="built-in function id")
     group.add_argument("--values", help="CSV of values sampled at the rule nodes")
     group.add_argument("--emit-nodes", action="store_true", help="write the rule nodes instead")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_DEGREE, required=True)
     _add_params(sp)
-    sp.add_argument("--m", type=int, default=None, help="nodes per direction, default N+1")
+    sp.add_argument("--m", type=_COUNT, default=None, help="nodes per direction, default N+1")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_expand)
 
     sp = sub.add_parser("solve", help="diagonal shifted solve in coefficient space")
-    sp.add_argument("--lambda", dest="lam", type=float, required=True)
+    sp.add_argument("--lambda", dest="lam", type=_FINITE, required=True)
     sp.add_argument("--rhs", required=True, help="built-in id or coefficient CSV path")
-    sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--N", type=_DEGREE, required=True)
     _add_params(sp)
-    sp.add_argument("--grid", type=int, default=20, help="barycentric grid subdivisions")
+    sp.add_argument("--grid", type=_COUNT, default=20, help="barycentric grid subdivisions")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve)
 

@@ -105,7 +105,7 @@ def _rec_coeffs(n, a, b):
 
 
 def _shifted_table(nmax, a, b, x, nderiv=0):
-    """Values (and optional x-derivatives) of the shifted polynomials.
+    """Values (and, for nderiv = 1, x-derivatives) of the shifted polynomials.
 
     Returns an array of shape (nderiv + 1, nmax + 1, npts) over degrees
     0..nmax at the points x in (0, 1) coordinates.
@@ -126,12 +126,11 @@ def _shifted_table(nmax, a, b, x, nderiv=0):
             out[0, n + 1] = lin * out[0, n] - C * out[0, n - 1]
             if nderiv >= 1:
                 out[1, n + 1] = 2 * A * out[0, n] + lin * out[1, n] - C * out[1, n - 1]
-            if nderiv >= 2:
-                out[2, n + 1] = 4 * A * out[1, n] + lin * out[2, n] - C * out[2, n - 1]
     else:
+        # P~_n(x) = H_n(x, 1): the homogenized explicit sum at s = 1
         for n in range(nmax + 1):
             for d in range(nderiv + 1):
-                out[d, n] = _shifted_formal(n, a, b, x, d)
+                out[d, n] = _homog_formal(n, a, b, x, 1.0, d, 0)
     return out
 
 
@@ -139,62 +138,6 @@ def _shifted_table(nmax, a, b, x, nderiv=0):
 # sum of term magnitudes times roundoff.  Points where that estimate exceeds
 # the guard (relative to max(1, |value|)) are redone in high precision.
 _FORMAL_GUARD = 1e-12
-
-
-def _shifted_formal_mp(n, a, b, xv, deriv):
-    with mp.workdps(40):
-        am, bm, xm = mp.mpf(a), mp.mpf(b), mp.mpf(xv)
-        tot = mp.mpf(0)
-        for j in range(n + 1):
-            coef = mp.binomial(n + am, n - j) * mp.binomial(n + bm, j)
-            p, q = j, n - j
-            term = mp.mpf(0)
-            for i in range(deriv + 1):
-                pi, qi = p - i, q - (deriv - i)
-                if pi < 0 or qi < 0:
-                    continue
-                cf = mp.mpf(_binom_real(deriv, i))
-                for r in range(i):
-                    cf *= p - r
-                for r in range(deriv - i):
-                    cf *= q - r
-                term += cf * (xm - 1) ** pi * xm**qi
-            tot += coef * term
-        return float(tot)
-
-
-def _shifted_formal(n, a, b, x, deriv=0):
-    # explicit sum: P~_n = sum_j binom(n+a, n-j) binom(n+b, j) (x-1)^j x^(n-j)
-    x = np.asarray(x, dtype=float)
-    tot = np.zeros_like(x)
-    mag = np.zeros_like(x)
-    for j in range(n + 1):
-        coef = _binom_real(n + a, n - j) * _binom_real(n + b, j)
-        p, q = j, n - j
-        # derivative of (x-1)^p x^q of order `deriv` by Leibniz over the two powers
-        term = np.zeros_like(x)
-        tmag = np.zeros_like(x)
-        for i in range(deriv + 1):
-            pi, qi = p - i, q - (deriv - i)
-            if pi < 0 or qi < 0:
-                continue
-            cf = _binom_real(deriv, i)
-            for r in range(i):
-                cf *= p - r
-            for r in range(deriv - i):
-                cf *= q - r
-            piece = cf * (x - 1) ** pi * x**qi
-            term += piece
-            tmag += np.abs(piece)
-        tot += coef * term
-        mag += abs(coef) * tmag
-    bad = mag * (n + 2) * 2.2e-16 > _FORMAL_GUARD * np.maximum(np.abs(tot), 1.0)
-    if np.any(bad):
-        tflat = tot.reshape(-1)
-        xflat = x.reshape(-1)
-        for i in np.nonzero(bad.reshape(-1))[0]:
-            tflat[i] = _shifted_formal_mp(n, a, b, float(xflat[i]), deriv)
-    return tot
 
 
 def _homog_table(kmax, a, b, y, s, partials=False):
@@ -301,15 +244,15 @@ def _homog_formal(k, a, b, y, s, dy, ds):
     return tot
 
 
-def _eval_core(n, a, b, x, deriv=0):
+def _eval_core(n, a, b, x):
     # shifted-interval evaluation for any real parameters; negative degree is zero
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     if n < 0:
         out = np.zeros_like(np.atleast_1d(x))
         return float(out[0]) if scalar else out
-    tab = _shifted_table(n, a, b, np.atleast_1d(x).ravel(), nderiv=deriv)
-    out = tab[deriv, n].reshape(np.atleast_1d(x).shape)
+    tab = _shifted_table(n, a, b, np.atleast_1d(x).ravel())
+    out = tab[0, n].reshape(np.atleast_1d(x).shape)
     return float(out[0]) if scalar else out
 
 

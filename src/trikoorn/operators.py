@@ -4,16 +4,23 @@ Columns encode images: column j of an operator holds the expansion
 coefficients, in the range basis, of the operator applied to basis element
 j of the domain basis.  Entries are stored as duplicate-free triplets
 sorted by (column, row) so each column is a contiguous, binary-searchable
-range.  Explicit zeros are never stored.
+range.
+
+Every banded operator is one entry of a stencil table: column (n, k) maps
+to at most four rows (n+dn, k+dk), each with a rational coefficient in
+(n, k, a, b, c).  One evaluator applies a table entry to all columns at
+once with numpy; composition is a scipy.sparse product.  Explicit zeros
+are never stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .koornwinder import TriIndex, TriParams, basis_size, index_to_linear
+from .koornwinder import TriParams, basis_size
 from .ladders import DegenerateParameterError
 
 __all__ = [
@@ -98,10 +105,16 @@ class SparseOp:
     name: str = ""
 
     @classmethod
-    def from_triplets(cls, domain, range, triplets, name=""):
-        rows = np.array([t[0] for t in triplets], dtype=np.int64)
-        cols = np.array([t[1] for t in triplets], dtype=np.int64)
-        vals = np.array([t[2] for t in triplets], dtype=float)
+    def from_triplets(cls, domain, range, rows, cols, vals, name=""):
+        """Operator from parallel (rows, cols, vals) arrays in any order.
+
+        Indices are checked against the basis sizes and the entries are
+        sorted into (column, row) order; a repeated (row, column) pair is
+        an error.  Zero values are kept as given.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        vals = np.asarray(vals, dtype=float)
         if rows.size:
             if rows.min() < 0 or rows.max() >= range.size:
                 raise ValueError("row index out of range")
@@ -124,15 +137,18 @@ class SparseOp:
 
     def column_nnz(self):
         """Entry count of every column."""
-        out = np.zeros(self.domain.size, dtype=np.int64)
-        np.add.at(out, self.cols, 1)
-        return out
+        return np.bincount(self.cols, minlength=self.domain.size)
+
+
+def _csc(op):
+    # imported on first use: commands that never compose or densify skip its import cost
+    import scipy.sparse as sp
+
+    return sp.csc_array((op.vals, (op.rows, op.cols)), shape=op.shape)
 
 
 def to_dense(op):
-    A = np.zeros(op.shape)
-    A[op.rows, op.cols] = op.vals
-    return A
+    return _csc(op).toarray()
 
 
 def apply_op(op, vec):
@@ -151,256 +167,183 @@ def apply_op(op, vec):
 def compose(f, g):
     """Composition f after g; f.domain must equal g.range.
 
-    Triplets are accumulated exactly per (row, column) pair and re-sorted
-    into the canonical (column, row) order.
+    A scipy.sparse CSC product: every entry sums its products in ascending
+    inner index, and entries that cancel to exact zero are dropped.
     """
     if f.domain != g.range:
         raise ValueError("inner bases do not match: f.domain != g.range")
-    acc = {}
-    for r1, c1, v1 in zip(g.rows, g.cols, g.vals):
-        lo = np.searchsorted(f.cols, r1, side="left")
-        hi = np.searchsorted(f.cols, r1, side="right")
-        for j in range(lo, hi):
-            key = (int(f.rows[j]), int(c1))
-            acc[key] = acc.get(key, 0.0) + float(f.vals[j]) * float(v1)
-    trips = [(r, c, v) for (r, c), v in acc.items() if v != 0.0]
+    prod = (_csc(f) @ _csc(g)).tocoo()
+    prod.eliminate_zeros()
     name = f"{f.name}*{g.name}" if f.name and g.name else ""
-    return SparseOp.from_triplets(g.domain, f.range, trips, name)
+    return SparseOp.from_triplets(g.domain, f.range, prod.row, prod.col, prod.data, name)
 
 
-class _Accum:
-    """Collects stencil entries for one operator, dropping invalid targets."""
+class _Stencil(NamedTuple):
+    """One operator: column (n, k) maps to rows (n+dn, k+dk) of the range basis.
 
-    def __init__(self, domain, range_, name):
-        self.domain = domain
-        self.range = range_
-        self.trips = []
-        self.name = name
+    Each term's value is numerator(n, k, a, b, c) divided by the product of
+    the listed denominators, all in the domain exponents (a, b, c).  The
+    range reaches degree N + max(dn), and a lowered exponent must start
+    above 0 for the range basis to stay valid.
+    """
 
-    def add(self, n_row, k_row, col, val):
-        if k_row < 0 or n_row < 0 or k_row > n_row or n_row > self.range.maxdeg:
-            return
-        if val == 0.0:
-            return
-        self.trips.append((index_to_linear(TriIndex(n_row, k_row)), col, val))
-
-    def done(self):
-        return SparseOp.from_triplets(self.domain, self.range, self.trips, self.name)
+    doc: str
+    shift: tuple  # range exponents minus domain exponents (da, db, dc)
+    weighted: bool  # both bases carry the weight x^a y^b z^c
+    dens: tuple  # (label, denominator(n, k, a, b, c)): _DN, _DK
+    terms: tuple  # (dn, dk, numerator)
 
 
-def _check_build_args(N, params):
+_DN = ("2n+a+b+c+2", lambda n, k, a, b, c: 2 * n + a + b + c + 2)
+_DK = ("2k+b+c+1", lambda n, k, a, b, c: 2 * k + b + c + 1)
+
+# The coefficients are written exactly as the closed forms evaluate them:
+# reordering a product or sum would change the stored values at roundoff.
+_STENCILS = {
+    "diff_x": _Stencil("d/dx as a map into the (a+1, b, c+1) basis, degrees N -> N-1.",
+        (1, 0, 1), False, (_DK,), (
+            (-1, 0, lambda n, k, a, b, c: (n + k + a + b + c + 2) * (k + b + c + 1)),
+            (-1, -1, lambda n, k, a, b, c: (k + b) * (n + k + b + c + 1)),
+        )),
+    "diff_y": _Stencil("d/dy as a map into the (a, b+1, c+1) basis, degrees N -> N-1.",
+        (0, 1, 1), False, (), (
+            (-1, -1, lambda n, k, a, b, c: k + b + c + 1),
+        )),
+    "diff_z": _Stencil("Third-direction derivative (uy - ux) into the (a+1, b+1, c) basis.",
+        (1, 1, 0), False, (_DK,), (
+            (-1, 0, lambda n, k, a, b, c: -(n + k + a + b + c + 2) * (k + b + c + 1)),
+            (-1, -1, lambda n, k, a, b, c: (k + c) * (n + k + b + c + 1)),
+        )),
+    "weighted_diff_x": _Stencil("d/dx on the weighted basis, into the weighted (a-1, b, c-1) basis.",
+        (-1, 0, -1), True, (_DK,), (
+            (1, 0, lambda n, k, a, b, c: -(k + c) * (n - k + 1)),
+            (1, 1, lambda n, k, a, b, c: -(k + 1) * (n - k + a)),
+        )),
+    "weighted_diff_y": _Stencil("d/dy on the weighted basis, into the weighted (a, b-1, c-1) basis.",
+        (0, -1, -1), True, (), (
+            (1, 1, lambda n, k, a, b, c: -(k + 1.0)),
+        )),
+    "weighted_diff_z": _Stencil("Third-direction derivative on the weighted basis, into weighted (a-1, b-1, c).",
+        (-1, -1, 0), True, (_DK,), (
+            (1, 0, lambda n, k, a, b, c: (k + b) * (n - k + 1)),
+            (1, 1, lambda n, k, a, b, c: -(k + 1) * (n - k + a)),
+        )),
+    "conv_a": _Stencil("Identity map re-expanded in the (a+1, b, c) basis.",
+        (1, 0, 0), False, (_DN,), (
+            (0, 0, lambda n, k, a, b, c: n + k + a + b + c + 2),
+            (-1, 0, lambda n, k, a, b, c: n + k + b + c + 1),
+        )),
+    "conv_b": _Stencil("Identity map re-expanded in the (a, b+1, c) basis.",
+        (0, 1, 0), False, (_DN, _DK), (
+            (0, 0, lambda n, k, a, b, c: (n + k + a + b + c + 2) * (k + b + c + 1)),
+            (-1, 0, lambda n, k, a, b, c: -(n - k + a) * (k + b + c + 1)),
+            (-1, -1, lambda n, k, a, b, c: (k + c) * (n + k + b + c + 1)),
+            (0, -1, lambda n, k, a, b, c: -(k + c) * (n - k + 1)),
+        )),
+    "conv_c": _Stencil("Identity map re-expanded in the (a, b, c+1) basis.",
+        (0, 0, 1), False, (_DN, _DK), (
+            (0, 0, lambda n, k, a, b, c: (n + k + a + b + c + 2) * (k + b + c + 1)),
+            (-1, 0, lambda n, k, a, b, c: -(n - k + a) * (k + b + c + 1)),
+            (-1, -1, lambda n, k, a, b, c: -(k + b) * (n + k + b + c + 1)),
+            (0, -1, lambda n, k, a, b, c: (k + b) * (n - k + 1)),
+        )),
+    "mult_x": _Stencil("Multiplication by x into the (a-1, b, c) basis; requires a > 0.",
+        (-1, 0, 0), False, (_DN,), (
+            (0, 0, lambda n, k, a, b, c: n - k + a),
+            (1, 0, lambda n, k, a, b, c: n - k + 1),
+        )),
+    "mult_y": _Stencil("Multiplication by y into the (a, b-1, c) basis; requires b > 0.",
+        (0, -1, 0), False, (_DN, _DK), (
+            (0, 0, lambda n, k, a, b, c: (k + b) * (n + k + b + c + 1)),
+            (0, 1, lambda n, k, a, b, c: -(k + 1) * (n - k + a)),
+            (1, 0, lambda n, k, a, b, c: -(k + b) * (n - k + 1)),
+            (1, 1, lambda n, k, a, b, c: (k + 1) * (n + k + a + b + c + 2)),
+        )),
+    "mult_z": _Stencil("Multiplication by z into the (a, b, c-1) basis; requires c > 0.",
+        (0, 0, -1), False, (_DN, _DK), (
+            (0, 0, lambda n, k, a, b, c: (k + c) * (n + k + b + c + 1)),
+            (0, 1, lambda n, k, a, b, c: (k + 1) * (n - k + a)),
+            (1, 0, lambda n, k, a, b, c: -(k + c) * (n - k + 1)),
+            (1, 1, lambda n, k, a, b, c: -(k + 1) * (n + k + a + b + c + 2)),
+        )),
+    "eigen_k": _Stencil("Diagonal operator with entries -k(k+b+c+1) (the k-degree eigenvalues).",
+        (0, 0, 0), False, (), (
+            (0, 0, lambda n, k, a, b, c: -k * (k + b + c + 1)),
+        )),
+    "eigen_n": _Stencil("Diagonal operator with entries -n(n+a+b+c+2) (the n-degree eigenvalues).",
+        (0, 0, 0), False, (), (
+            (0, 0, lambda n, k, a, b, c: -n * (n + a + b + c + 2)),
+        )),
+}
+
+
+def _build(name, N, params):
+    """Evaluate the stencil of `name` over every column of the degree-N basis.
+
+    Targets outside the range basis and exact zeros are dropped.
+    """
+    st = _STENCILS[name]
     if not isinstance(N, (int, np.integer)) or N < 0:
         raise ValueError(f"maximum degree must be a nonnegative integer, got {N!r}")
     params.validate()
     if params.d != 0.0:
         raise ValueError(f"coefficient-space operators require d = 0, got d = {params.d}")
+    abc = (params.a, params.b, params.c)
+    lowered = [e for e, d in zip("abc", st.shift) if d < 0]
+    if any(getattr(params, e) <= 0 for e in lowered):
+        need = " and ".join(f"{e} > 0" for e in lowered)
+        raise ValueError(f"{name} requires {need}, got (a, b, c) = {abc}")
+    dom = BasisTag(params, st.weighted, N)
+    # unshifted exponents are copied as given, so a -0.0 reaches the descriptor
+    shifted = (p + d if d else p for p, d in zip(abc, st.shift))
+    maxdeg = max(N + max(dn for dn, _, _ in st.terms), 0)
+    ran = BasisTag(TriParams(*shifted, 0.0), st.weighted, maxdeg)
+    n = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
+    cols = np.arange(n.size)
+    k = cols - n * (n + 1) // 2
+    den = 1.0
+    for label, fn in st.dens:
+        value = fn(n, k, *abc)
+        bad = np.abs(value) < 1e-12
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise DegenerateParameterError(
+                f"{label} vanishes at (n, k) = ({n[j]}, {k[j]}) for (a, b, c) = {abc}"
+            )
+        den = den * value
+    entries = []
+    for dn, dk, num in st.terms:
+        nr, kr = n + dn, k + dk
+        v = num(n, k, *abc) / den
+        keep = (kr >= 0) & (kr <= nr) & (nr <= maxdeg) & (v != 0.0)
+        entries.append(((nr * (nr + 1) // 2 + kr)[keep], cols[keep], v[keep]))
+    rows, cols, vals = (np.concatenate(e) for e in zip(*entries))
+    return SparseOp.from_triplets(dom, ran, rows, cols, vals, name)
 
 
-def _den_k(k, b, c):
-    den = 2 * k + b + c + 1
-    if abs(den) < 1e-12:
-        raise DegenerateParameterError(f"2k+b+c+1 vanishes at k={k} for b={b}, c={c}")
-    return den
+def _builder(name):
+    def build(N, params):
+        return _build(name, N, params)
+
+    build.__name__ = build.__qualname__ = f"build_{name}"
+    build.__doc__ = _STENCILS[name].doc
+    return build
 
 
-def _den_n(n, a, b, c):
-    den = 2 * n + a + b + c + 2
-    if abs(den) < 1e-12:
-        raise DegenerateParameterError(f"2n+a+b+c+2 vanishes at n={n} for ({a}, {b}, {c})")
-    return den
-
-
-def _columns(N):
-    for n in range(N + 1):
-        for k in range(n + 1):
-            yield n, k, n * (n + 1) // 2 + k
-
-
-def build_diff_y(N, params):
-    """d/dy as a map into the (a, b+1, c+1) basis, degrees N -> N-1."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    dom = BasisTag(params, False, N)
-    ran = BasisTag(TriParams(a, b + 1, c + 1, 0.0), False, max(N - 1, 0))
-    acc = _Accum(dom, ran, "diff_y")
-    for n, k, col in _columns(N):
-        acc.add(n - 1, k - 1, col, k + b + c + 1)
-    return acc.done()
-
-
-def build_diff_x(N, params):
-    """d/dx as a map into the (a+1, b, c+1) basis, degrees N -> N-1."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    dom = BasisTag(params, False, N)
-    ran = BasisTag(TriParams(a + 1, b, c + 1, 0.0), False, max(N - 1, 0))
-    acc = _Accum(dom, ran, "diff_x")
-    for n, k, col in _columns(N):
-        den = _den_k(k, b, c)
-        acc.add(n - 1, k, col, (n + k + a + b + c + 2) * (k + b + c + 1) / den)
-        acc.add(n - 1, k - 1, col, (k + b) * (n + k + b + c + 1) / den)
-    return acc.done()
-
-
-def build_diff_z(N, params):
-    """Third-direction derivative (uy - ux) into the (a+1, b+1, c) basis."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    dom = BasisTag(params, False, N)
-    ran = BasisTag(TriParams(a + 1, b + 1, c, 0.0), False, max(N - 1, 0))
-    acc = _Accum(dom, ran, "diff_z")
-    for n, k, col in _columns(N):
-        den = _den_k(k, b, c)
-        acc.add(n - 1, k, col, -(n + k + a + b + c + 2) * (k + b + c + 1) / den)
-        acc.add(n - 1, k - 1, col, (k + c) * (n + k + b + c + 1) / den)
-    return acc.done()
-
-
-def build_weighted_diff_x(N, params):
-    """d/dx on the weighted basis, into the weighted (a-1, b, c-1) basis.
-
-    Requires a > 0 and c > 0 so the range exponents stay valid.
-    """
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    if a <= 0 or c <= 0:
-        raise ValueError(f"weighted x-derivative requires a > 0 and c > 0, got ({a}, {c})")
-    dom = BasisTag(params, True, N)
-    ran = BasisTag(TriParams(a - 1, b, c - 1, 0.0), True, N + 1)
-    acc = _Accum(dom, ran, "weighted_diff_x")
-    for n, k, col in _columns(N):
-        den = _den_k(k, b, c)
-        acc.add(n + 1, k, col, -(k + c) * (n - k + 1) / den)
-        acc.add(n + 1, k + 1, col, -(k + 1) * (n - k + a) / den)
-    return acc.done()
-
-
-def build_weighted_diff_y(N, params):
-    """d/dy on the weighted basis, into the weighted (a, b-1, c-1) basis."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    if b <= 0 or c <= 0:
-        raise ValueError(f"weighted y-derivative requires b > 0 and c > 0, got ({b}, {c})")
-    dom = BasisTag(params, True, N)
-    ran = BasisTag(TriParams(a, b - 1, c - 1, 0.0), True, N + 1)
-    acc = _Accum(dom, ran, "weighted_diff_y")
-    for n, k, col in _columns(N):
-        acc.add(n + 1, k + 1, col, -(k + 1.0))
-    return acc.done()
-
-
-def build_weighted_diff_z(N, params):
-    """Third-direction derivative on the weighted basis, into weighted (a-1, b-1, c)."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    if a <= 0 or b <= 0:
-        raise ValueError(f"weighted z-derivative requires a > 0 and b > 0, got ({a}, {b})")
-    dom = BasisTag(params, True, N)
-    ran = BasisTag(TriParams(a - 1, b - 1, c, 0.0), True, N + 1)
-    acc = _Accum(dom, ran, "weighted_diff_z")
-    for n, k, col in _columns(N):
-        den = _den_k(k, b, c)
-        acc.add(n + 1, k, col, (k + b) * (n - k + 1) / den)
-        acc.add(n + 1, k + 1, col, -(k + 1) * (n - k + a) / den)
-    return acc.done()
-
-
-def build_conv_a(N, params):
-    """Identity map re-expanded in the (a+1, b, c) basis."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    dom = BasisTag(params, False, N)
-    ran = BasisTag(TriParams(a + 1, b, c, 0.0), False, N)
-    acc = _Accum(dom, ran, "conv_a")
-    for n, k, col in _columns(N):
-        den = _den_n(n, a, b, c)
-        acc.add(n, k, col, (n + k + a + b + c + 2) / den)
-        acc.add(n - 1, k, col, (n + k + b + c + 1) / den)
-    return acc.done()
-
-
-def build_conv_b(N, params):
-    """Identity map re-expanded in the (a, b+1, c) basis."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    dom = BasisTag(params, False, N)
-    ran = BasisTag(TriParams(a, b + 1, c, 0.0), False, N)
-    acc = _Accum(dom, ran, "conv_b")
-    for n, k, col in _columns(N):
-        den = _den_n(n, a, b, c) * _den_k(k, b, c)
-        acc.add(n, k, col, (n + k + a + b + c + 2) * (k + b + c + 1) / den)
-        acc.add(n - 1, k, col, -(n - k + a) * (k + b + c + 1) / den)
-        acc.add(n - 1, k - 1, col, (k + c) * (n + k + b + c + 1) / den)
-        acc.add(n, k - 1, col, -(k + c) * (n - k + 1) / den)
-    return acc.done()
-
-
-def build_conv_c(N, params):
-    """Identity map re-expanded in the (a, b, c+1) basis."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    dom = BasisTag(params, False, N)
-    ran = BasisTag(TriParams(a, b, c + 1, 0.0), False, N)
-    acc = _Accum(dom, ran, "conv_c")
-    for n, k, col in _columns(N):
-        den = _den_n(n, a, b, c) * _den_k(k, b, c)
-        acc.add(n, k, col, (n + k + a + b + c + 2) * (k + b + c + 1) / den)
-        acc.add(n - 1, k, col, -(n - k + a) * (k + b + c + 1) / den)
-        acc.add(n - 1, k - 1, col, -(k + b) * (n + k + b + c + 1) / den)
-        acc.add(n, k - 1, col, (k + b) * (n - k + 1) / den)
-    return acc.done()
-
-
-def build_mult_x(N, params):
-    """Multiplication by x into the (a-1, b, c) basis; requires a > 0."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    if a <= 0:
-        raise ValueError(f"x-multiplication requires a > 0, got {a}")
-    dom = BasisTag(params, False, N)
-    ran = BasisTag(TriParams(a - 1, b, c, 0.0), False, N + 1)
-    acc = _Accum(dom, ran, "mult_x")
-    for n, k, col in _columns(N):
-        den = _den_n(n, a, b, c)
-        acc.add(n, k, col, (n - k + a) / den)
-        acc.add(n + 1, k, col, (n - k + 1) / den)
-    return acc.done()
-
-
-def build_mult_y(N, params):
-    """Multiplication by y into the (a, b-1, c) basis; requires b > 0."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    if b <= 0:
-        raise ValueError(f"y-multiplication requires b > 0, got {b}")
-    dom = BasisTag(params, False, N)
-    ran = BasisTag(TriParams(a, b - 1, c, 0.0), False, N + 1)
-    acc = _Accum(dom, ran, "mult_y")
-    for n, k, col in _columns(N):
-        den = _den_n(n, a, b, c) * _den_k(k, b, c)
-        acc.add(n, k, col, (k + b) * (n + k + b + c + 1) / den)
-        acc.add(n, k + 1, col, -(k + 1) * (n - k + a) / den)
-        acc.add(n + 1, k, col, -(k + b) * (n - k + 1) / den)
-        acc.add(n + 1, k + 1, col, (k + 1) * (n + k + a + b + c + 2) / den)
-    return acc.done()
-
-
-def build_mult_z(N, params):
-    """Multiplication by z into the (a, b, c-1) basis; requires c > 0."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    if c <= 0:
-        raise ValueError(f"z-multiplication requires c > 0, got {c}")
-    dom = BasisTag(params, False, N)
-    ran = BasisTag(TriParams(a, b, c - 1, 0.0), False, N + 1)
-    acc = _Accum(dom, ran, "mult_z")
-    for n, k, col in _columns(N):
-        den = _den_n(n, a, b, c) * _den_k(k, b, c)
-        acc.add(n, k, col, (k + c) * (n + k + b + c + 1) / den)
-        acc.add(n, k + 1, col, (k + 1) * (n - k + a) / den)
-        acc.add(n + 1, k, col, -(k + c) * (n - k + 1) / den)
-        acc.add(n + 1, k + 1, col, -(k + 1) * (n + k + a + b + c + 2) / den)
-    return acc.done()
+build_diff_x = _builder("diff_x")
+build_diff_y = _builder("diff_y")
+build_diff_z = _builder("diff_z")
+build_weighted_diff_x = _builder("weighted_diff_x")
+build_weighted_diff_y = _builder("weighted_diff_y")
+build_weighted_diff_z = _builder("weighted_diff_z")
+build_conv_a = _builder("conv_a")
+build_conv_b = _builder("conv_b")
+build_conv_c = _builder("conv_c")
+build_mult_x = _builder("mult_x")
+build_mult_y = _builder("mult_y")
+build_mult_z = _builder("mult_z")
+build_eigen_k = _builder("eigen_k")
+build_eigen_n = _builder("eigen_n")
 
 
 def build_mult_same_x(N, params):
@@ -409,11 +352,8 @@ def build_mult_same_x(N, params):
     Composes the conversion from (a-1, b, c) with x-multiplication; at most
     3 entries per column.
     """
-    _check_build_args(N, params)
     mult = build_mult_x(N, params)
-    conv = build_conv_a(N + 1, TriParams(params.a - 1, params.b, params.c, 0.0))
-    out = compose(conv, mult)
-    return SparseOp(out.domain, out.range, out.rows, out.cols, out.vals, "mult_same_x")
+    return replace(compose(build_conv_a(N + 1, mult.range.params), mult), name="mult_same_x")
 
 
 def build_mult_same_y(N, params):
@@ -422,42 +362,14 @@ def build_mult_same_y(N, params):
     The composed stencil fills the full 3 x 3 index block
     {n-1, n, n+1} x {k-1, k, k+1}.
     """
-    _check_build_args(N, params)
     mult = build_mult_y(N, params)
-    conv = build_conv_b(N + 1, TriParams(params.a, params.b - 1, params.c, 0.0))
-    out = compose(conv, mult)
-    return SparseOp(out.domain, out.range, out.rows, out.cols, out.vals, "mult_same_y")
+    return replace(compose(build_conv_b(N + 1, mult.range.params), mult), name="mult_same_y")
 
 
 def build_mult_same_z(N, params):
     """Multiplication by z staying in the same basis; at most 9 entries per column."""
-    _check_build_args(N, params)
     mult = build_mult_z(N, params)
-    conv = build_conv_c(N + 1, TriParams(params.a, params.b, params.c - 1, 0.0))
-    out = compose(conv, mult)
-    return SparseOp(out.domain, out.range, out.rows, out.cols, out.vals, "mult_same_z")
-
-
-def build_eigen_k(N, params):
-    """Diagonal operator with entries -k(k+b+c+1) (the k-degree eigenvalues)."""
-    _check_build_args(N, params)
-    b, c = params.b, params.c
-    dom = BasisTag(params, False, N)
-    acc = _Accum(dom, dom, "eigen_k")
-    for n, k, col in _columns(N):
-        acc.add(n, k, col, -k * (k + b + c + 1))
-    return acc.done()
-
-
-def build_eigen_n(N, params):
-    """Diagonal operator with entries -n(n+a+b+c+2) (the n-degree eigenvalues)."""
-    _check_build_args(N, params)
-    a, b, c = params.a, params.b, params.c
-    dom = BasisTag(params, False, N)
-    acc = _Accum(dom, dom, "eigen_n")
-    for n, k, col in _columns(N):
-        acc.add(n, k, col, -n * (n + a + b + c + 2))
-    return acc.done()
+    return replace(compose(build_conv_c(N + 1, mult.range.params), mult), name="mult_same_z")
 
 
 OP_BUILDERS = {
@@ -534,18 +446,27 @@ def _parse_tag(kv, prefix):
 
 
 def load_matrix_market(path):
-    """Read an operator written by save_matrix_market (matrix plus descriptor)."""
+    """Read an operator written by save_matrix_market (matrix plus descriptor).
+
+    Raises ValueError on a malformed header or size line, an entry line
+    without exactly 3 fields, an entry count that does not match the size
+    line, or a non-finite value.
+    """
     path = str(path)
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "%%MatrixMarket matrix coordinate real general":
             raise ValueError(f"unsupported matrix header: {header!r}")
         sizes = fh.readline().split()
-        nr, nc, nnz = int(sizes[0]), int(sizes[1]), int(sizes[2])
-        trips = []
-        for _ in range(nnz):
-            parts = fh.readline().split()
-            trips.append((int(parts[0]) - 1, int(parts[1]) - 1, float(parts[2])))
+        if len(sizes) != 3:
+            raise ValueError(f"size line must hold 3 integers, got {sizes!r}")
+        nr, nc, nnz = (int(s) for s in sizes)
+        entry = np.dtype([("row", np.int64), ("col", np.int64), ("val", float)])
+        entries = np.loadtxt(fh, dtype=entry, ndmin=1) if nnz else np.zeros(0, entry)
+    if entries.size != nnz:
+        raise ValueError(f"expected {nnz} matrix entries, found {entries.size}")
+    if not np.all(np.isfinite(entries["val"])):
+        raise ValueError("matrix entries must be finite")
     kv = {}
     with open(path + ".desc") as fh:
         for line in fh:
@@ -557,4 +478,5 @@ def load_matrix_market(path):
     ran = _parse_tag(kv, "range")
     if (ran.size, dom.size) != (nr, nc):
         raise ValueError("matrix dimensions do not match the descriptor basis sizes")
-    return SparseOp.from_triplets(dom, ran, trips, kv.get("name", ""))
+    rows, cols = entries["row"] - 1, entries["col"] - 1
+    return SparseOp.from_triplets(dom, ran, rows, cols, entries["val"], kv.get("name", ""))

@@ -65,6 +65,31 @@ def test_bad_tolerance_scale_is_usage_error(monkeypatch, capsys):
     assert main(["verify", "--suite", "eigen"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-op", "--name", "diff_x", "--N", "-1"],
+        ["expand", "--name", "one", "--N", "-1"],
+        ["expand", "--name", "one", "--N", "3", "--m", "0"],
+        ["solve", "--lambda", "1", "--rhs", "one", "--N", "-1"],
+        ["solve", "--lambda", "1", "--rhs", "one", "--N", "3", "--grid", "0"],
+        ["solve", "--lambda", "nan", "--rhs", "one", "--N", "3"],
+        ["solve", "--lambda", "inf", "--rhs", "one", "--N", "3"],
+        ["build-op", "--name", "conv_a", "--N", "3", "--a", "nan"],
+        ["expand", "--name", "one", "--N", "3", "--b", "inf"],
+        ["solve", "--lambda", "1", "--rhs", "one", "--N", "3", "--c=-inf"],
+    ],
+)
+def test_bad_numeric_flags_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "argument --" in capsys.readouterr().err
+
+
+def test_finite_parameters_outside_the_domain_exit_three(capsys):
+    assert main(["build-op", "--name", "conv_a", "--N", "3", "--a", "-2"]) == 3
+    assert main(["expand", "--name", "one", "--N", "3", "--c", "-1"]) == 3
+
+
 # ----------------------------------------------------------------- build-op
 
 
@@ -264,6 +289,16 @@ def test_verify_seed_changes_sampled_cases(tmp_path):
     assert main(["verify", "--suite", "operators", "--seed", "1", "--out", str(a)]) == 0
     assert main(["verify", "--suite", "operators", "--seed", "2", "--out", str(b)]) == 0
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_verify_operators_passes_on_a_seed_that_defeated_finite_differences(tmp_path):
+    # seed 14 put diff_x and diff_z residuals of a differenced oracle above
+    # the fd bound; exact partials leave it at roundoff
+    out = tmp_path / "r.txt"
+    assert main(["verify", "--suite", "operators", "--seed", "14", "--out", str(out)]) == 0
+    blocks = json.loads((tmp_path / "r.txt.json").read_text())["suites"][0]["blocks"]
+    deriv = next(b for b in blocks if b["name"] == "derivative_equivalence")
+    assert deriv["max_residual"] < 1e-12
 
 
 def test_verify_stdout_mode_prints_text_report(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import trikoorn as tk
+from trikoorn import operators as ops
 
 
 def _rng(tag):
@@ -324,3 +325,55 @@ def test_matrix_market_indices_are_one_based(tmp_path):
     # only the (1,1) mode has a nonzero eigenvalue below degree 2
     assert rows[0][:2] == ["3", "3"]
     assert float(rows[0][2]) == -2.0
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda text: text.rsplit("\n", 2)[0] + "\n",  # last entry cut off
+        lambda text: text[: text.rindex(" ")] + "\n",  # last value cut off
+        lambda text: text.replace(text.splitlines()[1], "2 3"),  # short size line
+    ],
+    ids=["missing-entry", "missing-field", "size-line"],
+)
+def test_matrix_market_rejects_truncated_files(tmp_path, mangle):
+    op = tk.build_conv_a(2, tk.TriParams(0.5, 0.5, 0.5, 0.0))
+    path = tmp_path / "op.mtx"
+    tk.save_matrix_market(op, path)
+    path.write_text(mangle(path.read_text()))
+    with pytest.raises(ValueError):
+        tk.load_matrix_market(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_matrix_market_rejects_non_finite_entries(tmp_path, bad):
+    op = tk.build_conv_a(2, tk.TriParams(0.5, 0.5, 0.5, 0.0))
+    path = tmp_path / "op.mtx"
+    tk.save_matrix_market(op, path)
+    lines = path.read_text().splitlines()
+    r, c, _ = lines[2].split()
+    lines[2] = f"{r} {c} {bad}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        tk.load_matrix_market(path)
+
+
+@pytest.mark.parametrize("name", sorted(ops._STENCILS))
+def test_stencil_evaluator_matches_a_per_column_loop(name):
+    # the vectorized evaluator against a plain loop over the same table entry
+    N, (a, b, c) = 7, (0.5, 1.5, 2.5)
+    op = tk.OP_BUILDERS[name](N, tk.TriParams(a, b, c, 0.0))
+    st = ops._STENCILS[name]
+    want = {}
+    for n in range(N + 1):
+        for k in range(n + 1):
+            den = 1.0
+            for _, fn in st.dens:
+                den = den * fn(n, k, a, b, c)
+            for dn, dk, num in st.terms:
+                nr, kr = n + dn, k + dk
+                val = num(n, k, a, b, c) / den
+                if 0 <= kr <= nr <= op.range.maxdeg and val != 0.0:
+                    want[(nr * (nr + 1) // 2 + kr, n * (n + 1) // 2 + k)] = val
+    got = {(int(r), int(cc)): float(v) for r, cc, v in zip(op.rows, op.cols, op.vals)}
+    assert got == want
