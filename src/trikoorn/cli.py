@@ -30,7 +30,6 @@ from .koornwinder import (
     TriParams,
     TriIndex,
     TriPoint,
-    Jet2,
     _tri_tables,
     tri_eval,
     tri_eval_jet,
@@ -42,10 +41,10 @@ from .ladders import (
     CompositionId,
     DegenerateParameterError,
     _NEEDS_D0,
+    _composition,
+    _pointwise,
+    _step,
     all_ladder_ids,
-    composition_residual,
-    ladder_pointwise,
-    ladder_step,
 )
 from .operators import (
     BasisTag,
@@ -149,7 +148,10 @@ class VerificationReport:
 
 
 class _Worst:
-    """Tracks the largest scaled residual and the case that produced it."""
+    """Tracks the largest scaled residual and the case that produced it.
+
+    A non-finite residual is recorded as inf, so it fails every tolerance.
+    """
 
     def __init__(self):
         self.value = 0.0
@@ -160,12 +162,22 @@ class _Worst:
     def update(self, resid, case):
         self.cases += 1
         r = float(resid)
+        if not math.isfinite(r):
+            r = math.inf
         if r > self.value:
             self.value = r
             self.case = case
 
-    def skip(self):
-        self.skipped += 1
+    def update_rows(self, lhs, rhs, case_of):
+        """update() with each row of lhs against rhs in turn; case_of(i, j) names row i at point j."""
+        r, j = _scaled_residual(lhs, rhs)
+        if r.size:
+            i = int(np.argmax(r))
+            self.cases += r.size - 1
+            self.update(r[i], case_of(i, int(j[i])))
+
+    def skip(self, count=1):
+        self.skipped += int(count)
 
     def block(self, name, tol_class):
         return SweepBlock(name, tol_class, self.cases, self.skipped, self.value, self.case)
@@ -187,14 +199,17 @@ def _interior_points(rng, npts):
 
 
 def _scaled_residual(lhs, rhs):
-    """Max over points of |lhs - rhs| / max(1, |lhs|, |rhs|), plus the argmax."""
+    """Max over the last axis of |lhs - rhs| / max(1, |lhs|, |rhs|), plus the first argmax.
+
+    Rows of 2-D input reduce separately.  A NaN residual counts as inf, so a
+    finite residual elsewhere cannot hide it.
+    """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    lhs, rhs = np.broadcast_arrays(lhs, rhs)
     den = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    rvec = np.abs(lhs - rhs) / den
-    j = int(np.argmax(rvec))
-    return float(rvec.flat[j]), j
+    rvec = np.atleast_1d(np.abs(lhs - rhs) / den)
+    rvec[np.isnan(rvec)] = np.inf
+    return rvec.max(axis=-1), np.argmax(rvec, axis=-1)
 
 
 class _TriBatch:
@@ -235,15 +250,24 @@ class _TriBatch:
             self._jets[key] = tab
         return tab
 
-    def ev(self, n, k, params):
-        if n < 0 or k < 0 or k > n:
-            z = np.zeros_like(self.x)
-            return z, z, z
-        if n > self.N:
-            raise ValueError(f"batch tables stop at degree {self.N}, requested {n}")
-        U, UX, UY = self.jets(params)
-        i = n * (n + 1) // 2 + k
-        return U[i], UX[i], UY[i]
+    def ev(self, n, k, params, partials=True):
+        """Rows (u, ux, uy) of the elements at index arrays n, k; zero rows out of range.
+
+        With partials=False only the value rows (u,) are gathered.
+        """
+        n, k = np.ravel(n), np.ravel(k)
+        ok = (k >= 0) & (k <= n)
+        live = np.count_nonzero(ok)
+        if not live:
+            zero = np.zeros((n.size, self.x.size))
+            return (zero, zero, zero) if partials else (zero,)
+        rows = np.where(ok, n * (n + 1) // 2 + k, 0)
+        if rows.max() >= (self.N + 1) * (self.N + 2) // 2:
+            raise ValueError(f"batch tables stop at degree {self.N}, requested {n[ok].max()}")
+        tabs = self.jets(params) if partials else (self.values(params),)
+        if live == n.size:
+            return tuple(T[rows] for T in tabs)
+        return tuple(np.where(ok[:, None], T[rows], 0.0) for T in tabs)
 
 
 # ---------------------------------------------------------------------------
@@ -308,91 +332,64 @@ def sweep_jacobi_ladders(seed, nmax=20, npts=50):
 
 
 def sweep_triangle_ladders(seed, nmax=10, npts=20):
-    """All triangle ladder relations and their compositions on a 4-value grid."""
+    """All triangle ladder relations and their compositions on a 4-value grid.
+
+    Each operator and each identity is evaluated once per parameter set,
+    over every (n, k) with n <= nmax at once; rows are reduced in (n, k)
+    order, so the reports equal those of a case-by-case loop.
+    """
     rng = np.random.default_rng([seed, 20])
     accA = _Worst()
     accB = _Worst()
     ids = all_ladder_ids()
     gen_cids = [cid for cid in CompositionId if cid not in _NEEDS_D0]
     d0_cids = [cid for cid in CompositionId if cid in _NEEDS_D0]
+    n = np.repeat(np.arange(nmax + 1), np.arange(1, nmax + 2))[:, None]
+    k = np.arange(n.size)[:, None] - n * (n + 1) // 2
     for pa in _TRI_GRID:
         for pb in _TRI_GRID:
             for pc in _TRI_GRID:
                 for pd in _TRI_GRID:
                     params = TriParams(pa, pb, pc, pd)
                     x, y = _interior_points(rng, npts)
-                    pt = TriPoint(x, y)
                     batch = _TriBatch(x, y, nmax + 1)
-                    U, UX, UY = batch.jets(params)
-                    for lid in ids:
-                        for n in range(nmax + 1):
-                            for k in range(n + 1):
-                                idx = TriIndex(n, k)
-                                st = ladder_step(lid, idx, params)
-                                i = n * (n + 1) // 2 + k
-                                jet = Jet2(U[i], UX[i], UY[i])
-                                lhs = ladder_pointwise(lid, jet, pt, idx, params)
-                                if st.factor == 0.0:
-                                    rhs = np.zeros(npts)
-                                else:
-                                    q = st.params
-                                    # at a parameter of exactly -1 the target
-                                    # normalization degenerates; those samples
-                                    # are logged and skipped.  Anywhere else
-                                    # both sides are polynomial in the
-                                    # parameters, so the relation is asserted
-                                    # even outside the integrable family
-                                    if -1.0 in (q.a, q.b, q.c, q.d):
-                                        accA.skip()
-                                        continue
-                                    ti = st.index
-                                    if ti.n < 0 or ti.k < 0 or ti.k > ti.n:
-                                        rhs = np.zeros(npts)
-                                    else:
-                                        row = ti.n * (ti.n + 1) // 2 + ti.k
-                                        rhs = st.factor * batch.values(q)[row]
-                                r, j = _scaled_residual(lhs, rhs)
-                                accA.update(
-                                    r,
-                                    {
-                                        "id": lid.label,
-                                        "n": n,
-                                        "k": k,
-                                        "a": pa,
-                                        "b": pb,
-                                        "c": pc,
-                                        "d": pd,
-                                        "x": float(x[j]),
-                                        "y": float(y[j]),
-                                    },
-                                )
+                    jet = batch.ev(n, k, params)
+
+                    def case(name, r, j):
+                        return {
+                            "id": name,
+                            "n": int(n[r, 0]),
+                            "k": int(k[r, 0]),
+                            "a": pa,
+                            "b": pb,
+                            "c": pc,
+                            "d": pd,
+                            "x": float(x[j]),
+                            "y": float(y[j]),
+                        }
+
+                    # compositions first, so the ladder block's value
+                    # lookups reuse their jet tables; each block has its own
+                    # accumulator, so the order leaves both reports as they are
                     cids = list(gen_cids) + (d0_cids if pd == 0.0 else [])
                     for cid in cids:
-                        for n in range(nmax + 1):
-                            for k in range(n + 1):
-                                idx = TriIndex(n, k)
-                                try:
-                                    L, R = composition_residual(
-                                        cid, idx, params, pt, _evaluator=batch.ev
-                                    )
-                                except DegenerateParameterError:
-                                    accB.skip()
-                                    continue
-                                r, j = _scaled_residual(L, R)
-                                accB.update(
-                                    r,
-                                    {
-                                        "id": cid.name,
-                                        "n": n,
-                                        "k": k,
-                                        "a": pa,
-                                        "b": pb,
-                                        "c": pc,
-                                        "d": pd,
-                                        "x": float(x[j]),
-                                        "y": float(y[j]),
-                                    },
-                                )
+                        L, R, degenerate = _composition(cid, n, k, params, x, y, batch.ev)
+                        rows = np.flatnonzero(~degenerate)
+                        accB.skip(degenerate.sum())
+                        accB.update_rows(L[rows], R[rows], lambda i, j: case(cid.name, rows[i], j))
+                    for lid in ids:
+                        f, n1, k1, q = _step(lid, n, k, params)
+                        lhs = _pointwise(lid, n, k, params, x, y, *jet)
+                        # at a parameter of exactly -1 the target
+                        # normalization degenerates; those samples are
+                        # logged and skipped.  Anywhere else both sides are
+                        # polynomial in the parameters, so the relation is
+                        # asserted even outside the integrable family
+                        skip = (f != 0.0) & (-1.0 in (q.a, q.b, q.c, q.d))
+                        (v,) = batch.ev(np.where((f != 0.0) & ~skip, n1, -1), k1, q, partials=False)
+                        rows = np.flatnonzero(~skip)
+                        accA.skip(skip.sum())
+                        accA.update_rows(lhs[rows], (f * v)[rows], lambda i, j: case(lid.label, rows[i], j))
     return [
         accA.block("triangle_ladders", "ladder"),
         accB.block("composition_identities", "ladder"),

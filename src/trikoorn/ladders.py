@@ -1,20 +1,26 @@
 """Ladder operators on the triangle family and their composed identities.
 
-Each operator is carried in two forms that must agree: a pointwise
-first-order differential expression applied to a jet, and an index-space
-step (factor, target index, target parameters).  The composed identities
-recover derivative, conversion, multiplication, and eigenvalue relations
-from chains of at most two ladder applications.
+Each of the 24 operators is one row of the `_LADDERS` table, which carries
+it in two forms that must agree: an index-space step (the move of (n, k)
+and of the parameters, and the factor of the target element) and a
+pointwise first-order differential expression applied to a jet.  Factors
+and coefficients are affine in (n, k), so every row takes n and k as ints
+or as (m, 1) integer columns, and one call covers all index pairs.  The
+composed identities recover derivative, conversion, multiplication, and
+eigenvalue relations from chains of at most two ladder applications;
+`_composition` evaluates them over index columns as well, and the public
+functions are its single-index case.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .koornwinder import Jet2, TriIndex, TriParams, _tri_core
+from .koornwinder import TriIndex, TriParams, _tri_core
 from .jacobi import _check_degree
 
 __all__ = [
@@ -74,80 +80,99 @@ def all_ladder_ids():
     ]
 
 
-# index/parameter moves: (dn, dk, da, db, dc, dd)
-_MOVES = {
-    ("y", 1, False): (-1, -1, 0, 1, 1, 0),
-    ("y", 1, True): (1, 1, 0, -1, -1, 0),
-    ("y", 2, False): (0, 0, 0, 0, 1, -1),
-    ("y", 2, True): (0, 0, 0, 0, -1, 1),
-    ("y", 3, False): (0, 0, 0, 1, 0, -1),
-    ("y", 3, True): (0, 0, 0, -1, 0, 1),
-    ("y", 4, False): (1, 1, 0, 0, -1, -1),
-    ("y", 4, True): (-1, -1, 0, 0, 1, 1),
-    ("y", 5, False): (1, 1, 0, -1, 0, -1),
-    ("y", 5, True): (-1, -1, 0, 1, 0, 1),
-    ("y", 6, False): (0, 0, 0, 1, -1, 0),
-    ("y", 6, True): (0, 0, 0, -1, 1, 0),
-    ("x", 1, False): (-1, 0, 1, 0, 0, 1),
-    ("x", 1, True): (1, 0, -1, 0, 0, -1),
-    ("x", 2, False): (0, 0, 0, 0, 0, 1),
-    ("x", 2, True): (0, 0, 0, 0, 0, -1),
-    ("x", 3, False): (0, 0, 1, 0, 0, 0),
-    ("x", 3, True): (0, 0, -1, 0, 0, 0),
-    ("x", 4, False): (1, 0, 0, 0, 0, -1),
-    ("x", 4, True): (-1, 0, 0, 0, 0, 1),
-    ("x", 5, False): (-1, 0, 1, 0, 0, 0),
-    ("x", 5, True): (1, 0, -1, 0, 0, 0),
-    ("x", 6, False): (0, 0, -1, 0, 0, 1),
-    ("x", 6, True): (0, 0, 1, 0, 0, -1),
+class _Ladder(NamedTuple):
+    """One catalogue row.
+
+    `factor(n, k, p)` and `pointwise(n, k, p, x, y, z, u, ux, uy)` accept n, k
+    as ints or as (m, 1) integer columns, so one call covers every index pair.
+    """
+
+    move: tuple  # (dn, dk, da, db, dc, dd)
+    factor: Callable
+    pointwise: Callable
+    singular: bool = False  # coefficients divide by 1 - x
+
+
+# Reordering an expression moves results in the last bits, and with them the
+# verify reports, which are meant to stay byte-identical across versions.
+_LADDERS = {
+    ("y", 1, False): _Ladder((-1, -1, 0, 1, 1, 0), lambda n, k, p: k + p.b + p.c + 1,
+        lambda n, k, p, x, y, z, u, ux, uy: uy + 0.0 * x),
+    ("y", 1, True): _Ladder((1, 1, 0, -1, -1, 0), lambda n, k, p: k + 1.0,
+        lambda n, k, p, x, y, z, u, ux, uy: (y * p.c - z * p.b) * u - y * z * uy),
+    ("y", 2, False): _Ladder((0, 0, 0, 0, 1, -1), lambda n, k, p: k + p.b + p.c + 1,
+        lambda n, k, p, x, y, z, u, ux, uy: (k + p.b + p.c + 1) * u + y * uy),
+    ("y", 2, True): _Ladder((0, 0, 0, 0, -1, 1), lambda n, k, p: k + p.c,
+        lambda n, k, p, x, y, z, u, ux, uy: (p.c + k - y * k / (1 - x)) * u - (y / (1 - x)) * z * uy, True),
+    ("y", 3, False): _Ladder((0, 0, 0, 1, 0, -1), lambda n, k, p: k + p.b + p.c + 1,
+        lambda n, k, p, x, y, z, u, ux, uy: (k + p.b + p.c + 1) * u - z * uy),
+    ("y", 3, True): _Ladder((0, 0, 0, -1, 0, 1), lambda n, k, p: k + p.b,
+        lambda n, k, p, x, y, z, u, ux, uy: (p.b + k * y / (1 - x)) * u + (y / (1 - x)) * z * uy, True),
+    ("y", 4, False): _Ladder((1, 1, 0, 0, -1, -1), lambda n, k, p: k + 1.0,
+        lambda n, k, p, x, y, z, u, ux, uy: (y * p.c - z * (p.b + k + 1)) * u - y * z * uy),
+    ("y", 4, True): _Ladder((-1, -1, 0, 0, 1, 1), lambda n, k, p: k + p.b,
+        lambda n, k, p, x, y, z, u, ux, uy: -(k / (1 - x)) * u + (y / (1 - x)) * uy, True),
+    ("y", 5, False): _Ladder((1, 1, 0, -1, 0, -1), lambda n, k, p: k + 1.0,
+        lambda n, k, p, x, y, z, u, ux, uy: (y * (p.c + k + 1) - z * p.b) * u - y * z * uy),
+    ("y", 5, True): _Ladder((-1, -1, 0, 1, 0, 1), lambda n, k, p: k + p.c,
+        lambda n, k, p, x, y, z, u, ux, uy: (k / (1 - x)) * u + (1 - y / (1 - x)) * uy, True),
+    ("y", 6, False): _Ladder((0, 0, 0, 1, -1, 0), lambda n, k, p: k + p.c,
+        lambda n, k, p, x, y, z, u, ux, uy: p.c * u - z * uy),
+    ("y", 6, True): _Ladder((0, 0, 0, -1, 1, 0), lambda n, k, p: k + p.b,
+        lambda n, k, p, x, y, z, u, ux, uy: p.b * u + y * uy),
+    ("x", 1, False): _Ladder((-1, 0, 1, 0, 0, 1), lambda n, k, p: n + k + p.t + 2,
+        lambda n, k, p, x, y, z, u, ux, uy: (k / (1 - x)) * u + ux - (y / (1 - x)) * uy, True),
+    ("x", 1, True): _Ladder((1, 0, -1, 0, 0, -1), lambda n, k, p: n - k + 1.0,
+        lambda n, k, p, x, y, z, u, ux, uy: (x * (k + p.t + 1) - p.a) * u - x * (1 - x) * ux + x * y * uy),
+    ("x", 2, False): _Ladder((0, 0, 0, 0, 0, 1), lambda n, k, p: n + k + p.t + 2,
+        lambda n, k, p, x, y, z, u, ux, uy:
+        (n + k + p.t + 2 + x * k / (1 - x)) * u + x * ux - (x * y / (1 - x)) * uy, True),
+    ("x", 2, True): _Ladder((0, 0, 0, 0, 0, -1), lambda n, k, p: n + k + p.t - p.a + 1,
+        lambda n, k, p, x, y, z, u, ux, uy:
+        (n + k + p.b + p.c + p.d + 1 - x * n) * u - x * (1 - x) * ux + x * y * uy),
+    ("x", 3, False): _Ladder((0, 0, 1, 0, 0, 0), lambda n, k, p: n + k + p.t + 2,
+        lambda n, k, p, x, y, z, u, ux, uy: (n + p.t + 2) * u - (1 - x) * ux + y * uy),
+    ("x", 3, True): _Ladder((0, 0, -1, 0, 0, 0), lambda n, k, p: n - k + p.a,
+        lambda n, k, p, x, y, z, u, ux, uy: (p.a + x * n) * u + x * (1 - x) * ux - x * y * uy),
+    ("x", 4, False): _Ladder((1, 0, 0, 0, 0, -1), lambda n, k, p: n - k + 1.0,
+        lambda n, k, p, x, y, z, u, ux, uy:
+        (x * (n + p.t + 2) - p.a - n + k - 1) * u - x * (1 - x) * ux + x * y * uy),
+    ("x", 4, True): _Ladder((-1, 0, 0, 0, 0, 1), lambda n, k, p: n - k + p.a,
+        lambda n, k, p, x, y, z, u, ux, uy: (k / (1 - x) - n) * u + x * ux - (x * y / (1 - x)) * uy, True),
+    ("x", 5, False): _Ladder((-1, 0, 1, 0, 0, 0), lambda n, k, p: n + k + p.t - p.a + 1,
+        lambda n, k, p, x, y, z, u, ux, uy: n * u + (1 - x) * ux - y * uy),
+    ("x", 5, True): _Ladder((1, 0, -1, 0, 0, 0), lambda n, k, p: n - k + 1.0,
+        lambda n, k, p, x, y, z, u, ux, uy: (x * (n + p.t + 2) - p.a) * u - x * (1 - x) * ux + x * y * uy),
+    ("x", 6, False): _Ladder((0, 0, -1, 0, 0, 1), lambda n, k, p: n - k + p.a,
+        lambda n, k, p, x, y, z, u, ux, uy:
+        (p.a + x * k / (1 - x)) * u + x * ux - (x * y / (1 - x)) * uy, True),
+    ("x", 6, True): _Ladder((0, 0, 1, 0, 0, -1), lambda n, k, p: n + k + p.t - p.a + 1,
+        lambda n, k, p, x, y, z, u, ux, uy: (k + p.b + p.c + p.d + 1) * u - (1 - x) * ux + y * uy),
 }
 
-# operators whose coefficients divide by 1 - x
-_SINGULAR = {
-    ("y", 2, True),
-    ("y", 3, True),
-    ("y", 4, True),
-    ("y", 5, True),
-    ("x", 1, False),
-    ("x", 2, False),
-    ("x", 4, True),
-    ("x", 6, False),
-}
+
+def _entry(lid):
+    return _LADDERS[(lid.axis, lid.s, bool(lid.dagger))]
+
+
+def _step(lid, n, k, params):
+    """(factor, n', k', params') of one ladder application; n, k ints or columns."""
+    op = _entry(lid)
+    dn, dk, da, db, dc, dd = op.move
+    return op.factor(n, k, params), n + dn, k + dk, params.shifted(da, db, dc, dd)
+
+
+def _pointwise(lid, n, k, params, x, y, u, ux, uy):
+    """Apply one operator to jet data; n, k ints or columns broadcasting against u."""
+    op = _entry(lid)
+    if op.singular and np.any(1.0 - x == 0.0):
+        raise ValueError(f"operator {lid.label} divides by 1 - x and cannot be evaluated at x = 1")
+    return op.pointwise(n, k, params, x, y, 1.0 - x - y, u, ux, uy)
 
 
 def ladder_factor(lid, idx, params):
     """Scalar factor multiplying the target element for one ladder application."""
-    n, k = idx.n, idx.k
-    a, b, c = params.a, params.b, params.c
-    t = params.t
-    key = (lid.axis, lid.s, bool(lid.dagger))
-    table = {
-        ("y", 1, False): k + b + c + 1,
-        ("y", 1, True): k + 1.0,
-        ("y", 2, False): k + b + c + 1,
-        ("y", 2, True): k + c,
-        ("y", 3, False): k + b + c + 1,
-        ("y", 3, True): k + b,
-        ("y", 4, False): k + 1.0,
-        ("y", 4, True): k + b,
-        ("y", 5, False): k + 1.0,
-        ("y", 5, True): k + c,
-        ("y", 6, False): k + c,
-        ("y", 6, True): k + b,
-        ("x", 1, False): n + k + t + 2,
-        ("x", 1, True): n - k + 1.0,
-        ("x", 2, False): n + k + t + 2,
-        ("x", 2, True): n + k + t - a + 1,
-        ("x", 3, False): n + k + t + 2,
-        ("x", 3, True): n - k + a,
-        ("x", 4, False): n - k + 1.0,
-        ("x", 4, True): n - k + a,
-        ("x", 5, False): n + k + t - a + 1,
-        ("x", 5, True): n - k + 1.0,
-        ("x", 6, False): n - k + a,
-        ("x", 6, True): n + k + t - a + 1,
-    }
-    return float(table[key])
+    return float(_entry(lid).factor(idx.n, idx.k, params))
 
 
 def ladder_step(lid, idx, params):
@@ -158,12 +183,8 @@ def ladder_step(lid, idx, params):
     zero polynomial; target parameters may leave the orthogonality family.
     """
     idx.validate()
-    dn, dk, da, db, dc, dd = _MOVES[(lid.axis, lid.s, bool(lid.dagger))]
-    return TriLadderStep(
-        ladder_factor(lid, idx, params),
-        TriIndex(idx.n + dn, idx.k + dk),
-        params.shifted(da, db, dc, dd),
-    )
+    factor, n, k, q = _step(lid, idx.n, idx.k, params)
+    return TriLadderStep(float(factor), TriIndex(n, k), q)
 
 
 def ladder_pointwise(lid, jet, pt, idx, params):
@@ -172,65 +193,11 @@ def ladder_pointwise(lid, jet, pt, idx, params):
     Operators whose coefficients contain 1/(1-x) raise on the line x = 1;
     everything else is polynomial in (x, y) and evaluates anywhere.
     """
-    n, k = idx.n, idx.k
-    _check_degree(n)
-    _check_degree(k)
-    a, b, c, d = params.a, params.b, params.c, params.d
-    t = params.t
+    _check_degree(idx.n)
+    _check_degree(idx.k)
     x = np.asarray(pt.x, dtype=float)
     y = np.asarray(pt.y, dtype=float)
-    z = 1.0 - x - y
-    key = (lid.axis, lid.s, bool(lid.dagger))
-    if key in _SINGULAR and np.any(1.0 - x == 0.0):
-        raise ValueError(f"operator {lid.label} divides by 1 - x and cannot be evaluated at x = 1")
-    u, ux, uy = jet.u, jet.ux, jet.uy
-    if lid.axis == "y":
-        if not lid.dagger:
-            if lid.s == 1:
-                return uy + 0.0 * x
-            if lid.s == 2:
-                return (k + b + c + 1) * u + y * uy
-            if lid.s == 3:
-                return (k + b + c + 1) * u - z * uy
-            if lid.s == 4:
-                return (y * c - z * (b + k + 1)) * u - y * z * uy
-            if lid.s == 5:
-                return (y * (c + k + 1) - z * b) * u - y * z * uy
-            return c * u - z * uy
-        if lid.s == 1:
-            return (y * c - z * b) * u - y * z * uy
-        if lid.s == 2:
-            return (c + k - y * k / (1 - x)) * u - (y / (1 - x)) * z * uy
-        if lid.s == 3:
-            return (b + k * y / (1 - x)) * u + (y / (1 - x)) * z * uy
-        if lid.s == 4:
-            return -(k / (1 - x)) * u + (y / (1 - x)) * uy
-        if lid.s == 5:
-            return (k / (1 - x)) * u + (1 - y / (1 - x)) * uy
-        return b * u + y * uy
-    if not lid.dagger:
-        if lid.s == 1:
-            return (k / (1 - x)) * u + ux - (y / (1 - x)) * uy
-        if lid.s == 2:
-            return (n + k + t + 2 + x * k / (1 - x)) * u + x * ux - (x * y / (1 - x)) * uy
-        if lid.s == 3:
-            return (n + t + 2) * u - (1 - x) * ux + y * uy
-        if lid.s == 4:
-            return (x * (n + t + 2) - a - n + k - 1) * u - x * (1 - x) * ux + x * y * uy
-        if lid.s == 5:
-            return n * u + (1 - x) * ux - y * uy
-        return (a + x * k / (1 - x)) * u + x * ux - (x * y / (1 - x)) * uy
-    if lid.s == 1:
-        return (x * (k + t + 1) - a) * u - x * (1 - x) * ux + x * y * uy
-    if lid.s == 2:
-        return (n + k + b + c + d + 1 - x * n) * u - x * (1 - x) * ux + x * y * uy
-    if lid.s == 3:
-        return (a + x * n) * u + x * (1 - x) * ux - x * y * uy
-    if lid.s == 4:
-        return (k / (1 - x) - n) * u + x * ux - (x * y / (1 - x)) * uy
-    if lid.s == 5:
-        return (x * (n + t + 2) - a) * u - x * (1 - x) * ux + x * y * uy
-    return (k + b + c + d + 1) * u - (1 - x) * ux + y * uy
+    return _pointwise(lid, idx.n, idx.k, params, x, y, jet.u, jet.ux, jet.uy)
 
 
 class CompositionId(enum.Enum):
@@ -261,31 +228,18 @@ _NEEDS_D0 = {
 }
 
 
-def _default_evaluator(x, y):
+def _core_rows(x, y):
+    """Row evaluator from single-element evaluations (zero rows out of range)."""
+
     def ev(n, k, p):
-        return _tri_core(n, k, p, x, y, partials=True)
+        jets = [_tri_core(int(i), int(j), p, x, y, partials=True) for i, j in zip(n.ravel(), k.ravel())]
+        return tuple(np.stack(rows) for rows in zip(*jets))
 
     return ev
 
 
 def _in_range(n, k):
-    return n >= 0 and 0 <= k <= n
-
-
-def _chain(outer, inner, idx, params, ev, pt):
-    """Evaluate outer(inner(P_idx)) pointwise, inner via its index-space step."""
-    st = ladder_step(inner, idx, params)
-    n1, k1 = st.index.n, st.index.k
-    if st.factor == 0.0 or not _in_range(n1, k1):
-        return 0.0
-    u, ux, uy = ev(n1, k1, st.params)
-    jet = Jet2(st.factor * u, st.factor * ux, st.factor * uy)
-    return ladder_pointwise(outer, jet, pt, st.index, st.params)
-
-
-def _single(lid, idx, params, ev, pt):
-    u, ux, uy = ev(idx.n, idx.k, params)
-    return ladder_pointwise(lid, Jet2(u, ux, uy), pt, idx, params)
+    return (n >= 0) & (k >= 0) & (k <= n)
 
 
 def _y(s, dagger=False):
@@ -300,21 +254,137 @@ def _ladder_gradient(n, k, params):
     """Gradient of P_{n,k} as ladder-step data: lists of (coef, n', k', params').
 
     Uses the d = 0 differentiation expansions; the x-expansion divides by
-    2k + b + c + 1.
+    2k + b + c + 1.  Also returns the mask of (n, k) where that divisor
+    vanishes; coefficients there are finite filler.
     """
     a, b, c = params.a, params.b, params.c
     den = 2 * k + b + c + 1
-    if abs(den) < 1e-9:
-        raise DegenerateParameterError(
-            f"x-derivative expansion divides by 2k+b+c+1 = 0 at k={k}, b={b}, c={c}"
-        )
+    degenerate = np.abs(den) < 1e-9
+    den = np.where(degenerate, 1.0, den)
     px = TriParams(a + 1, b, c + 1, 0.0)
     gx = [
         ((n + k + a + b + c + 2) * (k + b + c + 1) / den, n - 1, k, px),
         ((k + b) * (n + k + b + c + 1) / den, n - 1, k - 1, px),
     ]
     gy = [(k + b + c + 1, n - 1, k - 1, TriParams(a, b + 1, c + 1, 0.0))]
-    return gx, gy
+    return gx, gy, degenerate
+
+
+# Ladder side of the chain identities: (sign, outer, inner) terms summed in
+# order, where inner None applies the outer operator to the element itself.
+_CHAINS = {
+    CompositionId.DX_IDENTITY: ((1, _x(1), _y(2)), (1, _y(4, True), _x(6, True))),
+    CompositionId.DZ_IDENTITY: ((1, _x(1), _y(3)), (-1, _y(5, True), _x(6, True))),
+    CompositionId.WDX_IDENTITY: ((1, _y(2, True), _x(1, True)), (1, _y(4), _x(6))),
+    CompositionId.WDY_IDENTITY: ((1, _y(1, True), None),),
+    CompositionId.WDZ_IDENTITY: ((1, _y(3, True), _x(1, True)), (-1, _y(5), _x(6))),
+    CompositionId.CONV_A: ((1, _x(3), None), (1, _x(5), None)),
+    CompositionId.CONV_B: (
+        (1, _y(3), _x(2)), (-1, _y(3), _x(4, True)), (1, _y(5, True), _x(2, True)), (-1, _y(5, True), _x(4))
+    ),
+    CompositionId.CONV_C: (
+        (1, _y(2), _x(2)), (-1, _y(2), _x(4, True)), (-1, _y(4, True), _x(2, True)), (1, _y(4, True), _x(4))
+    ),
+    CompositionId.MULT_X: ((1, _x(3, True), None), (1, _x(5, True), None)),
+    CompositionId.MULT_Y: (
+        (1, _y(3, True), _x(2, True)), (-1, _y(3, True), _x(4)), (1, _y(5), _x(2)), (-1, _y(5), _x(4, True))
+    ),
+    CompositionId.MULT_Z: (
+        (1, _y(2, True), _x(2, True)), (-1, _y(2, True), _x(4)), (1, _y(4), _x(4, True)), (-1, _y(4), _x(2))
+    ),
+}
+
+# Closed-form side of every identity, with D = 2k + b + c + 1 and E = 2n + t + 2.
+_CLOSED = {
+    CompositionId.DX_IDENTITY: lambda n, k, p, x, y, z, D, E, u, ux, uy: D * ux,
+    CompositionId.DZ_IDENTITY: lambda n, k, p, x, y, z, D, E, u, ux, uy: -D * (uy - ux),
+    CompositionId.WDX_IDENTITY:
+        lambda n, k, p, x, y, z, D, E, u, ux, uy: D * ((p.c * x - p.a * z) * u - x * z * ux),
+    CompositionId.WDY_IDENTITY:
+        lambda n, k, p, x, y, z, D, E, u, ux, uy: (p.c * y - p.b * z) * u - y * z * uy,
+    CompositionId.WDZ_IDENTITY:
+        lambda n, k, p, x, y, z, D, E, u, ux, uy: D * ((p.b * x - p.a * y) * u + x * y * (uy - ux)),
+    CompositionId.CONV_A: lambda n, k, p, x, y, z, D, E, u, ux, uy: E * u,
+    CompositionId.CONV_B: lambda n, k, p, x, y, z, D, E, u, ux, uy: D * E * u,
+    CompositionId.CONV_C: lambda n, k, p, x, y, z, D, E, u, ux, uy: D * E * u,
+    CompositionId.MULT_X: lambda n, k, p, x, y, z, D, E, u, ux, uy: E * x * u,
+    CompositionId.MULT_Y: lambda n, k, p, x, y, z, D, E, u, ux, uy: D * E * y * u,
+    CompositionId.MULT_Z: lambda n, k, p, x, y, z, D, E, u, ux, uy: D * E * z * u,
+    CompositionId.EIG_K: lambda n, k, p, x, y, z, D, E, u, ux, uy: -k * (k + p.b + p.c + 1) * u,
+    CompositionId.EIG_N: lambda n, k, p, x, y, z, D, E, u, ux, uy: -n * (n + p.a + p.b + p.c + 2) * u,
+}
+
+
+def _chain_sum(terms, n, k, params, x, y, ev, jet):
+    """Sum of outer(inner(P_{n,k})) terms, each inner taken via its index-space step."""
+    left = None
+    for sign, outer, inner in terms:
+        if inner is None:
+            term = _pointwise(outer, n, k, params, x, y, *jet)
+        else:
+            f, n1, k1, q = _step(inner, n, k, params)
+            u, ux, uy = ev(np.where(f != 0.0, n1, -1), k1, q)
+            term = _pointwise(outer, n1, k1, q, x, y, f * u, f * ux, f * uy)
+        left = term if left is None else left + term if sign > 0 else left - term
+    return left
+
+
+def _eig_k_left(n, k, params, x, y, ev):
+    """y-eigen operator applied through two y1 ladder steps."""
+    b, c = params.b, params.c
+    f1, n1, k1, p1 = _step(_y(1), n, k, params)
+    f2, n2, k2, p2 = _step(_y(1), n1, k1, p1)
+    duy = f1 * ev(n1, k1, p1)[0]
+    duyy = f1 * f2 * ev(n2, k2, p2)[0]
+    return (1.0 - x - y) * y * duyy + ((1 + b) * (1 - x) - (2 + b + c) * y) * duy
+
+
+def _eig_n_left(n, k, params, x, y, ev):
+    """Degree-eigen operator applied through the gradient expansions, plus the degenerate mask."""
+    a, b, c = params.a, params.b, params.c
+    gx, gy, degenerate = _ladder_gradient(n, k, params)
+    dux = sum(cf * ev(n1, k1, p1)[0] for cf, n1, k1, p1 in gx)
+    duy = sum(cf * ev(n1, k1, p1)[0] for cf, n1, k1, p1 in gy)
+    duxx = duxy = duyy = 0.0
+    for cf, n1, k1, p1 in gx:
+        g2x, g2y, deg = _ladder_gradient(n1, k1, p1)
+        degenerate = degenerate | deg & _in_range(n1, k1)
+        duxx += cf * sum(c2 * ev(n2, k2, p2)[0] for c2, n2, k2, p2 in g2x)
+        duxy += cf * sum(c2 * ev(n2, k2, p2)[0] for c2, n2, k2, p2 in g2y)
+    for cf, n1, k1, p1 in gy:
+        _, g2y, deg = _ladder_gradient(n1, k1, p1)
+        degenerate = degenerate | deg & _in_range(n1, k1)
+        duyy += cf * sum(c2 * ev(n2, k2, p2)[0] for c2, n2, k2, p2 in g2y)
+    left = (
+        x * (1 - x) * duxx
+        - 2 * x * y * duxy
+        + y * (1 - y) * duyy
+        + (a + 1 - (a + b + c + 3) * x) * dux
+        + (b + 1 - (a + b + c + 3) * y) * duy
+    )
+    return left, degenerate
+
+
+def _composition(cid, n, k, params, x, y, ev):
+    """Both sides of one identity for every row of the index columns n, k.
+
+    `ev(n, k, params)` returns the jet rows (u, ux, uy) of the elements at
+    index arrays, zero rows out of range.  Returns (left, right, degenerate),
+    where degenerate marks the rows whose gradient expansion divides by zero
+    (their sides are meaningless).
+    """
+    jet = ev(n, k, params)
+    degenerate = np.zeros(np.shape(n), dtype=bool)
+    if cid is CompositionId.EIG_K:
+        left = _eig_k_left(n, k, params, x, y, ev)
+    elif cid is CompositionId.EIG_N:
+        left, degenerate = _eig_n_left(n, k, params, x, y, ev)
+    else:
+        left = _chain_sum(_CHAINS[cid], n, k, params, x, y, ev, jet)
+    D = 2 * k + params.b + params.c + 1
+    E = 2 * n + params.t + 2
+    right = _CLOSED[cid](n, k, params, x, y, 1.0 - x - y, D, E, *jet)
+    return left, right, degenerate.ravel()
 
 
 def composition_residual(cid, idx, params, pt, _evaluator=None):
@@ -337,105 +407,18 @@ def composition_residual(cid, idx, params, pt, _evaluator=None):
     """
     idx.validate()
     params.validate()
+    if cid not in _CLOSED:
+        raise ValueError(f"unknown composition id {cid!r}")
     if cid in _NEEDS_D0 and params.d != 0.0:
         raise ValueError(f"{cid.name} is a d = 0 identity, got d = {params.d}")
-    x = np.asarray(pt.x, dtype=float)
-    y = np.asarray(pt.y, dtype=float)
-    z = 1.0 - x - y
-    n, k = idx.n, idx.k
-    a, b, c = params.a, params.b, params.c
-    t = params.t
-    ev = _evaluator if _evaluator is not None else _default_evaluator(x, y)
-    u, ux, uy = ev(n, k, params)
-    D = 2 * k + b + c + 1
-    E = 2 * n + t + 2
-
-    if cid is CompositionId.DX_IDENTITY:
-        left = _chain(_x(1), _y(2), idx, params, ev, pt) + _chain(_y(4, True), _x(6, True), idx, params, ev, pt)
-        return left, D * ux
-    if cid is CompositionId.DZ_IDENTITY:
-        left = _chain(_x(1), _y(3), idx, params, ev, pt) - _chain(_y(5, True), _x(6, True), idx, params, ev, pt)
-        return left, -D * (uy - ux)
-    if cid is CompositionId.WDX_IDENTITY:
-        left = _chain(_y(2, True), _x(1, True), idx, params, ev, pt) + _chain(_y(4), _x(6), idx, params, ev, pt)
-        return left, D * ((c * x - a * z) * u - x * z * ux)
-    if cid is CompositionId.WDY_IDENTITY:
-        left = _single(_y(1, True), idx, params, ev, pt)
-        return left, (c * y - b * z) * u - y * z * uy
-    if cid is CompositionId.WDZ_IDENTITY:
-        left = _chain(_y(3, True), _x(1, True), idx, params, ev, pt) - _chain(_y(5), _x(6), idx, params, ev, pt)
-        return left, D * ((b * x - a * y) * u + x * y * (uy - ux))
-    if cid is CompositionId.CONV_A:
-        left = _single(_x(3), idx, params, ev, pt) + _single(_x(5), idx, params, ev, pt)
-        return left, E * u
-    if cid is CompositionId.CONV_B:
-        left = (
-            _chain(_y(3), _x(2), idx, params, ev, pt)
-            - _chain(_y(3), _x(4, True), idx, params, ev, pt)
-            + _chain(_y(5, True), _x(2, True), idx, params, ev, pt)
-            - _chain(_y(5, True), _x(4), idx, params, ev, pt)
+    x, y = np.broadcast_arrays(np.asarray(pt.x, dtype=float), np.asarray(pt.y, dtype=float))
+    shape = x.shape
+    x, y = x.ravel(), y.ravel()
+    ev = _evaluator if _evaluator is not None else _core_rows(x, y)
+    left, right, degenerate = _composition(cid, np.array([[idx.n]]), np.array([[idx.k]]), params, x, y, ev)
+    if degenerate[0]:
+        raise DegenerateParameterError(
+            f"{cid.name} at (n, k) = ({idx.n}, {idx.k}): an x-derivative expansion divides by "
+            f"2k+b+c+1 = 0 (b={params.b}, c={params.c})"
         )
-        return left, D * E * u
-    if cid is CompositionId.CONV_C:
-        left = (
-            _chain(_y(2), _x(2), idx, params, ev, pt)
-            - _chain(_y(2), _x(4, True), idx, params, ev, pt)
-            - _chain(_y(4, True), _x(2, True), idx, params, ev, pt)
-            + _chain(_y(4, True), _x(4), idx, params, ev, pt)
-        )
-        return left, D * E * u
-    if cid is CompositionId.MULT_X:
-        left = _single(_x(3, True), idx, params, ev, pt) + _single(_x(5, True), idx, params, ev, pt)
-        return left, E * x * u
-    if cid is CompositionId.MULT_Y:
-        left = (
-            _chain(_y(3, True), _x(2, True), idx, params, ev, pt)
-            - _chain(_y(3, True), _x(4), idx, params, ev, pt)
-            + _chain(_y(5), _x(2), idx, params, ev, pt)
-            - _chain(_y(5), _x(4, True), idx, params, ev, pt)
-        )
-        return left, D * E * y * u
-    if cid is CompositionId.MULT_Z:
-        left = (
-            _chain(_y(2, True), _x(2, True), idx, params, ev, pt)
-            - _chain(_y(2, True), _x(4), idx, params, ev, pt)
-            + _chain(_y(4), _x(4, True), idx, params, ev, pt)
-            - _chain(_y(4), _x(2), idx, params, ev, pt)
-        )
-        return left, D * E * z * u
-    if cid is CompositionId.EIG_K:
-        st1 = ladder_step(_y(1), idx, params)
-        duy = 0.0
-        duyy = 0.0
-        if _in_range(st1.index.n, st1.index.k):
-            duy = st1.factor * ev(st1.index.n, st1.index.k, st1.params)[0]
-            st2 = ladder_step(_y(1), st1.index, st1.params)
-            if _in_range(st2.index.n, st2.index.k):
-                duyy = st1.factor * st2.factor * ev(st2.index.n, st2.index.k, st2.params)[0]
-        left = z * y * duyy + ((1 + b) * (1 - x) - (2 + b + c) * y) * duy
-        return left, -k * (k + b + c + 1) * u
-    if cid is CompositionId.EIG_N:
-        gx, gy = _ladder_gradient(n, k, params)
-        dux = sum(cf * ev(n1, k1, p1)[0] for cf, n1, k1, p1 in gx if _in_range(n1, k1))
-        duy = sum(cf * ev(n1, k1, p1)[0] for cf, n1, k1, p1 in gy if _in_range(n1, k1))
-        duxx = duxy = duyy = 0.0
-        for cf, n1, k1, p1 in gx:
-            if not _in_range(n1, k1):
-                continue
-            g2x, g2y = _ladder_gradient(n1, k1, p1)
-            duxx += cf * sum(c2 * ev(n2, k2, p2)[0] for c2, n2, k2, p2 in g2x if _in_range(n2, k2))
-            duxy += cf * sum(c2 * ev(n2, k2, p2)[0] for c2, n2, k2, p2 in g2y if _in_range(n2, k2))
-        for cf, n1, k1, p1 in gy:
-            if not _in_range(n1, k1):
-                continue
-            _, g2y = _ladder_gradient(n1, k1, p1)
-            duyy += cf * sum(c2 * ev(n2, k2, p2)[0] for c2, n2, k2, p2 in g2y if _in_range(n2, k2))
-        left = (
-            x * (1 - x) * duxx
-            - 2 * x * y * duxy
-            + y * (1 - y) * duyy
-            + (a + 1 - (a + b + c + 3) * x) * dux
-            + (b + 1 - (a + b + c + 3) * y) * duy
-        )
-        return left, -n * (n + a + b + c + 2) * u
-    raise ValueError(f"unknown composition id {cid!r}")
+    return left[0].reshape(shape)[()], right[0].reshape(shape)[()]

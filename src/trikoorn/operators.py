@@ -407,11 +407,12 @@ def _tag_lines(prefix, tag):
 
 def matrix_market_text(op):
     """Matrix Market coordinate text for the operator (1-based indices)."""
-    lines = ["%%MatrixMarket matrix coordinate real general"]
-    lines.append(f"{op.shape[0]} {op.shape[1]} {op.nnz}")
-    for r, c, v in zip(op.rows, op.cols, op.vals):
-        lines.append(f"{r + 1} {c + 1} {v:.17g}")
-    return "\n".join(lines) + "\n"
+    head = f"%%MatrixMarket matrix coordinate real general\n{op.shape[0]} {op.shape[1]} {op.nnz}\n"
+    cells = [None] * (3 * op.nnz)
+    cells[0::3] = (op.rows + 1).tolist()
+    cells[1::3] = (op.cols + 1).tolist()
+    cells[2::3] = op.vals.tolist()
+    return head + ("%d %d %.17g\n" * op.nnz) % tuple(cells)
 
 
 def descriptor_text(op):

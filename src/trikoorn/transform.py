@@ -151,6 +151,9 @@ def analyze(f, N, params, m=None):
             raise ValueError(
                 f"sampled values must match the rule nodes, expected {rule.points.shape[0]}, got {vals.shape}"
             )
+    bad = np.count_nonzero(~np.isfinite(vals))
+    if bad:
+        raise ValueError(f"{bad} of {vals.size} samples are not finite")
     B = basis_eval_all(N, params, rule.points)
     num = B.T @ (rule.weights * vals)
     den = np.einsum("pi,p,pi->i", B, rule.weights, B)
@@ -217,7 +220,10 @@ def load_coeffs_csv(path, basis):
             n, k = int(n_s), int(k_s)
             if not 0 <= k <= n <= basis.maxdeg:
                 raise ValueError(f"index ({n}, {k}) outside basis of degree {basis.maxdeg}")
-            vals[n * (n + 1) // 2 + k] = float(v_s)
+            v = float(v_s)
+            if not np.isfinite(v):
+                raise ValueError(f"coefficient of ({n}, {k}) is not finite: {v_s!r}")
+            vals[n * (n + 1) // 2 + k] = v
             count += 1
     if count != basis.size:
         raise ValueError(f"expected {basis.size} rows, got {count}")
@@ -250,7 +256,9 @@ def load_values_csv(path):
             line = line.strip()
             if not line:
                 continue
-            xs, ys, vs = line.split(",")
-            pts.append((float(xs), float(ys)))
-            vals.append(float(vs))
+            xs, ys, vs = (float(f) for f in line.split(","))
+            if not np.isfinite([xs, ys, vs]).all():
+                raise ValueError(f"row {line!r} holds a value that is not finite")
+            pts.append((xs, ys))
+            vals.append(vs)
     return np.array(pts, dtype=float), np.array(vals, dtype=float)

@@ -1,12 +1,15 @@
 """Tests for the command-line front end: exit codes, file outputs, formats."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 import trikoorn as tk
+from trikoorn import cli
 from trikoorn.cli import main
+from trikoorn.ladders import _NEEDS_D0
 
 
 def _write_full_coeffs(path, N, nonzero):
@@ -306,3 +309,113 @@ def test_verify_stdout_mode_prints_text_report(capsys):
     out = capsys.readouterr().out
     assert "suite=eigen" in out
     assert "overall=pass" in out
+
+
+def test_solve_rejects_non_finite_coefficients(tmp_path, capsys):
+    rhs = tmp_path / "f.csv"
+    rhs.write_text("n,k,value\n0,0,1.0\n1,0,nan\n1,1,0.5\n")
+    out = tmp_path / "u.csv"
+    assert main(["solve", "--lambda", "1", "--rhs", str(rhs), "--N", "1", "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_expand_rejects_non_finite_sampled_values(tmp_path, capsys):
+    nodes = tmp_path / "nodes.csv"
+    assert main(["expand", "--emit-nodes", "--N", "2", "--out", str(nodes)]) == 0
+    lines = nodes.read_text().splitlines()
+    x, y, _ = lines[2].split(",")
+    lines[2] = f"{x},{y},nan"
+    nodes.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "c.csv"
+    assert main(["expand", "--values", str(nodes), "--N", "2", "--out", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_worst_records_a_nan_residual_as_inf():
+    acc = cli._Worst()
+    acc.update(float("nan"), {"id": "first"})
+    acc.update(1e-14, {"id": "second"})
+    assert (acc.value, acc.case, acc.cases) == (float("inf"), {"id": "first"}, 2)
+    rows = cli._Worst()
+    lhs = np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 3.0], [0.0, 9.0, 0.0]])
+    rows.update_rows(lhs, np.zeros(3), lambda i, j: {"row": i, "point": j})
+    assert (rows.value, rows.case, rows.cases) == (float("inf"), {"row": 1, "point": 1}, 3)
+
+
+def test_a_nan_residual_fails_the_verification(monkeypatch, tmp_path):
+    second_order_k = cli._second_order_k
+    calls = []
+
+    def one_nan(params, x, y, jets):
+        out = second_order_k(params, x, y, jets)
+        calls.append(None)
+        if len(calls) == 5:
+            out = out.copy()
+            out[3] = np.nan
+        return out
+
+    monkeypatch.setattr(cli, "_second_order_k", one_nan)
+    out = tmp_path / "r.txt"
+    assert main(["verify", "--suite", "eigen", "--seed", "0", "--out", str(out)]) == 1
+    report = json.loads((tmp_path / "r.txt.json").read_text())
+    assert report["overall"] == "fail"
+    suite = report["suites"][0]
+    assert suite["pass"] is False and suite["max_residual"] == float("inf")
+    block = next(b for b in suite["blocks"] if b["name"] == "second_order_pointwise")
+    assert block["max_residual"] == float("inf") and block["worst_case"]["id"] == "eigen_k"
+
+
+def test_vectorized_ladder_sweep_equals_a_per_case_loop(monkeypatch):
+    seed, nmax, npts = 0, 2, 5
+    batches = []
+
+    class Recorded(cli._TriBatch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            batches.append(self)
+
+    # the loop below reuses the sweep's cached tables, so it costs no rebuilds;
+    # a 3-value grid still holds both skip kinds (targets at exactly -1 from
+    # 0, and 2k + b + c + 1 = 0 at b = c = -0.5) and keeps the test short
+    monkeypatch.setattr(cli, "_TriBatch", Recorded)
+    monkeypatch.setattr(cli, "_TRI_GRID", (-0.5, 0.0, 0.5))
+    got = cli.sweep_triangle_ladders(seed, nmax=nmax, npts=npts)
+    rng = np.random.default_rng([seed, 20])
+    acc_a, acc_b = cli._Worst(), cli._Worst()
+    for batch, (pa, pb, pc, pd) in zip(batches, itertools.product(cli._TRI_GRID, repeat=4), strict=True):
+        params = tk.TriParams(pa, pb, pc, pd)
+        x, y = cli._interior_points(rng, npts)
+        assert np.array_equal(batch.x, x) and np.array_equal(batch.y, y)
+        pt = tk.TriPoint(x, y)
+        U, UX, UY = batch.jets(params)
+        cids = [c for c in tk.CompositionId if c not in _NEEDS_D0]
+        cids += [c for c in tk.CompositionId if c in _NEEDS_D0 and pd == 0.0]
+        pairs = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
+        for lid, (n, k) in itertools.product(tk.all_ladder_ids(), pairs):
+            idx, i = tk.TriIndex(n, k), n * (n + 1) // 2 + k
+            st = tk.ladder_step(lid, idx, params)
+            lhs = tk.ladder_pointwise(lid, tk.Jet2(U[i], UX[i], UY[i]), pt, idx, params)
+            q, t = st.params, st.index
+            if st.factor != 0.0 and -1.0 in (q.a, q.b, q.c, q.d):
+                acc_a.skip()
+                continue
+            rhs = np.zeros(npts)
+            if st.factor != 0.0 and 0 <= t.k <= t.n:
+                rhs = st.factor * batch.values(q)[t.n * (t.n + 1) // 2 + t.k]
+            r, j = cli._scaled_residual(lhs, rhs)
+            case = {"id": lid.label, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
+            acc_a.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
+        for cid, (n, k) in itertools.product(cids, pairs):
+            try:
+                L, R = tk.composition_residual(cid, tk.TriIndex(n, k), params, pt, _evaluator=batch.ev)
+            except tk.DegenerateParameterError:
+                acc_b.skip()
+                continue
+            r, j = cli._scaled_residual(L, R)
+            case = {"id": cid.name, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
+            acc_b.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
+    want = [acc_a.block("triangle_ladders", "ladder"), acc_b.block("composition_identities", "ladder")]
+    assert got == want
+    assert got[0].skipped > 0 and got[1].skipped > 0

@@ -271,3 +271,26 @@ def test_values_csv_round_trip(tmp_path):
     back_pts, back_vals = tk.load_values_csv(path)
     assert np.array_equal(back_pts, pts)
     assert np.array_equal(back_vals, vals)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_csv_readers_reject_non_finite_values(tmp_path, bad):
+    basis = tk.BasisTag(tk.TriParams(0, 0, 0, 0), False, 1)
+    coeffs = tmp_path / "c.csv"
+    coeffs.write_text(f"n,k,value\n0,0,1.0\n1,0,{bad}\n1,1,0.5\n")
+    with pytest.raises(ValueError, match="finite"):
+        tk.load_coeffs_csv(coeffs, basis)
+    values = tmp_path / "v.csv"
+    values.write_text(f"x,y,value\n0.2,0.3,1.0\n0.1,{bad},2.0\n")
+    with pytest.raises(ValueError, match="finite"):
+        tk.load_values_csv(values)
+
+
+def test_analyze_rejects_non_finite_samples():
+    q = tk.TriParams(0, 0, 0, 0)
+    with pytest.raises(ValueError, match="samples are not finite"):
+        tk.analyze(lambda x, y: np.full_like(x, np.nan), 3, q)
+    vals = np.ones(tk.duffy_rule(4, q).points.shape[0])
+    vals[[2, 5]] = [np.inf, np.nan]
+    with pytest.raises(ValueError, match="2 of 16 samples"):
+        tk.analyze(vals, 3, q)
