@@ -17,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .jacobi import (
-    JacobiParams,
-    Jet1,
-    _shifted_table,
-    jacobi_ladder_pointwise,
-    jacobi_ladder_step,
-    shifted_ladder_pointwise,
-    shifted_ladder_step,
-)
+from .jacobi import _LADDERS as _JACOBI_LADDERS, _shifted_table
 from .koornwinder import (
     TriParams,
     TriIndex,
@@ -104,6 +96,11 @@ _SUITE_CLASS = {
 }
 
 _JAC_GRID = (-0.5, 0.0, 0.5, 1.0, 2.5)
+# name, lower end of the sampled interval, map to (0, 1), 2**e scale applied
+_JAC_FAMILIES = (
+    ("interval", -1.0, lambda X: 0.5 * (X + 1.0), True),
+    ("shifted", 0.0, lambda x: x, False),
+)
 _TRI_GRID = (-0.5, 0.0, 0.5, 1.5)
 
 _OPERATOR_PARAM_SETS = (
@@ -276,57 +273,41 @@ class _TriBatch:
 
 
 def sweep_jacobi_ladders(seed, nmax=20, npts=50):
-    """Both one-variable ladder families, every relation, a 5x5 parameter grid."""
+    """Both one-variable ladder families, every relation, a 5x5 parameter grid.
+
+    Both families run off the one ladder table: each operator is evaluated
+    once per parameter pair over all degrees at once, and rows are reduced
+    in n order, so the reports equal those of a case-by-case loop.
+    """
+    n = np.arange(nmax + 1)[:, None]
     blocks = []
-    for fam_i, family in enumerate(("interval", "shifted")):
+    for fam_i, (family, lo, to01, interval) in enumerate(_JAC_FAMILIES):
         rng = np.random.default_rng([seed, 10 + fam_i])
         acc = _Worst()
         for a in _JAC_GRID:
             for b in _JAC_GRID:
-                p = JacobiParams(a, b)
-                if family == "interval":
-                    X = rng.uniform(-1.0, 1.0, npts)
-                    x01 = 0.5 * (X + 1.0)
-                    dscale = 0.5
-                else:
-                    x01 = rng.uniform(0.0, 1.0, npts)
-                    X = x01
-                    dscale = 1.0
-                src = _shifted_table(nmax + 1, a, b, x01, nderiv=1)
+                X = rng.uniform(lo, 1.0, npts)
+                x = to01(X)
+                src = _shifted_table(nmax + 1, a, b, x, nderiv=1)
+                u, du = src[0, : nmax + 1], src[1, : nmax + 1]
                 tgt = {}
-                for s in range(1, 7):
-                    for dagger in (False, True):
-                        for n in range(nmax + 1):
-                            if family == "interval":
-                                st = jacobi_ladder_step(s, dagger, n, p)
-                            else:
-                                st = shifted_ladder_step(s, dagger, n, p)
-                            jet = Jet1(src[0, n], src[1, n] * dscale)
-                            if family == "interval":
-                                lhs = jacobi_ladder_pointwise(s, dagger, jet, n, p, X)
-                            else:
-                                lhs = shifted_ladder_pointwise(s, dagger, jet, n, p, X)
-                            if st.factor == 0.0 or st.n < 0:
-                                rhs = np.zeros(npts)
-                            else:
-                                key = (st.params.a, st.params.b)
-                                tab = tgt.get(key)
-                                if tab is None:
-                                    tab = _shifted_table(nmax + 1, key[0], key[1], x01)
-                                    tgt[key] = tab
-                                rhs = st.factor * tab[0, st.n]
-                            r, j = _scaled_residual(lhs, rhs)
-                            acc.update(
-                                r,
-                                {
-                                    "s": s,
-                                    "dagger": dagger,
-                                    "n": n,
-                                    "a": a,
-                                    "b": b,
-                                    "x": float(X[j]),
-                                },
-                            )
+                for (s, dagger), op in _JACOBI_LADDERS.items():
+                    scale = 2.0**op.e if interval else 1.0
+                    dn, da, db = op.move
+                    f = scale * op.factor(n, a, b)
+                    lhs = scale * op.pointwise(n, a, b, x, u, du)
+                    live = (f != 0.0) & (n + dn >= 0)
+                    rhs = np.zeros_like(lhs)
+                    if live.any():
+                        key = (a + da, b + db)
+                        if key not in tgt:
+                            tgt[key] = _shifted_table(nmax + 1, *key, x)
+                        rhs = np.where(live, f * tgt[key][0, np.where(live, n + dn, 0)[:, 0]], 0.0)
+                    acc.update_rows(
+                        lhs,
+                        rhs,
+                        lambda i, j: {"s": s, "dagger": dagger, "n": i, "a": a, "b": b, "x": float(X[j])},
+                    )
         blocks.append(acc.block(f"{family}_ladders", "exact"))
     return blocks
 
@@ -873,6 +854,8 @@ def cmd_build_op(args):
 def cmd_expand(args):
     params = TriParams(args.a, args.b, args.c, 0.0)
     m = args.m if args.m is not None else args.N + 1
+    if m < args.N + 1:
+        raise UsageError(f"--m {m} is below N + 1 = {args.N + 1}, so the rule cannot resolve every element")
     rule = duffy_rule(m, params)
     if args.emit_nodes:
         text = values_csv_text(rule.points, np.zeros(rule.points.shape[0]))

@@ -6,11 +6,15 @@ coefficients degenerate (they arise as ladder targets, which may leave the
 a, b > -1 family) are routed to an explicit binomial-sum form that is a
 polynomial in the parameters and has no singular denominators; points where
 that sum cancels catastrophically are redone in extended precision.
+
+The twelve ladder operators are the rows of one table in shifted form; the
+(-1, 1) family is derived from it by x = (X + 1)/2 and a power-of-two scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -325,24 +329,54 @@ def homog_shifted_eval(k, p, y, s):
     return float(out[0]) if scalar else out
 
 
-# ladder move table: (s, dagger) -> (dn, da, db); shared by both families
-_MOVES = {
-    (1, False): (-1, 1, 1),
-    (1, True): (1, -1, -1),
-    (2, False): (0, 1, 0),
-    (2, True): (0, -1, 0),
-    (3, False): (0, 0, 1),
-    (3, True): (0, 0, -1),
-    (4, False): (1, -1, 0),
-    (4, True): (-1, 1, 0),
-    (5, False): (1, 0, -1),
-    (5, True): (-1, 0, 1),
-    (6, False): (0, 1, -1),
-    (6, True): (0, -1, 1),
+class _Ladder(NamedTuple):
+    """One operator of the table, shared by both families.
+
+    `factor(n, a, b)` and `pointwise(n, a, b, x, u, du)` are the shifted
+    forms on (0, 1), with n an int or an (m, 1) integer column.  The
+    interval operator is the same one under x = (X + 1)/2, scaled by 2**e:
+    its factor is 2**e times the shifted factor, and its pointwise form is
+    2**e times the shifted form with du/dx = 2 du/dX.
+    """
+
+    move: tuple  # (dn, da, db)
+    factor: Callable
+    pointwise: Callable
+    e: int
+
+
+# (s, dagger) -> operator, in the sweep's case order.  Reordering an
+# expression moves the verify reports, which stay byte-identical.
+_LADDERS = {
+    (1, False): _Ladder((-1, 1, 1), lambda n, a, b: n + a + b + 1,
+        lambda n, a, b, x, u, du: du + 0.0 * x, -1),
+    (1, True): _Ladder((1, -1, -1), lambda n, a, b: n + 1.0,
+        lambda n, a, b, x, u, du: (x * a - (1 - x) * b) * u - x * (1 - x) * du, 1),
+    (2, False): _Ladder((0, 1, 0), lambda n, a, b: n + a + b + 1,
+        lambda n, a, b, x, u, du: (a + b + n + 1) * u + x * du, 0),
+    (2, True): _Ladder((0, -1, 0), lambda n, a, b: n + a,
+        lambda n, a, b, x, u, du: (a + (1 - x) * n) * u - x * (1 - x) * du, 1),
+    (3, False): _Ladder((0, 0, 1), lambda n, a, b: n + a + b + 1,
+        lambda n, a, b, x, u, du: (a + b + n + 1) * u - (1 - x) * du, 0),
+    (3, True): _Ladder((0, 0, -1), lambda n, a, b: n + b,
+        lambda n, a, b, x, u, du: (b + x * n) * u + x * (1 - x) * du, 1),
+    (4, False): _Ladder((1, -1, 0), lambda n, a, b: n + 1.0,
+        lambda n, a, b, x, u, du: (x * a - (1 - x) * (b + n + 1)) * u - x * (1 - x) * du, 1),
+    (4, True): _Ladder((-1, 1, 0), lambda n, a, b: n + b,
+        lambda n, a, b, x, u, du: -n * u + x * du, 0),
+    (5, False): _Ladder((1, 0, -1), lambda n, a, b: n + 1.0,
+        lambda n, a, b, x, u, du: (x * (a + n + 1) - (1 - x) * b) * u - x * (1 - x) * du, 1),
+    (5, True): _Ladder((-1, 0, 1), lambda n, a, b: n + a,
+        lambda n, a, b, x, u, du: n * u + (1 - x) * du, 0),
+    (6, False): _Ladder((0, 1, -1), lambda n, a, b: n + b,
+        lambda n, a, b, x, u, du: b * u + x * du, 0),
+    (6, True): _Ladder((0, -1, 1), lambda n, a, b: n + a,
+        lambda n, a, b, x, u, du: a * u - (1 - x) * du, 0),
 }
 
 
-def _check_ladder_args(s, dagger, n):
+def _ladder(s, dagger, n, interval):
+    """Checked table row and family scale (2**e on (-1, 1), 1 on (0, 1))."""
     if s not in (1, 2, 3, 4, 5, 6):
         raise ValueError(f"ladder label must be in 1..6, got {s!r}")
     if not isinstance(dagger, (bool, np.bool_)):
@@ -350,46 +384,24 @@ def _check_ladder_args(s, dagger, n):
     _check_degree(n)
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
+    op = _LADDERS[(s, bool(dagger))]
+    return op, (2.0**op.e if interval else 1.0)
+
+
+def _ladder_step(s, dagger, n, p, interval):
+    op, scale = _ladder(s, dagger, n, interval)
+    dn, da, db = op.move
+    return LadderStep(float(scale * op.factor(n, p.a, p.b)), n + dn, p.shifted(da, db))
 
 
 def jacobi_ladder_factor(s, dagger, n, p):
     """Scalar factor multiplying the target polynomial for the (-1,1) family."""
-    a, b = p.a, p.b
-    table = {
-        (1, False): (n + a + b + 1) / 2,
-        (1, True): 2.0 * (n + 1),
-        (2, False): n + a + b + 1,
-        (2, True): 2.0 * (n + a),
-        (3, False): n + a + b + 1,
-        (3, True): 2.0 * (n + b),
-        (4, False): 2.0 * (n + 1),
-        (4, True): n + b,
-        (5, False): 2.0 * (n + 1),
-        (5, True): n + a,
-        (6, False): n + b,
-        (6, True): n + a,
-    }
-    return float(table[(s, bool(dagger))])
+    return _ladder_step(s, dagger, n, p, True).factor
 
 
 def shifted_ladder_factor(s, dagger, n, p):
     """Scalar factor for the shifted family: the (-1,1) factor with 1/2 and 2 dropped."""
-    a, b = p.a, p.b
-    table = {
-        (1, False): n + a + b + 1,
-        (1, True): n + 1.0,
-        (2, False): n + a + b + 1,
-        (2, True): n + a,
-        (3, False): n + a + b + 1,
-        (3, True): n + b,
-        (4, False): n + 1.0,
-        (4, True): n + b,
-        (5, False): n + 1.0,
-        (5, True): n + a,
-        (6, False): n + b,
-        (6, True): n + a,
-    }
-    return float(table[(s, bool(dagger))])
+    return _ladder_step(s, dagger, n, p, False).factor
 
 
 def jacobi_ladder_step(s, dagger, n, p):
@@ -398,16 +410,12 @@ def jacobi_ladder_step(s, dagger, n, p):
     Returns the LadderStep (factor, n', params') such that applying the
     pointwise operator to P_n^{(a,b)} yields factor * P_{n'}^{(a',b')}.
     """
-    _check_ladder_args(s, dagger, n)
-    dn, da, db = _MOVES[(s, bool(dagger))]
-    return LadderStep(jacobi_ladder_factor(s, dagger, n, p), n + dn, p.shifted(da, db))
+    return _ladder_step(s, dagger, n, p, True)
 
 
 def shifted_ladder_step(s, dagger, n, p):
     """Index-space form of a ladder application on the shifted family."""
-    _check_ladder_args(s, dagger, n)
-    dn, da, db = _MOVES[(s, bool(dagger))]
-    return LadderStep(shifted_ladder_factor(s, dagger, n, p), n + dn, p.shifted(da, db))
+    return _ladder_step(s, dagger, n, p, False)
 
 
 def jacobi_ladder_pointwise(s, dagger, jet, n, p, x):
@@ -416,61 +424,12 @@ def jacobi_ladder_pointwise(s, dagger, jet, n, p, x):
     The jet need not come from a Jacobi polynomial; the operator is the
     first-order differential expression itself.
     """
-    _check_ladder_args(s, dagger, n)
-    a, b = p.a, p.b
-    u, du = jet.u, jet.du
+    op, scale = _ladder(s, dagger, n, True)
     X = np.asarray(x, dtype=float)
-    if not dagger:
-        if s == 1:
-            return du + 0.0 * X
-        if s == 2:
-            return (a + b + n + 1) * u + (1 + X) * du
-        if s == 3:
-            return (a + b + n + 1) * u - (1 - X) * du
-        if s == 4:
-            return ((1 + X) * a - (1 - X) * (b + n + 1)) * u - (1 - X**2) * du
-        if s == 5:
-            return ((1 + X) * (a + n + 1) - (1 - X) * b) * u - (1 - X**2) * du
-        return b * u + (1 + X) * du
-    if s == 1:
-        return ((1 + X) * a - (1 - X) * b) * u - (1 - X**2) * du
-    if s == 2:
-        return (2 * a + (1 - X) * n) * u - (1 - X**2) * du
-    if s == 3:
-        return (2 * b + (1 + X) * n) * u + (1 - X**2) * du
-    if s == 4:
-        return -n * u + (1 + X) * du
-    if s == 5:
-        return n * u + (1 - X) * du
-    return a * u - (1 - X) * du
+    return scale * op.pointwise(n, p.a, p.b, (X + 1) / 2, jet.u, 2 * jet.du)
 
 
 def shifted_ladder_pointwise(s, dagger, jet, n, p, x):
     """Apply a shifted-family ladder operator to a jet at x in (0, 1)."""
-    _check_ladder_args(s, dagger, n)
-    a, b = p.a, p.b
-    u, du = jet.u, jet.du
-    xx = np.asarray(x, dtype=float)
-    if not dagger:
-        if s == 1:
-            return du + 0.0 * xx
-        if s == 2:
-            return (a + b + n + 1) * u + xx * du
-        if s == 3:
-            return (a + b + n + 1) * u - (1 - xx) * du
-        if s == 4:
-            return (xx * a - (1 - xx) * (b + n + 1)) * u - xx * (1 - xx) * du
-        if s == 5:
-            return (xx * (a + n + 1) - (1 - xx) * b) * u - xx * (1 - xx) * du
-        return b * u + xx * du
-    if s == 1:
-        return (xx * a - (1 - xx) * b) * u - xx * (1 - xx) * du
-    if s == 2:
-        return (a + (1 - xx) * n) * u - xx * (1 - xx) * du
-    if s == 3:
-        return (b + xx * n) * u + xx * (1 - xx) * du
-    if s == 4:
-        return -n * u + xx * du
-    if s == 5:
-        return n * u + (1 - xx) * du
-    return a * u - (1 - xx) * du
+    op, _ = _ladder(s, dagger, n, False)
+    return op.pointwise(n, p.a, p.b, np.asarray(x, dtype=float), jet.u, jet.du)

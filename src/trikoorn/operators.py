@@ -277,10 +277,12 @@ _STENCILS = {
 }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _build(name, N, params):
     """Evaluate the stencil of `name` over every column of the degree-N basis.
 
-    Targets outside the range basis and exact zeros are dropped.
+    Targets outside the range basis and exact zeros are dropped; a
+    non-finite entry or denominator raises ValueError.
     """
     st = _STENCILS[name]
     if not isinstance(N, (int, np.integer)) or N < 0:
@@ -311,12 +313,17 @@ def _build(name, N, params):
                 f"{label} vanishes at (n, k) = ({n[j]}, {k[j]}) for (a, b, c) = {abc}"
             )
         den = den * value
+    overflow = ~np.isfinite(np.broadcast_to(den, n.shape))
     entries = []
     for dn, dk, num in st.terms:
         nr, kr = n + dn, k + dk
         v = num(n, k, *abc) / den
         keep = (kr >= 0) & (kr <= nr) & (nr <= maxdeg) & (v != 0.0)
+        overflow |= keep & ~np.isfinite(v)
         entries.append(((nr * (nr + 1) // 2 + kr)[keep], cols[keep], v[keep]))
+    if overflow.any():
+        j = int(np.argmax(overflow))
+        raise ValueError(f"{name} overflows float64 at (n, k) = ({n[j]}, {k[j]}) for (a, b, c) = {abc}")
     rows, cols, vals = (np.concatenate(e) for e in zip(*entries))
     return SparseOp.from_triplets(dom, ran, rows, cols, vals, name)
 

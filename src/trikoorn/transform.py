@@ -10,7 +10,7 @@ stated strength.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma
+from math import exp, gamma, inf, isfinite, lgamma
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -20,6 +20,7 @@ from .koornwinder import (
     TriPoint,
     basis_size,
     basis_eval_all,
+    linear_to_index,
     point_rows,
     weight_eval,
 )
@@ -62,6 +63,7 @@ def gauss_jacobi_rule(m, alpha, beta):
     from the squared first components of the eigenvectors scaled by the
     zeroth moment, so they are positive by construction.  Exact for
     polynomials of degree <= 2m - 1; weights sum to B(beta+1, alpha+1).
+    Raises ValueError where float64 cannot hold the recurrence or that sum.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"node count must be a positive integer, got {m!r}")
@@ -70,18 +72,32 @@ def gauss_jacobi_rule(m, alpha, beta):
     a, b = float(alpha), float(beta)
     diag = np.empty(m)
     off = np.empty(max(m - 1, 0))
-    diag[0] = (b - a) / (a + b + 2)
-    for i in range(1, m):
-        diag[i] = (b * b - a * a) / ((2 * i + a + b) * (2 * i + a + b + 2))
-    if m > 1:
-        # the generic subdiagonal formula is 0/0 at i = 1 when a + b = -1
-        off[0] = np.sqrt(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b)))
-        for i in range(2, m):
-            num = 4 * i * (i + a) * (i + b) * (i + a + b)
-            den = (2 * i + a + b) ** 2 * (2 * i + a + b + 1) * (2 * i + a + b - 1)
-            off[i - 1] = np.sqrt(num / den)
+    overflow = ValueError(f"the {m}-node Gauss-Jacobi rule for exponents ({a}, {b}) is out of float64 range")
+    try:
+        diag[0] = (b - a) / (a + b + 2)
+        for i in range(1, m):
+            diag[i] = (b * b - a * a) / ((2 * i + a + b) * (2 * i + a + b + 2))
+        if m > 1:
+            # the generic subdiagonal formula is 0/0 at i = 1 when a + b = -1
+            off[0] = np.sqrt(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b)))
+            for i in range(2, m):
+                num = 4 * i * (i + a) * (i + b) * (i + a + b)
+                den = (2 * i + a + b) ** 2 * (2 * i + a + b + 1) * (2 * i + a + b - 1)
+                off[i - 1] = np.sqrt(num / den)
+    except OverflowError:
+        raise overflow from None
+    try:
+        mu0 = gamma(a + 1) * gamma(b + 1) / gamma(a + b + 2)
+    except OverflowError:
+        mu0 = inf
+    if not isfinite(mu0):
+        # the gammas overflow where their ratio B(a+1, b+1) need not; the log
+        # form loses about 2.2e-16 * |log| of relative accuracy to cancellation
+        logs = (lgamma(a + 1), lgamma(b + 1), -lgamma(a + b + 2))
+        mu0 = exp(sum(logs)) if sum(map(abs, logs)) * 2.2e-16 <= 1e-8 else 0.0
+    if not (np.isfinite(diag).all() and np.isfinite(off).all() and 0.0 < mu0 < inf):
+        raise overflow
     nodes, vecs = eigh_tridiagonal(diag, off)
-    mu0 = gamma(a + 1) * gamma(b + 1) / gamma(a + b + 2)
     weights = mu0 * vecs[0, :] ** 2
     return (1 + nodes) / 2, weights
 
@@ -117,6 +133,11 @@ def norm_sq(idx, params):
     return float(np.dot(rule.weights, vals * vals))
 
 
+def _check_rule_size(N, m):
+    if m < N + 1:
+        raise ValueError(f"rule size m = {m} is below the exactness requirement N + 1 = {N + 1}")
+
+
 def analyze(f, N, params, m=None):
     """Project a function onto the basis of degree <= N by quadrature.
 
@@ -130,7 +151,9 @@ def analyze(f, N, params, m=None):
     params : TriParams
     m : int, optional
         Nodes per direction; defaults to N + 1, the smallest count whose
-        strength 2m - 1 covers products of two degree-N polynomials.
+        strength 2m - 1 covers products of two degree-N polynomials.  A
+        smaller m raises ValueError: element (m, 0) then vanishes at every
+        node and has a zero discrete norm.
 
     Returns
     -------
@@ -141,6 +164,7 @@ def analyze(f, N, params, m=None):
     """
     if m is None:
         m = N + 1
+    _check_rule_size(N, m)
     rule = duffy_rule(m, params)
     if callable(f):
         vals = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
@@ -157,7 +181,15 @@ def analyze(f, N, params, m=None):
     B = basis_eval_all(N, params, rule.points)
     num = B.T @ (rule.weights * vals)
     den = np.einsum("pi,p,pi->i", B, rule.weights, B)
-    return CoeffVec(BasisTag(params, False, int(N)), num / den)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = num / den
+    lost = np.flatnonzero(~np.isfinite(coef))
+    if lost.size:
+        idx = linear_to_index(int(lost[0]))
+        raise ValueError(
+            f"{lost.size} coefficients are out of float64 range, the first at (n, k) = ({idx.n}, {idx.k})"
+        )
+    return CoeffVec(BasisTag(params, False, int(N)), coef)
 
 
 def synthesize(vec, pts):
@@ -180,8 +212,7 @@ def gram_matrix(N, params, m):
     Requires m >= N + 1 so the rule strength covers every pairwise product;
     the result is then diagonal up to roundoff.
     """
-    if m < N + 1:
-        raise ValueError(f"rule size m = {m} is below the exactness requirement N + 1 = {N + 1}")
+    _check_rule_size(N, m)
     rule = duffy_rule(m, params)
     B = basis_eval_all(N, params, rule.points)
     return B.T @ (B * rule.weights[:, None])

@@ -93,6 +93,35 @@ def test_finite_parameters_outside_the_domain_exit_three(capsys):
     assert main(["expand", "--name", "one", "--N", "3", "--c", "-1"]) == 3
 
 
+@pytest.mark.parametrize("m", ["1", "3"])
+def test_expand_rule_below_degree_plus_one_is_usage_error(m, capsys):
+    assert main(["expand", "--name", "x", "--N", "3", "--m", m]) == 2
+    assert "below N + 1 = 4" in capsys.readouterr().err
+
+
+def test_large_exponents_expand_and_solve(tmp_path):
+    # gamma(a + b + 2) overflows here, the rule and the expansion do not
+    out = tmp_path / "c.csv"
+    assert main(["expand", "--name", "x", "--N", "2", "--a", "200", "--out", str(out)]) == 0
+    assert abs(_read_coeffs(out)[(0, 0)] - 201.0 / 203.0) < 1e-12
+    assert main(["solve", "--lambda", "1", "--rhs", "one", "--N", "2", "--c", "400", "--out", str(out)]) == 0
+    assert all(np.isfinite(v) for v in _read_coeffs(out).values())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "--name", "x", "--N", "2", "--a", "1e300"],
+        ["expand", "--name", "x", "--N", "0", "--a", "1e300"],
+        ["build-op", "--name", "diff_x", "--N", "3", "--a", "1e308", "--b", "1e308"],
+    ],
+)
+def test_float64_overflow_exits_three(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr()
+    assert "float64" in err.err and err.out == ""
+
+
 # ----------------------------------------------------------------- build-op
 
 
@@ -419,3 +448,35 @@ def test_vectorized_ladder_sweep_equals_a_per_case_loop(monkeypatch):
     want = [acc_a.block("triangle_ladders", "ladder"), acc_b.block("composition_identities", "ladder")]
     assert got == want
     assert got[0].skipped > 0 and got[1].skipped > 0
+
+
+def test_vectorized_jacobi_sweep_equals_a_per_case_loop():
+    seed, nmax, npts = 0, 3, 4
+    got = cli.sweep_jacobi_ladders(seed, nmax=nmax, npts=npts)
+    families = [
+        ("interval", -1.0, 0.5, tk.jacobi_ladder_step, tk.jacobi_ladder_pointwise),
+        ("shifted", 0.0, 1.0, tk.shifted_ladder_step, tk.shifted_ladder_pointwise),
+    ]
+    want = []
+    for fam_i, (family, lo, dscale, step, pointwise) in enumerate(families):
+        rng = np.random.default_rng([seed, 10 + fam_i])
+        acc = cli._Worst()
+        for a, b in itertools.product(cli._JAC_GRID, repeat=2):
+            p = tk.JacobiParams(a, b)
+            X = rng.uniform(lo, 1.0, npts)
+            x = 0.5 * (X + 1.0) if family == "interval" else X
+            src = cli._shifted_table(nmax + 1, a, b, x, nderiv=1)
+            tables = {}
+            for s, dagger, n in itertools.product(range(1, 7), (False, True), range(nmax + 1)):
+                st = step(s, dagger, n, p)
+                lhs = pointwise(s, dagger, tk.Jet1(src[0, n], src[1, n] * dscale), n, p, X)
+                rhs = np.zeros(npts)
+                if st.factor != 0.0 and st.n >= 0:
+                    key = (st.params.a, st.params.b)
+                    if key not in tables:
+                        tables[key] = cli._shifted_table(nmax + 1, key[0], key[1], x)
+                    rhs = st.factor * tables[key][0, st.n]
+                r, j = cli._scaled_residual(lhs, rhs)
+                acc.update(r, {"s": s, "dagger": dagger, "n": n, "a": a, "b": b, "x": float(X[j])})
+        want.append(acc.block(f"{family}_ladders", "exact"))
+    assert got == want

@@ -206,6 +206,28 @@ def test_shifted_factor_drops_interval_prefactors():
             assert ratio in (0.5, 1.0, 2.0)
 
 
+_JET = tk.Jet1(1.0, 0.5)
+_LADDER_CALLS = {
+    "jacobi_ladder_factor": lambda s, d, n, p: tk.jacobi_ladder_factor(s, d, n, p),
+    "shifted_ladder_factor": lambda s, d, n, p: tk.shifted_ladder_factor(s, d, n, p),
+    "jacobi_ladder_step": lambda s, d, n, p: tk.jacobi_ladder_step(s, d, n, p),
+    "shifted_ladder_step": lambda s, d, n, p: tk.shifted_ladder_step(s, d, n, p),
+    "jacobi_ladder_pointwise": lambda s, d, n, p: tk.jacobi_ladder_pointwise(s, d, _JET, n, p, 0.3),
+    "shifted_ladder_pointwise": lambda s, d, n, p: tk.shifted_ladder_pointwise(s, d, _JET, n, p, 0.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LADDER_CALLS))
+@pytest.mark.parametrize(
+    "s, dagger, n",
+    [(7, False, 0), (0, True, 2), (1, "x", 2), (2, False, -3), (2, False, 2.5)],
+    ids=["label-7", "label-0", "dagger-str", "negative-degree", "fractional-degree"],
+)
+def test_every_ladder_function_rejects_bad_arguments(name, s, dagger, n):
+    with pytest.raises(ValueError):
+        _LADDER_CALLS[name](s, dagger, n, tk.JacobiParams(0.5, 0.5))
+
+
 def test_ladder_factor_frozen_values():
     p = tk.JacobiParams(0.5, 0.5)
     # lowering both params and the degree: factor n + (a+b)/2 + 1... frozen

@@ -159,6 +159,11 @@ def test_degenerate_recurrence_denominators_raise():
         tk.build_conv_b(2, tk.TriParams(0.5, -0.5, -0.5, 0.0))
 
 
+def test_overflowing_entries_raise():
+    with pytest.raises(ValueError, match=r"diff_x overflows float64 at \(n, k\) = \(1, 0\)"):
+        tk.build_diff_x(3, tk.TriParams(1e308, 1e308, 0.0, 0.0))
+
+
 # ----------------------------------------------------------------- algebra
 
 

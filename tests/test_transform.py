@@ -1,5 +1,7 @@
 """Tests for quadrature rules, transforms, norms, and CSV storage."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import beta as beta_fn
@@ -80,6 +82,28 @@ def test_segment_rule_rejects_bad_arguments():
         tk.gauss_jacobi_rule(0, 0.0, 0.0)
     with pytest.raises(ValueError):
         tk.gauss_jacobi_rule(3, -1.0, 0.0)
+
+
+def test_segment_rule_survives_overflowing_gammas():
+    # gamma(a + b + 2) overflows beyond a + b + 2 = 171.6, while the zeroth
+    # moment B(b + 1, a + 1) = 1/201 here is an ordinary number
+    pts, w = tk.gauss_jacobi_rule(4, 200.0, 0.0)
+    assert np.all((pts > 0.0) & (pts < 1.0))
+    for p in range(8):
+        want = beta_fn(p + 1, 201.0)
+        assert abs(np.sum(w * pts**p) - want) < 1e-12 * want
+
+
+def test_segment_rule_keeps_the_gamma_ratio_where_it_is_finite():
+    a, b = 2.5, 160.0
+    _, w = tk.gauss_jacobi_rule(1, a, b)
+    assert w[0] == math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+
+
+@pytest.mark.parametrize("m, a, b", [(3, 1.0, 1e300), (1, 1.0, 1e300), (2, 1e7, 0.0), (3, 1e150, 1e150)])
+def test_segment_rule_out_of_float64_range_raises(m, a, b):
+    with pytest.raises(ValueError, match="out of float64 range"):
+        tk.gauss_jacobi_rule(m, a, b)
 
 
 # ------------------------------------------------------------ triangle rule
@@ -226,6 +250,18 @@ def test_gram_is_diagonal_with_norms():
 def test_gram_rejects_insufficient_rule():
     with pytest.raises(ValueError):
         tk.gram_matrix(5, tk.TriParams(0, 0, 0, 0), 5)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_analyze_rejects_insufficient_rule(m):
+    # at m <= N element (m, 0) vanishes at every node: a zero discrete norm
+    with pytest.raises(ValueError, match="exactness requirement"):
+        tk.analyze(lambda x, y: x, 3, tk.TriParams(0, 0, 0, 0), m)
+
+
+def test_analyze_raises_where_the_rule_weights_underflow():
+    with pytest.raises(ValueError, match="out of float64 range"):
+        tk.analyze(lambda x, y: x, 3, tk.TriParams(200.0, 300.0, 400.0, 0.0))
 
 
 # -------------------------------------------------------------------- files
