@@ -3,9 +3,10 @@
 Evaluation runs through a shifted-interval three-term recurrence with
 derivative propagation.  Parameter values that make the recurrence
 coefficients degenerate (they arise as ladder targets, which may leave the
-a, b > -1 family) are routed to an explicit binomial-sum form that is a
-polynomial in the parameters and has no singular denominators; points where
-that sum cancels catastrophically are redone in extended precision.
+a, b > -1 family) are lifted from the (a+1, b+1) table by the homogenized
+shifted ladders 1T, 1F, and 4T composed with 3T.  The lift divides by
+nothing but the degree, so the corner s = 0 is an ordinary point, and it
+recurses until the recurrence is safe.
 
 The twelve ladder operators are the rows of one table in shifted form; the
 (-1, 1) family is derived from it by x = (X + 1)/2 and a power-of-two scale.
@@ -16,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
@@ -77,14 +77,6 @@ class LadderStep:
     params: JacobiParams
 
 
-def _binom_real(top, m):
-    # binom(top, m) for real top and integer m >= 0
-    r = 1.0
-    for i in range(1, m + 1):
-        r *= (top - m + i) / i
-    return r
-
-
 def _check_degree(n):
     if not isinstance(n, (int, np.integer)):
         raise ValueError(f"degree must be an integer, got {n!r}")
@@ -131,17 +123,12 @@ def _shifted_table(nmax, a, b, x, nderiv=0):
             if nderiv >= 1:
                 out[1, n + 1] = 2 * A * out[0, n] + lin * out[1, n] - C * out[1, n - 1]
     else:
-        # P~_n(x) = H_n(x, 1): the homogenized explicit sum at s = 1
-        for n in range(nmax + 1):
-            for d in range(nderiv + 1):
-                out[d, n] = _homog_formal(n, a, b, x, 1.0, d, 0)
+        # P~_n(x) = H_n(x, 1)
+        H, Hy, _ = _homog_table(nmax, a, b, x, 1.0, partials=nderiv >= 1)
+        out[0] = H
+        if nderiv >= 1:
+            out[1] = Hy
     return out
-
-
-# Explicit sums alternate in sign, so their float64 error is bounded by the
-# sum of term magnitudes times roundoff.  Points where that estimate exceeds
-# the guard (relative to max(1, |value|)) are redone in high precision.
-_FORMAL_GUARD = 1e-12
 
 
 def _homog_table(kmax, a, b, y, s, partials=False):
@@ -160,8 +147,8 @@ def _homog_table(kmax, a, b, y, s, partials=False):
         return H, Hy, Hs
     yf = y.ravel()
     sf = s.ravel()
+    H[0] = 1.0
     if _recurrence_safe(kmax, a, b):
-        H[0] = 1.0
         if kmax >= 1:
             H[1] = (a + 1) * sf + (a + b + 2) * (yf - sf)
             if partials:
@@ -175,77 +162,16 @@ def _homog_table(kmax, a, b, y, s, partials=False):
                 Hy[k + 1] = 2 * A * H[k] + lin * Hy[k] - C * sf**2 * Hy[k - 1]
                 Hs[k + 1] = (B - A) * H[k] + lin * Hs[k] - C * (2 * sf * H[k - 1] + sf**2 * Hs[k - 1])
     else:
-        for k in range(kmax + 1):
-            H[k] = _homog_formal(k, a, b, yf, sf, 0, 0)
-            if partials:
-                Hy[k] = _homog_formal(k, a, b, yf, sf, 1, 0)
-                Hs[k] = _homog_formal(k, a, b, yf, sf, 0, 1)
+        # Lift from the (a+1, b+1) table G, two steps further from the
+        # singular sums, by the homogenized shifted ladders: 1T gives H, 1F
+        # gives Hy, and 4T composed with 3T gives Hs.  Only k divides.
+        G, Gy, Gs = _homog_table(kmax - 1, a + 1, b + 1, yf, sf, partials=True)
+        k = np.arange(1, kmax + 1)[:, None]
+        H[1:] = (((a + 1) * yf - (b + 1) * (sf - yf)) * G - yf * (sf - yf) * Gy) / k
+        if partials:
+            Hy[1:] = (k + a + b + 1) * G
+            Hs[1:] = -(b + 1) * G - yf * (Gy + Gs)
     return H, Hy, Hs
-
-
-def _homog_formal_mp(k, a, b, yv, sv, dy, ds):
-    with mp.workdps(40):
-        am, bm = mp.mpf(a), mp.mpf(b)
-        ym, sm = mp.mpf(yv), mp.mpf(sv)
-        tot = mp.mpf(0)
-        for j in range(k + 1):
-            coef = mp.binomial(k + am, k - j) * mp.binomial(k + bm, j)
-            p, q = j, k - j
-            for _ in range(ds):
-                coef *= -p
-                p -= 1
-            if p < 0:
-                continue
-            if dy == 0:
-                tot += coef * (ym - sm) ** p * ym**q
-            else:
-                t = mp.mpf(0)
-                if p > 0:
-                    t += p * (ym - sm) ** (p - 1) * ym**q
-                if q > 0:
-                    t += q * (ym - sm) ** p * ym ** (q - 1)
-                tot += coef * t
-        return float(tot)
-
-
-def _homog_formal(k, a, b, y, s, dy, ds):
-    # explicit sum: H_k = sum_j binom(k+a, k-j) binom(k+b, j) (y-s)^j y^(k-j)
-    tot = np.zeros_like(y)
-    mag = np.zeros_like(y)
-    for j in range(k + 1):
-        coef = _binom_real(k + a, k - j) * _binom_real(k + b, j)
-        p, q = j, k - j
-        for _ in range(ds):
-            coef *= -p
-            p -= 1
-        if p < 0:
-            continue
-        if dy == 0:
-            tot += coef * (y - s) ** p * y**q
-            mag += abs(coef) * np.abs((y - s) ** p * y**q)
-        elif dy == 1:
-            t = np.zeros_like(y)
-            tm = np.zeros_like(y)
-            if p > 0:
-                piece = p * (y - s) ** (p - 1) * y**q
-                t += piece
-                tm += np.abs(piece)
-            if q > 0:
-                piece = q * (y - s) ** p * y ** (q - 1)
-                t += piece
-                tm += np.abs(piece)
-            tot += coef * t
-            mag += abs(coef) * tm
-        else:
-            raise ValueError(f"unsupported derivative order {dy}")
-    bad = mag * (k + 2) * 2.2e-16 > _FORMAL_GUARD * np.maximum(np.abs(tot), 1.0)
-    if np.any(bad):
-        tflat = tot.reshape(-1)
-        yflat = np.broadcast_to(y, tot.shape).reshape(-1)
-        sflat = np.broadcast_to(s, tot.shape).reshape(-1)
-        for i in np.nonzero(bad.reshape(-1))[0]:
-            tflat[i] = _homog_formal_mp(k, a, b, float(yflat[i]), float(sflat[i]), dy, ds)
-    return tot
 
 
 def _eval_core(n, a, b, x):

@@ -125,17 +125,31 @@ def duffy_rule(m, params):
 
 
 def norm_sq(idx, params):
-    """Squared weighted norm of one basis element, by a rule exact for its square."""
+    """Squared weighted norm of one basis element, by a rule exact for its square.
+
+    Raises ValueError where it is zero or not finite in float64.
+    """
     idx.validate()
     params.validate()
     rule = duffy_rule(idx.n + 1, params)
     vals = basis_eval_all(idx.n, params, rule.points)[:, idx.n * (idx.n + 1) // 2 + idx.k]
-    return float(np.dot(rule.weights, vals * vals))
+    nsq = float(np.dot(rule.weights, vals * vals))
+    if not 0.0 < nsq < inf:
+        raise ValueError(f"the squared norm of (n, k) = ({idx.n}, {idx.k}) is out of float64 range")
+    return nsq
 
 
 def _check_rule_size(N, m):
     if m < N + 1:
         raise ValueError(f"rule size m = {m} is below the exactness requirement N + 1 = {N + 1}")
+
+
+def _check_in_range(ok, what):
+    """Raise ValueError naming the first (n, k) where `ok`, in linear index order, is False."""
+    lost = np.flatnonzero(~ok)
+    if lost.size:
+        idx = linear_to_index(int(lost[0]))
+        raise ValueError(f"{lost.size} {what} out of float64 range, the first at (n, k) = ({idx.n}, {idx.k})")
 
 
 def analyze(f, N, params, m=None):
@@ -183,12 +197,7 @@ def analyze(f, N, params, m=None):
     den = np.einsum("pi,p,pi->i", B, rule.weights, B)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = num / den
-    lost = np.flatnonzero(~np.isfinite(coef))
-    if lost.size:
-        idx = linear_to_index(int(lost[0]))
-        raise ValueError(
-            f"{lost.size} coefficients are out of float64 range, the first at (n, k) = ({idx.n}, {idx.k})"
-        )
+    _check_in_range(np.isfinite(coef), "coefficients are")
     return CoeffVec(BasisTag(params, False, int(N)), coef)
 
 
@@ -210,12 +219,17 @@ def gram_matrix(N, params, m):
     """Weighted Gram matrix of the degree <= N basis under an m-point-per-direction rule.
 
     Requires m >= N + 1 so the rule strength covers every pairwise product;
-    the result is then diagonal up to roundoff.
+    the result is then diagonal up to roundoff.  Raises ValueError where a
+    diagonal entry is zero or not finite (the rule weights underflow, or the
+    norms overflow).
     """
     _check_rule_size(N, m)
     rule = duffy_rule(m, params)
     B = basis_eval_all(N, params, rule.points)
-    return B.T @ (B * rule.weights[:, None])
+    G = B.T @ (B * rule.weights[:, None])
+    d = np.diag(G)
+    _check_in_range((0.0 < d) & (d < inf), "squared norms are")
+    return G
 
 
 def coeffs_csv_text(vec):

@@ -1,10 +1,18 @@
 """Tests for the Jacobi evaluation layer and its ladder operators."""
 
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_jacobi
 
 import trikoorn as tk
+from trikoorn.jacobi import _homog_table, _recurrence_safe, _shifted_table
 
 
 def _rng(tag):
@@ -242,7 +250,7 @@ def test_ladder_factor_frozen_values():
 
 def test_eval_near_degenerate_parameter_sums_matches_scipy():
     # a + b near -1 stresses the recurrence constants; n + a + b + 1 near 0
-    # forces the explicit fallback path
+    # forces the lift path
     rng = _rng(7)
     for a, b in [(-0.5, -0.5), (-0.9, -0.1), (-0.5, -0.51), (-0.999, 0.0)]:
         x = rng.uniform(-1.0, 1.0, 12)
@@ -267,3 +275,73 @@ def test_high_degree_stability():
     got = tk.jacobi_eval(50, p, x)
     ref = eval_jacobi(50, 0.5, -0.25, x)
     assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) < 1e-11
+
+
+# ------------------------------------------------- exact oracle for the lift
+
+
+def _homog_exact(k, a, b, y, s):
+    """Exact H_k = sum_j binom(k+a, k-j) binom(k+b, j) (y-s)^j y^(k-j) and its y- and s-partials."""
+    a, b, y, s = (Fraction(v) for v in (a, b, y, s))
+    ca, cb = [Fraction(1)], [Fraction(1)]
+    for m in range(1, k + 1):
+        ca.append(ca[-1] * (k + a - m + 1) / m)
+        cb.append(cb[-1] * (k + b - m + 1) / m)
+    pd = [(y - s) ** j for j in range(k + 1)]
+    py = [y**q for q in range(k + 1)]
+    H = Hy = Hs = Fraction(0)
+    for j in range(k + 1):
+        c, q = ca[k - j] * cb[j], k - j
+        H += c * pd[j] * py[q]
+        if j:
+            term = c * j * pd[j - 1] * py[q]
+            Hy += term
+            Hs -= term
+        if q:
+            Hy += c * q * pd[j] * py[q - 1]
+    return H, Hy, Hs
+
+
+@st.composite
+def _lift_params(draw):
+    if draw(st.booleans()):
+        return draw(st.floats(-1.5, 6.0)), draw(st.floats(-1.5, 6.0))
+    # a + b on or near a singular integer sum, where the recurrence is unsafe
+    total = draw(st.sampled_from([-2.0, -3.0, -5.0])) + draw(st.sampled_from([0.0, 1e-9, -0.1, 0.1]))
+    a = draw(st.floats(-3.5, total + 3.5))
+    return (a, total - a) if draw(st.booleans()) else (total - a, a)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(ab=_lift_params(), kmax=st.integers(0, 15), s=st.floats(0.0, 1.0), u=st.floats(0.0, 1.0))
+def test_homog_table_matches_the_exact_explicit_sum(ab, kmax, s, u):
+    # the corner s = 0, the edge y = 0, the edge y = s and one interior point
+    a, b = ab
+    y = np.array([u, 0.0, s, u * s])
+    sv = np.array([0.0, s, s, s])
+    got = _homog_table(kmax, a, b, y, sv, partials=True)
+    for k in range(kmax + 1):
+        for i in range(y.size):
+            for tab, ref in zip(got, _homog_exact(k, a, b, y[i], sv[i])):
+                assert abs(Fraction(tab[k, i]) - ref) <= 1e-12 * max(1, abs(ref)), (k, y[i], sv[i])
+
+
+@pytest.mark.parametrize("nderiv", [0, 1])
+@pytest.mark.parametrize("a, b", [(-1.5, -1.5), (-1.0, -1.0), (-0.5, -1.5), (-3.5, -1.5)])
+def test_shifted_table_lift_branch_is_the_homog_table_at_unit_scale(a, b, nderiv):
+    x = np.linspace(0.0, 1.0, 7)
+    assert not _recurrence_safe(12, a, b)
+    tab = _shifted_table(12, a, b, x, nderiv=nderiv)
+    H, Hy, _ = _homog_table(12, a, b, x, 1.0, partials=nderiv >= 1)
+    assert tab.shape == (nderiv + 1, 13, 7)
+    assert np.array_equal(tab[0], H)
+    if nderiv:
+        assert np.array_equal(tab[1], Hy)
+
+
+def test_jacobi_suite_does_not_import_mpmath():
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from trikoorn import cli; cli.run_suite('jacobi', 0); print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -264,6 +264,17 @@ def test_analyze_raises_where_the_rule_weights_underflow():
         tk.analyze(lambda x, y: x, 3, tk.TriParams(200.0, 300.0, 400.0, 0.0))
 
 
+def test_norm_sq_raises_where_the_rule_weights_underflow():
+    # every product weight of this Duffy rule is 0.0, so the norm would read 0
+    with pytest.raises(ValueError, match=r"\(n, k\) = \(2, 1\) is out of float64 range"):
+        tk.norm_sq(tk.TriIndex(2, 1), tk.TriParams(200.0, 300.0, 400.0, 0.0))
+
+
+def test_gram_matrix_raises_where_the_rule_weights_underflow():
+    with pytest.raises(ValueError, match="6 squared norms are out of float64 range"):
+        tk.gram_matrix(2, tk.TriParams(200.0, 300.0, 400.0, 0.0), 3)
+
+
 # -------------------------------------------------------------------- files
 
 
