@@ -22,11 +22,11 @@ from .koornwinder import (
     TriParams,
     TriIndex,
     TriPoint,
+    _first_factors,
+    _second_factor_params,
     _tri_tables,
     tri_eval,
     tri_eval_jet,
-    jjp_residual,
-    jpj_residual,
     weight_eval,
 )
 from .ladders import (
@@ -378,36 +378,67 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
 
 
 def sweep_product_links(seed, nmax=10, npts=10):
-    """Product-form cross-checks of the basis against its one-variable factors."""
+    """Product-form cross-checks of the basis against its one-variable factors.
+
+    These are the two routes of jjp_residual and jpj_residual, with their
+    expressions, over every (n, k) with n <= nmax at once.  Per parameter
+    set the right routes read one jet table; the left routes read, built
+    independently of it, the first factors at (A_k, a) and (A_k + 1, a + 1)
+    and the second factors at (c, b) and (c + 1, b + 1) at tau = y/(1-x).
+    Rows are reduced in (n, k, link) order, so the report equals that of a
+    case-by-case loop.
+    """
     rng = np.random.default_rng([seed, 40])
     acc = _Worst()
+    n = np.repeat(np.arange(nmax + 1), np.arange(1, nmax + 2))[:, None]
+    k = np.arange(n.size)[:, None] - n * (n + 1) // 2
+    kr = k[:, 0]
+    # the rows with n > k, and the rows (n - 1, k) of the (A_k + 1, a + 1)
+    # first factors that their derivatives take
+    lower = np.flatnonzero(n > k)
+    below = (n * (n - 1) // 2 + k)[lower, 0]
+    links = ("jjp", "jpj")
     for pa in _TRI_GRID:
         for pb in _TRI_GRID:
             for pc in _TRI_GRID:
                 for pd in _TRI_GRID:
                     params = TriParams(pa, pb, pc, pd)
                     x, y = _interior_points(rng, npts)
-                    pt = TriPoint(x, y)
-                    for n in range(nmax + 1):
-                        for k in range(n + 1):
-                            idx = TriIndex(n, k)
-                            for which, fn in (("jjp", jjp_residual), ("jpj", jpj_residual)):
-                                L, R = fn(idx, params, pt)
-                                r, j = _scaled_residual(L, R)
-                                acc.update(
-                                    r,
-                                    {
-                                        "id": which,
-                                        "n": n,
-                                        "k": k,
-                                        "a": pa,
-                                        "b": pb,
-                                        "c": pc,
-                                        "d": pd,
-                                        "x": float(x[j]),
-                                        "y": float(y[j]),
-                                    },
-                                )
+                    u, ux, uy = _TriBatch(x, y, nmax).ev(n, k, params)
+                    s = 1.0 - x
+                    tau = y / s
+                    A = _second_factor_params(np.arange(nmax + 1), params)
+                    (F,) = _first_factors(nmax, A, pa, x)
+                    (F1,) = _first_factors(nmax - 1, A[:nmax] + 1, pa + 1, x)
+                    G = _shifted_table(nmax, pc, pb, tau)[0]
+                    G1 = _shifted_table(nmax - 1, pc + 1, pb + 1, tau)[0]
+                    dG = np.zeros_like(G)
+                    dG[1:] = (np.arange(1, nmax + 1)[:, None] + pc + pb + 1) * G1
+                    dF = np.zeros_like(F)
+                    dF[lower] = (n - k + A[k] + pa + 1)[lower] * F1[below]
+                    # integer powers as the per-case routes take them, one per k
+                    pw = np.stack([s**j for j in range(nmax + 2)])
+                    L = np.empty((2 * n.size, npts))
+                    R = np.empty_like(L)
+                    L[0::2] = F * pw[kr] * dG[kr]
+                    R[0::2] = s * uy
+                    L[1::2] = dF * pw[kr + 1] * G[kr]
+                    R[1::2] = k * u + s * ux - y * uy
+                    acc.update_rows(
+                        L,
+                        R,
+                        lambda i, j: {
+                            "id": links[i % 2],
+                            "n": int(n[i // 2, 0]),
+                            "k": int(kr[i // 2]),
+                            "a": pa,
+                            "b": pb,
+                            "c": pc,
+                            "d": pd,
+                            "x": float(x[j]),
+                            "y": float(y[j]),
+                        },
+                    )
     return [acc.block("product_links", "exact")]
 
 

@@ -1,12 +1,14 @@
 """Jacobi polynomials, their shifted-interval variants, and the ladder operators.
 
-Evaluation runs through a shifted-interval three-term recurrence with
-derivative propagation.  Parameter values that make the recurrence
-coefficients degenerate (they arise as ladder targets, which may leave the
-a, b > -1 family) are lifted from the (a+1, b+1) table by the homogenized
-shifted ladders 1T, 1F, and 4T composed with 3T.  The lift divides by
-nothing but the degree, so the corner s = 0 is an ordinary point, and it
-recurses until the recurrence is safe.
+Every table comes from one three-term recurrence on the homogenized form
+H_n(y, s) = s^n P~_n(y/s), with derivative propagation.  It takes the first
+parameter as a column, each entry to its own degree, so that the triangle
+tables run one recurrence for all k.  Where it is unsafe, because a
+denominator nears zero or a parameter is below -1 (ladder targets leave the
+a, b > -1 family), the table is lifted from the (a+1, b+1) one by the
+homogenized shifted ladders 1T, 1F, and 4T composed with 3T.  The lift
+divides by nothing but the degree, so the corner s = 0 is an ordinary
+point, and it recurses until the recurrence is safe.
 
 The twelve ladder operators are the rows of one table in shifted form; the
 (-1, 1) family is derived from it by x = (X + 1)/2 and a power-of-two scale.
@@ -83,107 +85,110 @@ def _check_degree(n):
 
 
 def _recurrence_safe(nmax, a, b):
-    # forward recurrence denominators must stay away from zero
-    for n in range(1, nmax):
-        if abs(n + a + b + 1) < 0.25 or abs(2 * n + a + b) < 0.25:
-            return False
-    return True
+    """Whether the recurrence is safe to degree nmax, per entry of nmax and a: no
+    denominator near zero, no parameter below -1 (it then loses digits at that
+    end as the degree grows, 2.5e-12 in dH/dy at (1.42, -2.42), k = 15)."""
+    # only the integers nearest the zeros of n + a + b + 1 and 2n + a + b can
+    # come within 1/4 of them
+    n1, n2 = np.rint(-(a + b + 1)), np.rint(-(a + b) / 2)
+    bad = (1 <= n1) & (n1 < nmax) & (abs(n1 + a + b + 1) < 0.25)
+    bad |= (1 <= n2) & (n2 < nmax) & (abs(2 * n2 + a + b) < 0.25)
+    return ~(bad | ((np.minimum(a, b) < -1) & (nmax > 1)))
 
 
 def _rec_coeffs(n, a, b):
     # P_{n+1}(X) = (A X + B) P_n(X) - C P_{n-1}(X) on (-1, 1), n >= 1
     s = 2 * n + a + b
     den = 2 * (n + 1) * (n + a + b + 1)
-    A = (s + 1) * (s + 2) / den
-    B = (s + 1) * (a * a - b * b) / (den * s)
-    C = 2 * (n + a) * (n + b) * (s + 2) / (den * s)
-    return A, B, C
+    s1, s2, ds = s + 1, s + 2, den * s
+    return s1 * s2 / den, s1 * (a * a - b * b) / ds, 2 * (n + a) * (n + b) * s2 / ds
 
 
-def _shifted_table(nmax, a, b, x, nderiv=0):
-    """Values (and, for nderiv = 1, x-derivatives) of the shifted polynomials.
+def _recurrence(nmax, a, b, y, s, nderiv=0):
+    """Rows of H_j(y, s) = s^j P~_j(y/s) by the three-term recurrence, one degree j at a time.
 
-    Returns an array of shape (nderiv + 1, nmax + 1, npts) over degrees
-    0..nmax at the points x in (0, 1) coordinates.
+    a is a scalar of degree nmax, or a (K, 1) column of safe entries, each
+    to its own degree in nmax (K,), non-increasing.  Step j yields H_j of
+    the entries reaching degree j, then dH_j/dy (nderiv >= 1) and dH_j/ds
+    (nderiv = 2); the rows are overwritten two steps later.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros((nderiv + 1, nmax + 1, x.size))
-    if nmax < 0:
-        return out
+    col = np.ndim(a) > 0
+    a = np.asarray(a, dtype=float) if col else float(a)  # Python floats are the faster scalars
+    nmax = np.atleast_1d(nmax)
+    top = int(nmax[0]) if nmax.size else -1
+    if top > 1:
+        with np.errstate(divide="ignore", invalid="ignore"):  # pairs past an entry's degree go unread
+            A, B, C = _rec_coeffs(np.arange(1, top)[(slice(None),) + (None,) * np.ndim(a)], a, b)
+        if not col:
+            A, B, C = A.tolist(), B.tolist(), C.tolist()
+    t, s2 = 2 * y - s, s**2
+    shape = np.shape(a)[:1] + t.shape
+    prev = cur = [np.ones(shape)] + [np.zeros(shape) for _ in range(nderiv)]
+    for j in range(top + 1):
+        if j == 1:
+            H = (a + 1) * s + (a + b + 2) * (y - s)
+            prev, cur = cur, [H] + [np.full(H.shape, v) for v in (a + b + 2, -(b + 1))[:nderiv]]
+        elif j > 1:
+            H, Hm = cur[0], prev[0]
+            Aj, Bj, Cj = A[j - 2], B[j - 2], C[j - 2]
+            lin = Aj * t
+            lin += Bj * s
+            c2 = Cj * s2
+            new = [lin, 2 * Aj * H + lin * cur[1] - c2 * prev[1]] if nderiv else [lin]
+            if nderiv == 2:
+                new.append((Bj - Aj) * H + lin * cur[2] - Cj * (2 * s * Hm + s2 * prev[2]))
+            # lin * H - C s^2 H_{j-2} in place: H_{j-2} is read no more
+            lin *= H
+            Hm *= c2
+            lin -= Hm
+            prev, cur = cur, new
+        yield cur
+        if col:  # the entries that go on to degree j + 1, a prefix
+            K = np.count_nonzero(nmax > j)
+            a, cur, prev = a[:K], [v[:K] for v in cur], [v[:K] for v in prev]
+            if top > 1:
+                A, B, C = A[:, :K], B[:, :K], C[:, :K]
+
+
+def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0):
+    """H_n(x, s) = s^n P~_n(x/s), n <= nmax, then its x- and s-partials up to nderiv.
+
+    Shape (nderiv + 1, nmax + 1, npts); s = 1 gives the shifted polynomials
+    and stays a scalar, costing no array products.  Division-free.
+    """
+    x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
+    x, s = (v.ravel() for v in np.broadcast_arrays(x, s)) if s.ndim else (x.ravel(), float(s))
+    T = np.zeros((nderiv + 1, nmax + 1, x.size))
     if _recurrence_safe(nmax, a, b):
-        out[0, 0] = 1.0
-        if nmax >= 1:
-            out[0, 1] = (a + 1) + (a + b + 2) * (x - 1)
-            if nderiv >= 1:
-                out[1, 1] = a + b + 2
-        for n in range(1, nmax):
-            A, B, C = _rec_coeffs(n, a, b)
-            lin = A * (2 * x - 1) + B
-            out[0, n + 1] = lin * out[0, n] - C * out[0, n - 1]
-            if nderiv >= 1:
-                out[1, n + 1] = 2 * A * out[0, n] + lin * out[1, n] - C * out[1, n - 1]
-    else:
-        # P~_n(x) = H_n(x, 1)
-        H, Hy, _ = _homog_table(nmax, a, b, x, 1.0, partials=nderiv >= 1)
-        out[0] = H
-        if nderiv >= 1:
-            out[1] = Hy
-    return out
+        for j, rows in enumerate(_recurrence(nmax, a, b, x, s, nderiv)):
+            for d, row in enumerate(rows):
+                T[d, j] = row
+        return T
+    # Lift from the (a+1, b+1) table G, two steps further from the singular
+    # sums, by the homogenized shifted ladders: 1T gives H, 1F gives its
+    # x-partial, and 4T composed with 3T its s-partial.  Only n divides.
+    G = _shifted_table(nmax - 1, a + 1, b + 1, x, max(nderiv, 1), s)
+    n = np.arange(1, nmax + 1)[:, None]
+    T[0, 0] = 1.0
+    T[0, 1:] = (((a + 1) * x - (b + 1) * (s - x)) * G[0] - x * (s - x) * G[1]) / n
+    if nderiv >= 1:
+        T[1, 1:] = (n + a + b + 1) * G[0]
+    if nderiv == 2:
+        T[2, 1:] = -(b + 1) * G[0] - x * (G[1] + G[2])
+    return T
 
 
 def _homog_table(kmax, a, b, y, s, partials=False):
-    """Homogenized second-factor table H_k(y, s) = s^k P~_k(y/s).
-
-    Returns (H, Hy, Hs) arrays of shape (kmax + 1, npts); the partials are
-    None unless requested.  Division-free, valid on the closed triangle.
-    """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    y, s = np.broadcast_arrays(y, s)
-    H = np.zeros((kmax + 1, y.size))
-    Hy = np.zeros_like(H) if partials else None
-    Hs = np.zeros_like(H) if partials else None
-    if kmax < 0:
-        return H, Hy, Hs
-    yf = y.ravel()
-    sf = s.ravel()
-    H[0] = 1.0
-    if _recurrence_safe(kmax, a, b):
-        if kmax >= 1:
-            H[1] = (a + 1) * sf + (a + b + 2) * (yf - sf)
-            if partials:
-                Hy[1] = a + b + 2
-                Hs[1] = -(b + 1)
-        for k in range(1, kmax):
-            A, B, C = _rec_coeffs(k, a, b)
-            lin = A * (2 * yf - sf) + B * sf
-            H[k + 1] = lin * H[k] - C * sf**2 * H[k - 1]
-            if partials:
-                Hy[k + 1] = 2 * A * H[k] + lin * Hy[k] - C * sf**2 * Hy[k - 1]
-                Hs[k + 1] = (B - A) * H[k] + lin * Hs[k] - C * (2 * sf * H[k - 1] + sf**2 * Hs[k - 1])
-    else:
-        # Lift from the (a+1, b+1) table G, two steps further from the
-        # singular sums, by the homogenized shifted ladders: 1T gives H, 1F
-        # gives Hy, and 4T composed with 3T gives Hs.  Only k divides.
-        G, Gy, Gs = _homog_table(kmax - 1, a + 1, b + 1, yf, sf, partials=True)
-        k = np.arange(1, kmax + 1)[:, None]
-        H[1:] = (((a + 1) * yf - (b + 1) * (sf - yf)) * G - yf * (sf - yf) * Gy) / k
-        if partials:
-            Hy[1:] = (k + a + b + 1) * G
-            Hs[1:] = -(b + 1) * G - yf * (Gy + Gs)
-    return H, Hy, Hs
+    """Second-factor table (H, Hy, Hs) of H_k(y, s), each (kmax + 1, npts); partials None unless requested."""
+    T = _shifted_table(kmax, a, b, y, 2 if partials else 0, s)
+    return tuple(T) if partials else (T[0], None, None)
 
 
-def _eval_core(n, a, b, x):
-    # shifted-interval evaluation for any real parameters; negative degree is zero
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    if n < 0:
-        out = np.zeros_like(np.atleast_1d(x))
-        return float(out[0]) if scalar else out
-    tab = _shifted_table(n, a, b, np.atleast_1d(x).ravel())
-    out = tab[0, n].reshape(np.atleast_1d(x).shape)
-    return float(out[0]) if scalar else out
+def _eval_core(n, a, b, x, s=1.0):
+    # H_n(x, s) for any real parameters, shaped as x and s broadcast; negative degree is zero
+    shape = np.broadcast_shapes(np.shape(x), np.shape(s))
+    out = _shifted_table(n, a, b, x, 0, s)[0, n].reshape(shape) if n >= 0 else np.zeros(shape)
+    return float(out) if not shape else out
 
 
 def jacobi_eval(n, p, x):
@@ -213,10 +218,9 @@ def jacobi_deriv(n, p, x):
     """Derivative of P_n^{(a,b)}, computed as (n+a+b+1)/2 times the lifted polynomial."""
     _check_degree(n)
     p.validate()
-    if n <= 0:
-        X = np.asarray(x, dtype=float)
-        return 0.0 if X.ndim == 0 else np.zeros_like(X)
     X = np.asarray(x, dtype=float)
+    if n <= 0:
+        return 0.0 if X.ndim == 0 else np.zeros_like(X)
     return (n + p.a + p.b + 1) / 2 * _eval_core(n - 1, p.a + 1, p.b + 1, (X + 1) / 2)
 
 
@@ -245,14 +249,7 @@ def homog_shifted_eval(k, p, y, s):
     """
     _check_degree(k)
     p.validate()
-    yy = np.asarray(y, dtype=float)
-    ss = np.asarray(s, dtype=float)
-    scalar = yy.ndim == 0 and ss.ndim == 0
-    if k < 0:
-        return 0.0 if scalar else np.zeros(np.broadcast(yy, ss).shape)
-    H, _, _ = _homog_table(k, p.a, p.b, np.atleast_1d(yy), np.atleast_1d(ss))
-    out = H[k].reshape(np.broadcast(np.atleast_1d(yy), np.atleast_1d(ss)).shape)
-    return float(out[0]) if scalar else out
+    return _eval_core(k, p.a, p.b, y, s)
 
 
 class _Ladder(NamedTuple):

@@ -17,6 +17,8 @@ from .jacobi import (
     _check_degree,
     _eval_core,
     _homog_table,
+    _recurrence,
+    _recurrence_safe,
     _shifted_table,
     shifted_jacobi_deriv,
     shifted_jacobi_eval,
@@ -164,30 +166,19 @@ def _tri_core(n, k, params, x, y, partials=False):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    scalar = x.ndim == 0 and y.ndim == 0
     xx, yy = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
-    shape = xx.shape
-    xf, yf = xx.ravel(), yy.ravel()
-    if n < 0 or k < 0 or k > n:
-        zero = np.zeros(shape)
-        if scalar:
-            return (0.0, 0.0, 0.0) if partials else 0.0
-        return (zero, zero.copy(), zero.copy()) if partials else zero
-    A = _second_factor_params(k, params)
-    sf = 1.0 - xf
-    Ftab = _shifted_table(n - k, A, params.a, xf, nderiv=1 if partials else 0)
-    H, Hy, Hs = _homog_table(k, params.c, params.b, yf, sf, partials=partials)
-    F = Ftab[0, n - k]
-    u = (F * H[k]).reshape(shape)
-    if not partials:
-        out = u
-        return float(out.ravel()[0]) if scalar else out
-    dF = Ftab[1, n - k]
-    ux = (dF * H[k] - F * Hs[k]).reshape(shape)
-    uy = (F * Hy[k]).reshape(shape)
-    if scalar:
-        return float(u.ravel()[0]), float(ux.ravel()[0]), float(uy.ravel()[0])
-    return u, ux, uy
+    out = np.zeros((3 if partials else 1, xx.size))
+    if 0 <= k <= n:
+        Ftab = _shifted_table(n - k, _second_factor_params(k, params), params.a, xx.ravel(), 1 if partials else 0)
+        H, Hy, Hs = _homog_table(k, params.c, params.b, yy.ravel(), 1.0 - xx.ravel(), partials=partials)
+        F = Ftab[0, n - k]
+        out[0] = F * H[k]
+        if partials:
+            out[1:] = Ftab[1, n - k] * H[k] - F * Hs[k], F * Hy[k]
+    if x.ndim == 0 and y.ndim == 0:
+        return tuple(float(v[0]) for v in out) if partials else float(out[0, 0])
+    out = out.reshape((-1,) + xx.shape)
+    return tuple(out) if partials else out[0]
 
 
 def tri_eval(idx, params, pt):
@@ -222,6 +213,25 @@ def tri_eval_jet(idx, params, pt):
     return Jet2(u, ux, uy)
 
 
+def _first_factors(N, A, b, x, nderiv=0):
+    """F_{n-k}^{(A[k], b)}(x), n <= N, in linear index order, then x-derivatives up to nderiv.
+
+    One recurrence runs down the column A, entry k to its own degree N - k;
+    the entries it is unsafe for are lifted one by one.
+    """
+    k = np.arange(N + 1)
+    tabs = np.empty((nderiv + 1, basis_size(N), x.size))
+    safe = _recurrence_safe(N - k, A, b)
+    for j, rows in enumerate(_recurrence(N - k[safe], A[safe, None], b, x, 1.0, nderiv)):
+        kk = k[safe][: len(rows[0])]
+        for tab, row in zip(tabs, rows):
+            tab[(j + kk) * (j + kk + 1) // 2 + kk] = row
+    for kk in k[~safe]:
+        n = np.arange(kk, N + 1)
+        tabs[:, n * (n + 1) // 2 + kk] = _shifted_table(N - kk, A[kk], b, x, nderiv)
+    return tabs
+
+
 def _tri_tables(N, params, x, y, partials=False):
     """Tables of all basis elements of degree <= N at raw coordinate arrays.
 
@@ -231,20 +241,19 @@ def _tri_tables(N, params, x, y, partials=False):
     """
     xf = np.asarray(x, dtype=float).ravel()
     yf = np.asarray(y, dtype=float).ravel()
-    sf = 1.0 - xf
-    U = np.empty((basis_size(N), xf.size))
-    UX = np.empty_like(U) if partials else None
+    tabs = _first_factors(N, _second_factor_params(np.arange(N + 1), params), params.a, xf, 1 if partials else 0)
+    U, UX = tabs[0], (tabs[1] if partials else None)
     UY = np.empty_like(U) if partials else None
-    H, Hy, Hs = _homog_table(N, params.c, params.b, yf, sf, partials=partials)
-    for k in range(N + 1):
-        A = _second_factor_params(k, params)
-        Ftab = _shifted_table(N - k, A, params.a, xf, nderiv=1 if partials else 0)
-        for n in range(k, N + 1):
-            i = n * (n + 1) // 2 + k
-            U[i] = Ftab[0, n - k] * H[k]
-            if partials:
-                UX[i] = Ftab[1, n - k] * H[k] - Ftab[0, n - k] * Hs[k]
-                UY[i] = Ftab[0, n - k] * Hy[k]
+    H, Hy, Hs = _homog_table(N, params.c, params.b, yf, 1.0 - xf, partials=partials)
+    # degree block n holds k = 0..n, so it meets H[:n + 1] row by row
+    for n in range(N + 1):
+        blk = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
+        F = U[blk]
+        if partials:
+            UY[blk] = F * Hy[: n + 1]
+            UX[blk] *= H[: n + 1]
+            UX[blk] -= F * Hs[: n + 1]
+        F *= H[: n + 1]
     return U, UX, UY
 
 
@@ -272,6 +281,17 @@ def basis_eval_all(N, params, pts):
     return _tri_tables(N, params, pts[:, 0], pts[:, 1])[0].T
 
 
+def _two_routes(idx, params, pt):
+    """Checked arguments of the two-route checks: x, y, A_k, y/(1-x), and the jet."""
+    params.validate()
+    idx.validate()
+    x = np.asarray(pt.x, dtype=float)
+    y = np.asarray(pt.y, dtype=float)
+    if np.any(np.asarray(1.0 - x) <= 0):
+        raise ValueError("left route requires x < 1")
+    return x, y, _second_factor_params(idx.k, params), y / (1.0 - x), tri_eval_jet(idx, params, pt)
+
+
 def jjp_residual(idx, params, pt):
     """Two-route check of the y-derivative chain rule.
 
@@ -280,21 +300,12 @@ def jjp_residual(idx, params, pt):
     Right route: (1-x) times the y-partial from tri_eval_jet.  Returns the
     pair (left, right); interior points only (the left route divides).
     """
-    params.validate()
-    idx.validate()
-    x = np.asarray(pt.x, dtype=float)
-    y = np.asarray(pt.y, dtype=float)
-    if np.any(np.asarray(1.0 - x) <= 0):
-        raise ValueError("left route requires x < 1")
+    x, y, A, tau, jet = _two_routes(idx, params, pt)
     n, k = idx.n, idx.k
-    A = _second_factor_params(k, params)
-    tau = y / (1.0 - x)
     F = _eval_core(n - k, A, params.a, x)
     dsecond = shifted_jacobi_deriv(k, JacobiParams(params.c, params.b), tau)
     left = F * (1.0 - x) ** k * dsecond
-    jet = tri_eval_jet(idx, params, pt)
-    right = (1.0 - x) * jet.uy
-    return left, right
+    return left, (1.0 - x) * jet.uy
 
 
 def jpj_residual(idx, params, pt):
@@ -304,18 +315,9 @@ def jpj_residual(idx, params, pt):
     second factor at y/(1-x).  Right route: k u + (1-x) u_x - y u_y from
     tri_eval_jet.  Returns the pair (left, right); interior points only.
     """
-    params.validate()
-    idx.validate()
-    x = np.asarray(pt.x, dtype=float)
-    y = np.asarray(pt.y, dtype=float)
-    if np.any(np.asarray(1.0 - x) <= 0):
-        raise ValueError("left route requires x < 1")
+    x, y, A, tau, jet = _two_routes(idx, params, pt)
     n, k = idx.n, idx.k
-    A = _second_factor_params(k, params)
-    tau = y / (1.0 - x)
     dF = (n - k + A + params.a + 1) * _eval_core(n - k - 1, A + 1, params.a + 1, x) if n - k > 0 else 0.0 * x
     second = shifted_jacobi_eval(k, JacobiParams(params.c, params.b), tau)
     left = dF * (1.0 - x) ** (k + 1) * second
-    jet = tri_eval_jet(idx, params, pt)
-    right = k * jet.u + (1.0 - x) * jet.ux - y * jet.uy
-    return left, right
+    return left, k * jet.u + (1.0 - x) * jet.ux - y * jet.uy

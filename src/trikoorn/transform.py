@@ -18,6 +18,7 @@ from scipy.linalg import eigh_tridiagonal
 from .koornwinder import (
     TriParams,
     TriPoint,
+    _tri_core,
     basis_size,
     basis_eval_all,
     linear_to_index,
@@ -132,7 +133,7 @@ def norm_sq(idx, params):
     idx.validate()
     params.validate()
     rule = duffy_rule(idx.n + 1, params)
-    vals = basis_eval_all(idx.n, params, rule.points)[:, idx.n * (idx.n + 1) // 2 + idx.k]
+    vals = _tri_core(idx.n, idx.k, params, rule.points[:, 0], rule.points[:, 1])
     nsq = float(np.dot(rule.weights, vals * vals))
     if not 0.0 < nsq < inf:
         raise ValueError(f"the squared norm of (n, k) = ({idx.n}, {idx.k}) is out of float64 range")

@@ -480,3 +480,22 @@ def test_vectorized_jacobi_sweep_equals_a_per_case_loop():
                 acc.update(r, {"s": s, "dagger": dagger, "n": n, "a": a, "b": b, "x": float(X[j])})
         want.append(acc.block(f"{family}_ladders", "exact"))
     assert got == want
+
+
+def test_vectorized_product_links_sweep_equals_a_per_case_loop():
+    seed, nmax, npts = 0, 3, 4
+    got = cli.sweep_product_links(seed, nmax=nmax, npts=npts)
+    rng = np.random.default_rng([seed, 40])
+    acc = cli._Worst()
+    for pa, pb, pc, pd in itertools.product(cli._TRI_GRID, repeat=4):
+        params = tk.TriParams(pa, pb, pc, pd)
+        x, y = cli._interior_points(rng, npts)
+        pt = tk.TriPoint(x, y)
+        for n in range(nmax + 1):
+            for k in range(n + 1):
+                for which, fn in (("jjp", tk.jjp_residual), ("jpj", tk.jpj_residual)):
+                    L, R = fn(tk.TriIndex(n, k), params, pt)
+                    r, j = cli._scaled_residual(L, R)
+                    case = {"id": which, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
+                    acc.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
+    assert got == [acc.block("product_links", "exact")]

@@ -5,6 +5,8 @@ import pytest
 from scipy.special import eval_jacobi
 
 import trikoorn as tk
+from trikoorn.jacobi import _homog_table, _shifted_table
+from trikoorn.koornwinder import _tri_tables
 
 
 def _rng(tag):
@@ -196,6 +198,53 @@ def test_basis_eval_all_rows_match_tri_eval():
         for lin in range(tk.basis_size(N)):
             idx = tk.linear_to_index(lin)
             assert abs(tab[i, lin] - tk.tri_eval(idx, q, pt)) < 1e-13
+
+
+def _tri_tables_per_k(N, params, x, y, partials):
+    # the per-k loop the batched tables replaced: one first-factor table per
+    # k, decided on its own degree N - k, and one row product per (n, k)
+    U = np.empty((tk.basis_size(N), x.size))
+    UX = np.empty_like(U)
+    UY = np.empty_like(U)
+    H, Hy, Hs = _homog_table(N, params.c, params.b, y, 1.0 - x, partials=partials)
+    for k in range(N + 1):
+        A = 2 * k + params.b + params.c + params.d + 1
+        Ftab = _shifted_table(N - k, A, params.a, x, nderiv=1 if partials else 0)
+        for n in range(k, N + 1):
+            i = n * (n + 1) // 2 + k
+            U[i] = Ftab[0, n - k] * H[k]
+            if partials:
+                UX[i] = Ftab[1, n - k] * H[k] - Ftab[0, n - k] * Hs[k]
+                UY[i] = Ftab[0, n - k] * Hy[k]
+    return (U, UX, UY) if partials else (U, None, None)
+
+
+@pytest.mark.parametrize("partials", [False, True])
+@pytest.mark.parametrize("N", [0, 1, 2, 11])
+@pytest.mark.parametrize(
+    "pset",
+    [
+        (0.5, 1.5, 2.5, 0.0),
+        # the second factor (c, b) = (-0.9, -0.9) is lifted
+        (1.0, -0.9, -0.9, 0.5),
+        # a < -1: every column of degree >= 2 is lifted, the k = 0 one,
+        # (A_0, a) = (-0.5, -1.5), also for a vanishing denominator; the
+        # columns k = N - 1, N are closed forms at their own degree, and would
+        # be lifted if decided on degree N
+        (-1.5, -0.5, -0.5, -0.5),
+        # only the k = 0 column, (A_0, a) = (-0.9, -0.9), is lifted
+        (-0.9, -0.95, -0.95, 0.0),
+    ],
+)
+def test_batched_tables_equal_the_per_k_loop(pset, N, partials):
+    rng = _rng(10)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 7), [0.0, 1.0, 0.5]])
+    y = np.concatenate([rng.uniform(0.0, 1.0, 7) * (1.0 - x[:7]), [0.0, 0.0, 0.5]])
+    q = tk.TriParams(*pset)
+    got = _tri_tables(N, q, x, y, partials=partials)
+    want = _tri_tables_per_k(N, q, x, y, partials)
+    for g, w in zip(got, want):
+        assert (g is None and w is None) or np.array_equal(g, w)
 
 
 def test_basis_eval_all_first_column_is_ones():

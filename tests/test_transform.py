@@ -233,6 +233,35 @@ def test_norm_frozen_values():
     assert abs(tk.norm_sq(tk.TriIndex(2, 1), q0) - 1.0 / 18.0) < 1e-14
 
 
+def _norm_sq_from_the_table(n, k, q):
+    # the column of the full degree-n table, as norm_sq used to take it
+    rule = tk.duffy_rule(n + 1, q)
+    col = tk.basis_eval_all(n, q, rule.points)[:, n * (n + 1) // 2 + k]
+    return float(np.dot(rule.weights, col * col))
+
+
+@pytest.mark.parametrize(
+    "pset", [(0.0, 0.0, 0.0, 0.0), (0.5, 1.5, 2.5, 0.0), (1.0, 0.0, 2.0, 0.5), (-0.9, -0.5, -0.5, 0.0)]
+)
+def test_norm_sq_equals_the_column_of_the_full_table(pset):
+    q = tk.TriParams(*pset)
+    for n in range(8):
+        for k in range(n + 1):
+            assert tk.norm_sq(tk.TriIndex(n, k), q) == _norm_sq_from_the_table(n, k, q)
+
+
+def test_norm_sq_moves_at_roundoff_where_only_the_table_lifts():
+    # b + c near -2: the degree-n table lifts H_1 from (c+1, b+1), while the
+    # single element takes the degree-1 closed form
+    q = tk.TriParams(0.5, -0.9, -0.9, 0.5)
+    for n in range(2, 8):
+        for k in range(n + 1):
+            want = _norm_sq_from_the_table(n, k, q)
+            assert abs(tk.norm_sq(tk.TriIndex(n, k), q) - want) <= 1e-15 * want
+            if k != 1:
+                assert tk.norm_sq(tk.TriIndex(n, k), q) == want
+
+
 def test_gram_is_diagonal_with_norms():
     rng = _rng(7)
     N, m = 5, 7
