@@ -26,7 +26,6 @@ from .koornwinder import (
     _second_factor_params,
     _tri_tables,
     tri_eval,
-    tri_eval_jet,
     weight_eval,
 )
 from .ladders import (
@@ -34,6 +33,7 @@ from .ladders import (
     DegenerateParameterError,
     _NEEDS_D0,
     _composition,
+    _composition_families,
     _pointwise,
     _step,
     all_ladder_ids,
@@ -102,6 +102,8 @@ _JAC_FAMILIES = (
     ("shifted", 0.0, lambda x: x, False),
 )
 _TRI_GRID = (-0.5, 0.0, 0.5, 1.5)
+# step of the central differences in the fd2 blocks
+_FD_STEP = 1e-5
 
 _OPERATOR_PARAM_SETS = (
     TriParams(0.0, 0.0, 0.0),
@@ -210,42 +212,33 @@ def _scaled_residual(lhs, rhs):
 
 
 class _TriBatch:
-    """Cached basis tables over a fixed point batch.
+    """Cached basis jet tables over a fixed point batch.
 
     Sweeps touch the same parameter families many times; tables are built
-    once per family and reused.  Value-only tables and full jet tables are
-    cached separately since the latter cost roughly twice as much.
+    once per family and reused.  `prefetch` builds the tables of many
+    families in one kernel call; any other family is built on first use.
     """
 
     def __init__(self, x, y, N):
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.N = N
-        self._vals = {}
         self._jets = {}
 
     @staticmethod
     def _key(params):
         return (params.a, params.b, params.c, params.d)
 
-    def values(self, params):
-        key = self._key(params)
-        jets = self._jets.get(key)
-        if jets is not None:
-            return jets[0]
-        tab = self._vals.get(key)
-        if tab is None:
-            tab = _tri_tables(self.N, params, self.x, self.y)[0]
-            self._vals[key] = tab
-        return tab
+    def prefetch(self, families):
+        """Build the tables of every family not yet cached, in one call."""
+        new = {self._key(p): p for p in families if self._key(p) not in self._jets}
+        if new:
+            U, UX, UY = _tri_tables(self.N, list(new.values()), self.x, self.y, partials=True)
+            self._jets.update(zip(new, zip(U, UX, UY)))
 
     def jets(self, params):
-        key = self._key(params)
-        tab = self._jets.get(key)
-        if tab is None:
-            tab = _tri_tables(self.N, params, self.x, self.y, partials=True)
-            self._jets[key] = tab
-        return tab
+        self.prefetch([params])
+        return self._jets[self._key(params)]
 
     def ev(self, n, k, params, partials=True):
         """Rows (u, ux, uy) of the elements at index arrays n, k; zero rows out of range.
@@ -261,7 +254,7 @@ class _TriBatch:
         rows = np.where(ok, n * (n + 1) // 2 + k, 0)
         if rows.max() >= (self.N + 1) * (self.N + 2) // 2:
             raise ValueError(f"batch tables stop at degree {self.N}, requested {n[ok].max()}")
-        tabs = self.jets(params) if partials else (self.values(params),)
+        tabs = self.jets(params)[: 3 if partials else 1]
         if live == n.size:
             return tuple(T[rows] for T in tabs)
         return tuple(np.where(ok[:, None], T[rows], 0.0) for T in tabs)
@@ -276,8 +269,9 @@ def sweep_jacobi_ladders(seed, nmax=20, npts=50):
     """Both one-variable ladder families, every relation, a 5x5 parameter grid.
 
     Both families run off the one ladder table: each operator is evaluated
-    once per parameter pair over all degrees at once, and rows are reduced
-    in n order, so the reports equal those of a case-by-case loop.
+    once per parameter pair over all degrees at once, against the targets of
+    all twelve built in one table call, and rows are reduced in n order, so
+    the reports equal those of a case-by-case loop.
     """
     n = np.arange(nmax + 1)[:, None]
     blocks = []
@@ -290,7 +284,9 @@ def sweep_jacobi_ladders(seed, nmax=20, npts=50):
                 x = to01(X)
                 src = _shifted_table(nmax + 1, a, b, x, nderiv=1)
                 u, du = src[0, : nmax + 1], src[1, : nmax + 1]
-                tgt = {}
+                keys = list(dict.fromkeys((a + op.move[1], b + op.move[2]) for op in _JACOBI_LADDERS.values()))
+                ka, kb = np.array(keys).T
+                tgt = dict(zip(keys, _shifted_table(nmax + 1, ka, kb, x)[0]))
                 for (s, dagger), op in _JACOBI_LADDERS.items():
                     scale = 2.0**op.e if interval else 1.0
                     dn, da, db = op.move
@@ -299,10 +295,7 @@ def sweep_jacobi_ladders(seed, nmax=20, npts=50):
                     live = (f != 0.0) & (n + dn >= 0)
                     rhs = np.zeros_like(lhs)
                     if live.any():
-                        key = (a + da, b + db)
-                        if key not in tgt:
-                            tgt[key] = _shifted_table(nmax + 1, *key, x)
-                        rhs = np.where(live, f * tgt[key][0, np.where(live, n + dn, 0)[:, 0]], 0.0)
+                        rhs = np.where(live, f * tgt[(a + da, b + db)][np.where(live, n + dn, 0)[:, 0]], 0.0)
                     acc.update_rows(
                         lhs,
                         rhs,
@@ -316,8 +309,9 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
     """All triangle ladder relations and their compositions on a 4-value grid.
 
     Each operator and each identity is evaluated once per parameter set,
-    over every (n, k) with n <= nmax at once; rows are reduced in (n, k)
-    order, so the reports equal those of a case-by-case loop.
+    over every (n, k) with n <= nmax at once, from tables of every family
+    read built in one kernel call; rows are reduced in (n, k) order, so the
+    reports equal those of a case-by-case loop.
     """
     rng = np.random.default_rng([seed, 20])
     accA = _Worst()
@@ -334,6 +328,14 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
                     params = TriParams(pa, pb, pc, pd)
                     x, y = _interior_points(rng, npts)
                     batch = _TriBatch(x, y, nmax + 1)
+                    cids = list(gen_cids) + (d0_cids if pd == 0.0 else [])
+                    # every family read below, in one table build; ladder
+                    # targets with a parameter of exactly -1 are skipped
+                    targets = [_step(lid, 0, 0, params)[3] for lid in ids]
+                    batch.prefetch(
+                        [q for q in targets if -1.0 not in (q.a, q.b, q.c, q.d)]
+                        + [q for cid in cids for q in _composition_families(cid, params)]
+                    )
                     jet = batch.ev(n, k, params)
 
                     def case(name, r, j):
@@ -349,10 +351,6 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
                             "y": float(y[j]),
                         }
 
-                    # compositions first, so the ladder block's value
-                    # lookups reuse their jet tables; each block has its own
-                    # accumulator, so the order leaves both reports as they are
-                    cids = list(gen_cids) + (d0_cids if pd == 0.0 else [])
                     for cid in cids:
                         L, R, degenerate = _composition(cid, n, k, params, x, y, batch.ev)
                         rows = np.flatnonzero(~degenerate)
@@ -467,17 +465,19 @@ def _synth_jets(vec, x, y):
     return w * u, w * (ux + u * (p.a / x - p.c / z)), w * (uy + u * (p.b / y - p.c / z))
 
 
-def _second_jets(jetfun, x, y, h=1e-5):
+def _offset_points(x, y, h=_FD_STEP):
+    """The five point sets whose exact jets `_second_jets` differences: (x, y), (x +- h, y), (x, y +- h)."""
+    return [(x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h)]
+
+
+def _second_jets(jets, h=_FD_STEP):
     """Value, exact first partials, and differenced second partials.
 
-    Second derivatives come from central differences of the exact first
-    partials, so their error floor is far below differencing raw values.
+    jets holds (u, ux, uy) at each of the five `_offset_points` sets in
+    turn.  Second derivatives come from central differences of the exact
+    first partials, so their error floor is far below differencing raw values.
     """
-    u, ux, uy = jetfun(x, y)
-    _, uxp, uyp = jetfun(x + h, y)
-    _, uxm, uym = jetfun(x - h, y)
-    _, _, uyq = jetfun(x, y + h)
-    _, _, uyr = jetfun(x, y - h)
+    (u, ux, uy), (_, uxp, uyp), (_, uxm, uym), (_, _, uyq), (_, _, uyr) = jets
     uxx = (uxp - uxm) / (2.0 * h)
     uxy = (uyp - uym) / (2.0 * h)
     uyy = (uyq - uyr) / (2.0 * h)
@@ -592,7 +592,7 @@ def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
                     _, ux, uy = _synth_jets(vec, x, y)
                     lhs = {"dx": ux, "dy": uy, "dz": uy - ux}[_FD_REFS[name]]
                 else:
-                    jets = _second_jets(lambda xx, yy: _synth_jets(vec, xx, yy), x, y)
+                    jets = _second_jets([_synth_jets(vec, *pt) for pt in _offset_points(x, y)])
                     second_order = _second_order_k if name == "eigen_k" else _second_order_n
                     lhs = second_order(params, x, y, jets)
                 r, j = _scaled_residual(lhs, rhs)
@@ -648,33 +648,41 @@ def sweep_eigen(seed, nmax=6, npts=20):
     """Diagonal operators against their pointwise second-order expressions.
 
     Covers every basis element up to the degree bound for both operators,
-    then three shifted solves whose synthesized solutions are checked
-    against the right-hand side through the same pointwise expression.
+    all at once from one jet table per parameter set, with rows reduced in
+    (n, k, operator) order as a case-by-case loop would; then three shifted
+    solves whose synthesized solutions are checked against the right-hand
+    side through the same pointwise expression.
     """
     rng = np.random.default_rng([seed, 50])
     acc_pt = _Worst()
+    n = np.repeat(np.arange(nmax + 1), np.arange(1, nmax + 2))[:, None]
+    k = np.arange(n.size)[:, None] - n * (n + 1) // 2
     for params in _OPERATOR_PARAM_SETS:
         x, y = _interior_points(rng, npts)
         a, b, c = params.a, params.b, params.c
         pset = {"a": a, "b": b, "c": c}
-        for n in range(nmax + 1):
-            for k in range(n + 1):
-                idx = TriIndex(n, k)
-
-                def jf(xx, yy, idx=idx):
-                    jet = tri_eval_jet(
-                        idx, params, TriPoint(np.asarray(xx, dtype=float), np.asarray(yy, dtype=float))
-                    )
-                    return jet.u, jet.ux, jet.uy
-
-                jets = _second_jets(jf, x, y)
-                u = jets[0]
-                lhs_k = _second_order_k(params, x, y, jets)
-                r, j = _scaled_residual(lhs_k, -k * (k + b + c + 1.0) * u)
-                acc_pt.update(r, {"id": "eigen_k", "n": n, "k": k, **pset, "x": float(x[j]), "y": float(y[j])})
-                lhs_n = _second_order_n(params, x, y, jets)
-                r, j = _scaled_residual(lhs_n, -n * (n + a + b + c + 2.0) * u)
-                acc_pt.update(r, {"id": "eigen_n", "n": n, "k": k, **pset, "x": float(x[j]), "y": float(y[j])})
+        # jets of every element at the five offset point sets from one table
+        X, Y = (np.concatenate(v) for v in zip(*_offset_points(x, y)))
+        jets = _second_jets(np.split(np.stack(_tri_tables(nmax, params, X, Y, partials=True)), 5, axis=-1))
+        u = jets[0]
+        L = np.empty((2 * n.size, npts))
+        R = np.empty_like(L)
+        L[0::2] = _second_order_k(params, x, y, jets)
+        R[0::2] = -k * (k + b + c + 1.0) * u
+        L[1::2] = _second_order_n(params, x, y, jets)
+        R[1::2] = -n * (n + a + b + c + 2.0) * u
+        acc_pt.update_rows(
+            L,
+            R,
+            lambda i, j: {
+                "id": ("eigen_k", "eigen_n")[i % 2],
+                "n": int(n[i // 2, 0]),
+                "k": int(k[i // 2, 0]),
+                **pset,
+                "x": float(x[j]),
+                "y": float(y[j]),
+            },
+        )
     acc_solve = _Worst()
     solve_cases = (
         (_OPERATOR_PARAM_SETS[0], 1.0, "one"),
@@ -687,7 +695,7 @@ def sweep_eigen(seed, nmax=6, npts=20):
         fc = analyze(f, N, params)
         u = _solve_coeffs(fc, lam)
         x, y = _interior_points(rng, npts)
-        jets = _second_jets(lambda xx, yy: _synth_jets(u, xx, yy), x, y)
+        jets = _second_jets([_synth_jets(u, *pt) for pt in _offset_points(x, y)])
         lhs = lam * jets[0] - _second_order_n(params, x, y, jets)
         rhs = _synth_at(fc, x, y)
         r, j = _scaled_residual(lhs, rhs)

@@ -1,14 +1,15 @@
 """Jacobi polynomials, their shifted-interval variants, and the ladder operators.
 
 Every table comes from one three-term recurrence on the homogenized form
-H_n(y, s) = s^n P~_n(y/s), with derivative propagation.  It takes the first
-parameter as a column, each entry to its own degree, so that the triangle
-tables run one recurrence for all k.  Where it is unsafe, because a
-denominator nears zero or a parameter is below -1 (ladder targets leave the
-a, b > -1 family), the table is lifted from the (a+1, b+1) one by the
-homogenized shifted ladders 1T, 1F, and 4T composed with 3T.  The lift
-divides by nothing but the degree, so the corner s = 0 is an ordinary
-point, and it recurses until the recurrence is safe.
+H_n(y, s) = s^n P~_n(y/s), with derivative propagation.  It takes the
+parameter pairs as a column, each entry to its own degree, so that the
+triangle tables of many families run one recurrence for all their k.  Where
+it is unsafe, because a denominator nears zero or a parameter is below -1
+(ladder targets leave the a, b > -1 family), a table is lifted from the
+(a+1, b+1) one by the homogenized shifted ladders 1T, 1F, and 4T composed
+with 3T, all unsafe entries of a column at once.  The lift divides by
+nothing but the degree, so the corner s = 0 is an ordinary point, and it
+recurses until the recurrence is safe.
 
 The twelve ladder operators are the rows of one table in shifted form; the
 (-1, 1) family is derived from it by x = (X + 1)/2 and a power-of-two scale.
@@ -107,13 +108,12 @@ def _rec_coeffs(n, a, b):
 def _recurrence(nmax, a, b, y, s, nderiv=0):
     """Rows of H_j(y, s) = s^j P~_j(y/s) by the three-term recurrence, one degree j at a time.
 
-    a is a scalar of degree nmax, or a (K, 1) column of safe entries, each
-    to its own degree in nmax (K,), non-increasing.  Step j yields H_j of
-    the entries reaching degree j, then dH_j/dy (nderiv >= 1) and dH_j/ds
+    a and b are scalars of degree nmax, or (K, 1) columns of safe entries,
+    each to its own degree in nmax (K,), non-increasing.  Step j yields H_j
+    of the entries reaching degree j, then dH_j/dy (nderiv >= 1) and dH_j/ds
     (nderiv = 2); the rows are overwritten two steps later.
     """
     col = np.ndim(a) > 0
-    a = np.asarray(a, dtype=float) if col else float(a)  # Python floats are the faster scalars
     nmax = np.atleast_1d(nmax)
     top = int(nmax[0]) if nmax.size else -1
     if top > 1:
@@ -145,41 +145,77 @@ def _recurrence(nmax, a, b, y, s, nderiv=0):
         yield cur
         if col:  # the entries that go on to degree j + 1, a prefix
             K = np.count_nonzero(nmax > j)
-            a, cur, prev = a[:K], [v[:K] for v in cur], [v[:K] for v in prev]
+            a, b, cur, prev = a[:K], b[:K], [v[:K] for v in cur], [v[:K] for v in prev]
             if top > 1:
                 A, B, C = A[:, :K], B[:, :K], C[:, :K]
 
 
-def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0):
+def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0, rows=None):
     """H_n(x, s) = s^n P~_n(x/s), n <= nmax, then its x- and s-partials up to nderiv.
 
-    Shape (nderiv + 1, nmax + 1, npts); s = 1 gives the shifted polynomials
-    and stays a scalar, costing no array products.  Division-free.
+    Scalars give shape (nderiv + 1, nmax + 1, npts).  Arrays broadcast to a
+    column of K entries (C order), each to its own degree, in shape
+    (nderiv + 1, K, max(nmax) + 1, npts); or, given a (K, max(nmax) + 1)
+    integer map rows, entry i's degree-j row is row rows[i, j] of a
+    (nderiv + 1, rows.max() + 1, npts) table.  Rows no entry reaches are
+    left unset.  s = 1 stays a scalar, costing no array products.
+    Division-free.
     """
     x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
     x, s = (v.ravel() for v in np.broadcast_arrays(x, s)) if s.ndim else (x.ravel(), float(s))
-    T = np.zeros((nderiv + 1, nmax + 1, x.size))
-    if _recurrence_safe(nmax, a, b):
-        for j, rows in enumerate(_recurrence(nmax, a, b, x, s, nderiv)):
-            for d, row in enumerate(rows):
-                T[d, j] = row
+    if np.ndim(a) == 0:  # on Python floats, the faster scalars
+        T = np.empty((nderiv + 1, nmax + 1, x.size))
+        if _recurrence_safe(nmax, a, b):
+            for j, out in enumerate(_recurrence(nmax, float(a), float(b), x, s, nderiv)):
+                for d, row in enumerate(out):
+                    T[d, j] = row
+            return T
+        G = _shifted_table(nmax - 1, a + 1, b + 1, x, max(nderiv, 1), s)
+        T[:, 0], T[0, 0] = 0.0, 1.0
+        for d, row in enumerate(_lift(G, a, b, np.arange(1, nmax + 1)[:, None], x, s, nderiv)):
+            T[d, 1:] = row
         return T
-    # Lift from the (a+1, b+1) table G, two steps further from the singular
-    # sums, by the homogenized shifted ladders: 1T gives H, 1F gives its
-    # x-partial, and 4T composed with 3T its s-partial.  Only n divides.
-    G = _shifted_table(nmax - 1, a + 1, b + 1, x, max(nderiv, 1), s)
-    n = np.arange(1, nmax + 1)[:, None]
-    T[0, 0] = 1.0
-    T[0, 1:] = (((a + 1) * x - (b + 1) * (s - x)) * G[0] - x * (s - x) * G[1]) / n
+    nmax, a, b = (v.ravel() for v in np.broadcast_arrays(nmax, np.asarray(a, float), np.asarray(b, float)))
+    if nmax.size == 1 and rows is None:  # a lone entry is a scalar call
+        return _shifted_table(int(nmax[0]), a[0], b[0], x, nderiv, s)[:, None]
+    grid = (nmax.size, nmax.max() + 1) if rows is None else None
+    rows = np.arange(grid[0] * grid[1]).reshape(grid) if grid else rows
+    T = np.empty((nderiv + 1, rows.max() + 1, x.size))
+    # one recurrence for the safe entries, in order of falling degree
+    safe = _recurrence_safe(nmax, a, b)
+    order = np.flatnonzero(safe)[np.argsort(-nmax[safe], kind="stable")]
+    dest = rows[order].T
+    for j, out in enumerate(_recurrence(nmax[order], a[order, None], b[order, None], x, s, nderiv)):
+        for d, row in enumerate(out):
+            T[d, dest[j, : len(row)]] = row
+    lift = np.flatnonzero(~safe)
+    if lift.size:  # all rows (entry i, degree n >= 1) of the unsafe entries at once
+        m = nmax[lift]
+        G = _shifted_table(m - 1, a[lift] + 1, b[lift] + 1, x, max(nderiv, 1), s)
+        i, n = np.nonzero(np.arange(m.max()) < m[:, None])
+        g, al, bl, dest = G[:, i, n], a[lift[i], None], b[lift[i], None], rows[lift[i], n + 1]
+        T[:, rows[lift, 0]] = 0.0
+        T[0, rows[lift, 0]] = 1.0
+        for d, row in enumerate(_lift(g, al, bl, n[:, None] + 1, x, s, nderiv)):
+            T[d, dest] = row
+    return T.reshape((nderiv + 1,) + grid + (x.size,)) if grid else T
+
+
+def _lift(G, a, b, n, x, s, nderiv):
+    """Degree-n rows of the (a, b) table and its partials up to nderiv from the
+    degree-(n-1) rows G of the (a+1, b+1) table, two steps further from the
+    singular sums, by the homogenized shifted ladders: 1T gives H, 1F its
+    x-partial, and 4T composed with 3T its s-partial.  Only n divides."""
+    rows = [(((a + 1) * x - (b + 1) * (s - x)) * G[0] - x * (s - x) * G[1]) / n]
     if nderiv >= 1:
-        T[1, 1:] = (n + a + b + 1) * G[0]
+        rows.append((n + a + b + 1) * G[0])
     if nderiv == 2:
-        T[2, 1:] = -(b + 1) * G[0] - x * (G[1] + G[2])
-    return T
+        rows.append(-(b + 1) * G[0] - x * (G[1] + G[2]))
+    return rows
 
 
 def _homog_table(kmax, a, b, y, s, partials=False):
-    """Second-factor table (H, Hy, Hs) of H_k(y, s), each (kmax + 1, npts); partials None unless requested."""
+    """Second-factor tables (H, Hy, Hs) of H_k(y, s), k <= kmax, per entry of a, b; partials None unless requested."""
     T = _shifted_table(kmax, a, b, y, 2 if partials else 0, s)
     return tuple(T) if partials else (T[0], None, None)
 

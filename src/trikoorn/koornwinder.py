@@ -17,8 +17,6 @@ from .jacobi import (
     _check_degree,
     _eval_core,
     _homog_table,
-    _recurrence,
-    _recurrence_safe,
     _shifted_table,
     shifted_jacobi_deriv,
     shifted_jacobi_eval,
@@ -214,47 +212,49 @@ def tri_eval_jet(idx, params, pt):
 
 
 def _first_factors(N, A, b, x, nderiv=0):
-    """F_{n-k}^{(A[k], b)}(x), n <= N, in linear index order, then x-derivatives up to nderiv.
+    """F_{n-k}^{(A[..., k], b)}(x), n <= N, in linear index order, then x-derivatives up to nderiv.
 
-    One recurrence runs down the column A, entry k to its own degree N - k;
-    the entries it is unsafe for are lifted one by one.
+    A holds each family's column A_k on its last axis, and b its second
+    parameter (broadcast against A[..., 0]).  One table call runs every
+    (family, k) entry, k to its own degree N - k, writing each row straight
+    to its place; shape (nderiv + 1,) + A.shape[:-1] + (basis_size(N), npts).
     """
     k = np.arange(N + 1)
-    tabs = np.empty((nderiv + 1, basis_size(N), x.size))
-    safe = _recurrence_safe(N - k, A, b)
-    for j, rows in enumerate(_recurrence(N - k[safe], A[safe, None], b, x, 1.0, nderiv)):
-        kk = k[safe][: len(rows[0])]
-        for tab, row in zip(tabs, rows):
-            tab[(j + kk) * (j + kk + 1) // 2 + kk] = row
-    for kk in k[~safe]:
-        n = np.arange(kk, N + 1)
-        tabs[:, n * (n + 1) // 2 + kk] = _shifted_table(N - kk, A[kk], b, x, nderiv)
-    return tabs
+    n = k[:, None] + k  # (k, degree j) -> n = k + j; degrees past N - k go unwritten
+    lin = np.where(n <= N, n * (n + 1) // 2 + k[:, None], 0)
+    rows = np.arange(A.size // (N + 1))[:, None, None] * basis_size(N) + lin
+    tabs = _shifted_table(N - k, A, np.asarray(b)[..., None], x, nderiv, rows=rows.reshape(-1, N + 1))
+    return tabs.reshape((nderiv + 1,) + A.shape[:-1] + (basis_size(N), x.size))
 
 
 def _tri_tables(N, params, x, y, partials=False):
     """Tables of all basis elements of degree <= N at raw coordinate arrays.
 
-    Returns (U, UX, UY), each of shape (basis_size(N), npts); the partial
-    tables are None unless requested.  No parameter validation (used on
-    ladder-target families too).
+    params is one TriParams, or a list of them: one kernel call then builds
+    the first factors of every family and one the second factors.  Returns
+    (U, UX, UY), each of shape (basis_size(N), npts), with a leading family
+    axis for a list; the partial tables are None unless requested.  No
+    parameter validation (used on ladder-target families too).
     """
-    xf = np.asarray(x, dtype=float).ravel()
-    yf = np.asarray(y, dtype=float).ravel()
-    tabs = _first_factors(N, _second_factor_params(np.arange(N + 1), params), params.a, xf, 1 if partials else 0)
+    xf, yf = (np.asarray(v, dtype=float).ravel() for v in (x, y))
+    fams = [params] if isinstance(params, TriParams) else params
+    cols = TriParams(*np.array([(q.a, q.b, q.c, q.d) for q in fams]).T[:, :, None])
+    A = _second_factor_params(np.arange(N + 1), cols)
+    tabs = _first_factors(N, A, cols.a[:, 0], xf, 1 if partials else 0)
     U, UX = tabs[0], (tabs[1] if partials else None)
     UY = np.empty_like(U) if partials else None
-    H, Hy, Hs = _homog_table(N, params.c, params.b, yf, 1.0 - xf, partials=partials)
-    # degree block n holds k = 0..n, so it meets H[:n + 1] row by row
+    H, Hy, Hs = _homog_table(N, cols.c[:, 0], cols.b[:, 0], yf, 1.0 - xf, partials=partials)
+    # degree block n holds k = 0..n, so it meets H[:, :n + 1] row by row
     for n in range(N + 1):
         blk = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
-        F = U[blk]
+        F = U[:, blk]
         if partials:
-            UY[blk] = F * Hy[: n + 1]
-            UX[blk] *= H[: n + 1]
-            UX[blk] -= F * Hs[: n + 1]
-        F *= H[: n + 1]
-    return U, UX, UY
+            UY[:, blk] = F * Hy[:, : n + 1]
+            UX[:, blk] *= H[:, : n + 1]
+            UX[:, blk] -= F * Hs[:, : n + 1]
+        F *= H[:, : n + 1]
+    out = (U, UX, UY)
+    return out if fams is params else tuple(T if T is None else T[0] for T in out)
 
 
 def basis_eval_all(N, params, pts):

@@ -365,6 +365,19 @@ def _eig_n_left(n, k, params, x, y, ev):
     return left, degenerate
 
 
+def _composition_families(cid, params):
+    """The parameter families whose tables `_composition` reads for one identity, params first."""
+    if cid is CompositionId.EIG_K:
+        p1 = _step(_y(1), 0, 0, params)[3]
+        return [params, p1, _step(_y(1), 0, 0, p1)[3]]
+    if cid is CompositionId.EIG_N:
+        gx, gy, _ = _ladder_gradient(0, 0, params)
+        first = [p1 for _, _, _, p1 in gx + gy]
+        second = [p2 for p1 in first for g in _ladder_gradient(0, 0, p1)[:2] for _, _, _, p2 in g]
+        return [params] + first + second
+    return [params] + [_step(inner, 0, 0, params)[3] for _, _, inner in _CHAINS[cid] if inner is not None]
+
+
 def _composition(cid, n, k, params, x, y, ev):
     """Both sides of one identity for every row of the index columns n, k.
 

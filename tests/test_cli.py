@@ -380,9 +380,10 @@ def test_a_nan_residual_fails_the_verification(monkeypatch, tmp_path):
     def one_nan(params, x, y, jets):
         out = second_order_k(params, x, y, jets)
         calls.append(None)
-        if len(calls) == 5:
+        # one sample of one element, in the second parameter set's rows
+        if len(calls) == 2:
             out = out.copy()
-            out[3] = np.nan
+            out[4, 3] = np.nan
         return out
 
     monkeypatch.setattr(cli, "_second_order_k", one_nan)
@@ -432,7 +433,7 @@ def test_vectorized_ladder_sweep_equals_a_per_case_loop(monkeypatch):
                 continue
             rhs = np.zeros(npts)
             if st.factor != 0.0 and 0 <= t.k <= t.n:
-                rhs = st.factor * batch.values(q)[t.n * (t.n + 1) // 2 + t.k]
+                rhs = st.factor * batch.jets(q)[0][t.n * (t.n + 1) // 2 + t.k]
             r, j = cli._scaled_residual(lhs, rhs)
             case = {"id": lid.label, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
             acc_a.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
@@ -448,6 +449,53 @@ def test_vectorized_ladder_sweep_equals_a_per_case_loop(monkeypatch):
     want = [acc_a.block("triangle_ladders", "ladder"), acc_b.block("composition_identities", "ladder")]
     assert got == want
     assert got[0].skipped > 0 and got[1].skipped > 0
+
+
+def test_ladder_sweep_builds_one_table_per_parameter_set(monkeypatch):
+    # every family a parameter set reads comes from one multi-family build,
+    # and none is built on demand
+    calls = []
+
+    def counted(N, params, *args, **kwargs):
+        calls.append(params)
+        return tri_tables(N, params, *args, **kwargs)
+
+    tri_tables = cli._tri_tables
+    monkeypatch.setattr(cli, "_tri_tables", counted)
+    cli.sweep_triangle_ladders(0, nmax=3)
+    assert len(calls) == len(cli._TRI_GRID) ** 4
+    assert all(isinstance(fams, list) and len(fams) > 1 for fams in calls)
+
+
+def test_vectorized_eigen_sweep_equals_a_per_case_loop():
+    seed, nmax, npts = 0, 3, 5
+    got = cli.sweep_eigen(seed, nmax=nmax, npts=npts)
+    rng = np.random.default_rng([seed, 50])
+    acc = cli._Worst()
+    h = 1e-5
+    for params in cli._OPERATOR_PARAM_SETS:
+        a, b, c = params.a, params.b, params.c
+        x, y = cli._interior_points(rng, npts)
+        for n in range(nmax + 1):
+            for k in range(n + 1):
+                offsets = [(x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h)]
+                jets = [tk.tri_eval_jet(tk.TriIndex(n, k), params, tk.TriPoint(*pt)) for pt in offsets]
+                u, ux, uy = jets[0].u, jets[0].ux, jets[0].uy
+                uxx = (jets[1].ux - jets[2].ux) / (2.0 * h)
+                uxy = (jets[1].uy - jets[2].uy) / (2.0 * h)
+                uyy = (jets[3].uy - jets[4].uy) / (2.0 * h)
+                lhs_k = (1.0 - x - y) * y * uyy + ((1.0 + b) * (1.0 - x) - (2.0 + b + c) * y) * uy
+                t = a + b + c + 3.0
+                lhs_n = x * (1.0 - x) * uxx - 2.0 * x * y * uxy + y * (1.0 - y) * uyy
+                lhs_n = lhs_n + (a + 1.0 - t * x) * ux + (b + 1.0 - t * y) * uy
+                pset = {"a": a, "b": b, "c": c}
+                for name, lhs, mu in (
+                    ("eigen_k", lhs_k, -k * (k + b + c + 1.0)),
+                    ("eigen_n", lhs_n, -n * (n + a + b + c + 2.0)),
+                ):
+                    r, j = cli._scaled_residual(lhs, mu * u)
+                    acc.update(r, {"id": name, "n": n, "k": k, **pset, "x": float(x[j]), "y": float(y[j])})
+    assert got[0] == acc.block("second_order_pointwise", "fd2")
 
 
 def test_vectorized_jacobi_sweep_equals_a_per_case_loop():

@@ -349,6 +349,28 @@ def test_shifted_table_lift_branch_is_the_homog_table_at_unit_scale(a, b, nderiv
         assert np.array_equal(tab[1], Hy)
 
 
+@pytest.mark.parametrize("nderiv", [0, 1, 2])
+def test_shifted_table_column_equals_the_scalar_tables(nderiv):
+    # mixed degrees, safe entries and lifted ones (a parameter below -1, of
+    # exactly -1, a + b near -2) in one column, in the grid layout and in a
+    # row map that reverses each entry's degrees into one flat table
+    deg = np.array([12, 0, 5, 12, 3, 1, 8, 15])
+    a = np.array([0.5, -1.5, -1.0, -0.9, -2.5, 0.3, 1.42, -1.5])
+    b = np.array([1.5, 0.5, -1.0, -0.95, 2.0, -3.5, -2.42, -1.5])
+    x = np.linspace(0.0, 1.0, 7)
+    s = np.linspace(1.0, 0.0, 7)
+    grid = _shifted_table(deg, a, b, x, nderiv, s)
+    offsets = np.cumsum(deg + 1) - deg - 1
+    rows = np.clip(offsets[:, None] + deg[:, None] - np.arange(deg.max() + 1), 0, None)
+    flat = _shifted_table(deg, a, b, x, nderiv, s, rows=rows)
+    assert grid.shape == (nderiv + 1, deg.size, deg.max() + 1, x.size)
+    assert flat.shape == (nderiv + 1, (deg + 1).sum(), x.size)
+    for i in range(deg.size):
+        want = _shifted_table(int(deg[i]), a[i], b[i], x, nderiv, s)
+        assert np.array_equal(grid[:, i, : deg[i] + 1], want)
+        assert np.array_equal(flat[:, rows[i, : deg[i] + 1]], want)
+
+
 def test_jacobi_suite_does_not_import_mpmath():
     src = os.path.dirname(os.path.dirname(tk.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

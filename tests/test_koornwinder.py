@@ -247,6 +247,32 @@ def test_batched_tables_equal_the_per_k_loop(pset, N, partials):
         assert (g is None and w is None) or np.array_equal(g, w)
 
 
+# families whose tables lift: a < -1 (every first factor of degree >= 2); a
+# parameter of exactly -1; (A_0, a) = (-0.9, -0.95), whose sum nears -2;
+# b = c = -0.9 (the second factor); b < -1 (the second factor, twice)
+_LIFTED_FAMILIES = [
+    (0.5, 1.5, 2.5, 0.0),
+    (-1.5, -0.5, -0.5, -0.5),
+    (-1.0, 0.5, 0.0, 1.0),
+    (-0.95, -0.95, -0.95, 0.0),
+    (1.0, -0.9, -0.9, 0.5),
+    (0.3, -2.5, 1.5, 0.0),
+]
+
+
+@pytest.mark.parametrize("partials", [False, True])
+@pytest.mark.parametrize("N", [0, 1, 11])
+def test_multi_family_tables_equal_the_per_family_ones(N, partials):
+    rng = _rng(11)
+    x = np.concatenate([rng.uniform(0.0, 1.0, 7), [0.0, 1.0, 0.5]])
+    y = np.concatenate([rng.uniform(0.0, 1.0, 7) * (1.0 - x[:7]), [0.0, 0.0, 0.5]])
+    fams = [tk.TriParams(*p) for p in _LIFTED_FAMILIES]
+    got = _tri_tables(N, fams, x, y, partials=partials)
+    for f, q in enumerate(fams):
+        for g, w in zip(got, _tri_tables(N, q, x, y, partials=partials)):
+            assert (g is None and w is None) or np.array_equal(g[f], w)
+
+
 def test_basis_eval_all_first_column_is_ones():
     rng = _rng(7)
     q = tk.TriParams(1.0, 2.0, 0.5, 0.0)
