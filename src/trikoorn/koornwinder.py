@@ -131,6 +131,12 @@ def basis_size(N):
     return (N + 1) * (N + 2) // 2
 
 
+def _graded_indices(N):
+    """Index arrays (n, k) of every element of degree <= N, in linear index order."""
+    n = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
+    return n, np.arange(n.size) - n * (n + 1) // 2
+
+
 def weight_eval(params, pt):
     """Evaluate the weight x^a y^b z^c (1-x)^d at a point (interior for negative exponents)."""
     x = np.asarray(pt.x, dtype=float)
@@ -151,7 +157,7 @@ def point_rows(pts):
     return arr
 
 
-def _second_factor_params(k, params):
+def _first_factor_param(k, params):
     # first factor runs in x with exponent pair (2k + b + c + d + 1, a)
     return 2 * k + params.b + params.c + params.d + 1
 
@@ -167,7 +173,7 @@ def _tri_core(n, k, params, x, y, partials=False):
     xx, yy = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
     out = np.zeros((3 if partials else 1, xx.size))
     if 0 <= k <= n:
-        Ftab = _shifted_table(n - k, _second_factor_params(k, params), params.a, xx.ravel(), 1 if partials else 0)
+        Ftab = _shifted_table(n - k, _first_factor_param(k, params), params.a, xx.ravel(), 1 if partials else 0)
         H, Hy, Hs = _homog_table(k, params.c, params.b, yy.ravel(), 1.0 - xx.ravel(), partials=partials)
         F = Ftab[0, n - k]
         out[0] = F * H[k]
@@ -239,7 +245,7 @@ def _tri_tables(N, params, x, y, partials=False):
     xf, yf = (np.asarray(v, dtype=float).ravel() for v in (x, y))
     fams = [params] if isinstance(params, TriParams) else params
     cols = TriParams(*np.array([(q.a, q.b, q.c, q.d) for q in fams]).T[:, :, None])
-    A = _second_factor_params(np.arange(N + 1), cols)
+    A = _first_factor_param(np.arange(N + 1), cols)
     tabs = _first_factors(N, A, cols.a[:, 0], xf, 1 if partials else 0)
     U, UX = tabs[0], (tabs[1] if partials else None)
     UY = np.empty_like(U) if partials else None
@@ -289,7 +295,7 @@ def _two_routes(idx, params, pt):
     y = np.asarray(pt.y, dtype=float)
     if np.any(np.asarray(1.0 - x) <= 0):
         raise ValueError("left route requires x < 1")
-    return x, y, _second_factor_params(idx.k, params), y / (1.0 - x), tri_eval_jet(idx, params, pt)
+    return x, y, _first_factor_param(idx.k, params), y / (1.0 - x), tri_eval_jet(idx, params, pt)
 
 
 def jjp_residual(idx, params, pt):

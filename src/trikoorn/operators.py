@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .koornwinder import TriParams, basis_size
+from .koornwinder import TriParams, _graded_indices, basis_size
 from .ladders import DegenerateParameterError
 
 __all__ = [
@@ -300,9 +300,8 @@ def _build(name, N, params):
     shifted = (p + d if d else p for p, d in zip(abc, st.shift))
     maxdeg = max(N + max(dn for dn, _, _ in st.terms), 0)
     ran = BasisTag(TriParams(*shifted, 0.0), st.weighted, maxdeg)
-    n = np.repeat(np.arange(N + 1), np.arange(1, N + 2))
+    n, k = _graded_indices(N)
     cols = np.arange(n.size)
-    k = cols - n * (n + 1) // 2
     den = 1.0
     for label, fn in st.dens:
         value = fn(n, k, *abc)

@@ -325,12 +325,19 @@ def test_verify_seed_changes_sampled_cases(tmp_path):
 
 def test_verify_operators_passes_on_a_seed_that_defeated_finite_differences(tmp_path):
     # seed 14 put diff_x and diff_z residuals of a differenced oracle above
-    # the fd bound; exact partials leave it at roundoff
+    # the fd bound; exact partials leave it at roundoff.  On these seeds a
+    # differenced Hessian left the second-order blocks at 4.5e-10 to 9.0e-7,
+    # and the exact ones of _hessian_jets leave them at roundoff too
     out = tmp_path / "r.txt"
-    assert main(["verify", "--suite", "operators", "--seed", "14", "--out", str(out)]) == 0
-    blocks = json.loads((tmp_path / "r.txt.json").read_text())["suites"][0]["blocks"]
-    deriv = next(b for b in blocks if b["name"] == "derivative_equivalence")
-    assert deriv["max_residual"] < 1e-12
+    for seed in (0, 1, 14):
+        residuals = {}
+        for suite in ("operators", "eigen"):
+            assert main(["verify", "--suite", suite, "--seed", str(seed), "--out", str(out)]) == 0
+            blocks = json.loads((tmp_path / "r.txt.json").read_text())["suites"][0]["blocks"]
+            residuals.update((b["name"], b["max_residual"]) for b in blocks)
+        assert residuals["derivative_equivalence"] < 1e-12
+        for name in ("second_order_equivalence", "second_order_pointwise", "solve_residual"):
+            assert residuals[name] < 1e-11, (seed, name, residuals[name])
 
 
 def test_verify_stdout_mode_prints_text_report(capsys):
@@ -472,18 +479,23 @@ def test_vectorized_eigen_sweep_equals_a_per_case_loop():
     got = cli.sweep_eigen(seed, nmax=nmax, npts=npts)
     rng = np.random.default_rng([seed, 50])
     acc = cli._Worst()
-    h = 1e-5
     for params in cli._OPERATOR_PARAM_SETS:
         a, b, c = params.a, params.b, params.c
         x, y = cli._interior_points(rng, npts)
+        pt = tk.TriPoint(x, y)
         for n in range(nmax + 1):
             for k in range(n + 1):
-                offsets = [(x, y), (x + h, y), (x - h, y), (x, y + h), (x, y - h)]
-                jets = [tk.tri_eval_jet(tk.TriIndex(n, k), params, tk.TriPoint(*pt)) for pt in offsets]
-                u, ux, uy = jets[0].u, jets[0].ux, jets[0].uy
-                uxx = (jets[1].ux - jets[2].ux) / (2.0 * h)
-                uxy = (jets[1].uy - jets[2].uy) / (2.0 * h)
-                uyy = (jets[3].uy - jets[4].uy) / (2.0 * h)
+                idx = tk.TriIndex(n, k)
+                jet = tk.tri_eval_jet(idx, params, pt)
+                u, ux, uy = jet.u, jet.ux, jet.uy
+                # y1 images u_y, and x5 images n u + (1-x) u_x - y u_y
+                sy = tk.ladder_step(tk.LadderId("y", 1), idx, params)
+                sx = tk.ladder_step(tk.LadderId("x", 5), idx, params)
+                qy = tk.tri_eval_jet(sy.index, sy.params, pt)
+                qx = tk.tri_eval_jet(sx.index, sx.params, pt)
+                uxy = sy.factor * qy.ux
+                uyy = sy.factor * qy.uy
+                uxx = (sx.factor * qx.ux - (n - 1) * ux + y * uxy) / (1.0 - x)
                 lhs_k = (1.0 - x - y) * y * uyy + ((1.0 + b) * (1.0 - x) - (2.0 + b + c) * y) * uy
                 t = a + b + c + 3.0
                 lhs_n = x * (1.0 - x) * uxx - 2.0 * x * y * uxy + y * (1.0 - y) * uyy
@@ -496,6 +508,26 @@ def test_vectorized_eigen_sweep_equals_a_per_case_loop():
                     r, j = cli._scaled_residual(lhs, mu * u)
                     acc.update(r, {"id": name, "n": n, "k": k, **pset, "x": float(x[j]), "y": float(y[j])})
     assert got[0] == acc.block("second_order_pointwise", "fd2")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [tk.TriParams(0.5, -0.5, 1.5, 0.7), tk.TriParams(0.0, -0.9, -0.9, 0.0), tk.TriParams(-0.5, -0.5, -0.5, 0.0)],
+)
+def test_hessian_jets_match_a_fourth_order_difference(params):
+    N, h = 8, 1e-3
+    x, y = cli._interior_points(np.random.default_rng(7), 12)
+    u, ux, uy, uxx, uxy, uyy = cli._hessian_jets(N, params, x, y)
+    for got, want in zip((u, ux, uy), cli._tri_tables(N, params, x, y, partials=True)):
+        assert np.array_equal(got, want)
+
+    def diff4(which, dx, dy):
+        # fourth-order central difference of an exact first-partial table
+        at = [cli._tri_tables(N, params, x + s * dx, y + s * dy, partials=True)[which] for s in (-2, -1, 1, 2)]
+        return (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * h)
+
+    for got, want in ((uxx, diff4(1, h, 0.0)), (uxy, diff4(2, h, 0.0)), (uyy, diff4(2, 0.0, h))):
+        assert np.max(cli._scaled_residual(got, want)[0]) < 1e-4
 
 
 def test_vectorized_jacobi_sweep_equals_a_per_case_loop():
