@@ -883,8 +883,8 @@ def cmd_expand(args):
     m = args.m if args.m is not None else args.N + 1
     if m < args.N + 1:
         raise UsageError(f"--m {m} is below N + 1 = {args.N + 1}, so the rule cannot resolve every element")
-    rule = duffy_rule(m, params)
     if args.emit_nodes:
+        rule = duffy_rule(m, params)
         text = values_csv_text(rule.points, np.zeros(rule.points.shape[0]))
         if args.out:
             with open(args.out, "w") as fh:
@@ -893,6 +893,7 @@ def cmd_expand(args):
             sys.stdout.write(text)
         return 0
     if args.values is not None:
+        rule = duffy_rule(m, params)
         try:
             pts, vals = load_values_csv(args.values)
         except (OSError, ValueError) as exc:
@@ -913,6 +914,13 @@ def cmd_expand(args):
     return 0
 
 
+def _grid_points(g):
+    """The barycentric grid (i/g, j/g), i + j <= g, i-major: the points `solve` writes."""
+    i = np.repeat(np.arange(g + 1), np.arange(g + 1, 0, -1))
+    j = np.arange(i.size) - (i * (2 * g + 3 - i)) // 2
+    return np.column_stack([i / g, j / g])
+
+
 def cmd_solve(args):
     params = TriParams(args.a, args.b, args.c, 0.0)
     if args.rhs.endswith(".csv") or os.path.exists(args.rhs):
@@ -924,12 +932,7 @@ def cmd_solve(args):
         f = resolve_builtin(args.rhs, params)
         fc = analyze(f, args.N, params)
     u = _solve_coeffs(fc, getattr(args, "lam"))
-    g = args.grid
-    pts = []
-    for i in range(g + 1):
-        for jj in range(g + 1 - i):
-            pts.append((i / g, jj / g))
-    pts = np.array(pts, dtype=float)
+    pts = _grid_points(args.grid)
     vals = synthesize(u, pts)
     if args.out:
         save_coeffs_csv(u, args.out)

@@ -15,11 +15,15 @@ from math import exp, gamma, inf, isfinite, lgamma
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .jacobi import _shifted_table
 from .koornwinder import (
     TriParams,
     TriPoint,
+    _first_factor_param,
+    _first_factors,
+    _graded_indices,
     _tri_core,
-    basis_size,
+    _tri_tables,
     basis_eval_all,
     linear_to_index,
     point_rows,
@@ -103,6 +107,23 @@ def gauss_jacobi_rule(m, alpha, beta):
     return (1 + nodes) / 2, weights
 
 
+def _duffy_factors(m, params):
+    """The two one-dimensional rules (s, w_s, t, w_t) of the Duffy rule of `params`."""
+    params.validate()
+    if params.b + params.c + params.d + 2 <= 0:
+        raise ValueError(
+            f"s-direction exponent b+c+d+1 must exceed -1, got {params.b + params.c + params.d + 1}"
+        )
+    return (*gauss_jacobi_rule(m, params.b + params.c + params.d + 1, params.a),
+            *gauss_jacobi_rule(m, params.c, params.b))
+
+
+def _duffy_points(s, t):
+    """Coordinate arrays (x, y) = (s_i, (1-s_i) t_j) of the tensor nodes, s-major."""
+    S = np.repeat(s, t.size)
+    return S, (1 - S) * np.tile(t, s.size)
+
+
 def duffy_rule(m, params):
     """Tensor Gauss rule on the triangle absorbing the weight of `params`.
 
@@ -111,18 +132,9 @@ def duffy_rule(m, params):
     s-major order.  Requires b + c + d + 2 > 0 for integrability of the
     s-factor (automatic on parameter grids bounded below by -1/2).
     """
-    params.validate()
-    if params.b + params.c + params.d + 2 <= 0:
-        raise ValueError(
-            f"s-direction exponent b+c+d+1 must exceed -1, got {params.b + params.c + params.d + 1}"
-        )
-    xs, ws = gauss_jacobi_rule(m, params.b + params.c + params.d + 1, params.a)
-    xt, wt = gauss_jacobi_rule(m, params.c, params.b)
-    S = np.repeat(xs, m)
-    T = np.tile(xt, m)
-    pts = np.column_stack([S, (1 - S) * T])
-    wts = np.repeat(ws, m) * np.tile(wt, m)
-    return QuadRule(pts, wts, params, int(m), 2 * int(m) - 1)
+    xs, ws, xt, wt = _duffy_factors(m, params)
+    pts = np.column_stack(_duffy_points(xs, xt))
+    return QuadRule(pts, np.outer(ws, wt).ravel(), params, int(m), 2 * int(m) - 1)
 
 
 def norm_sq(idx, params):
@@ -180,22 +192,26 @@ def analyze(f, N, params, m=None):
     if m is None:
         m = N + 1
     _check_rule_size(N, m)
-    rule = duffy_rule(m, params)
+    s, ws, t, wt = _duffy_factors(m, params)
     if callable(f):
-        vals = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-        vals = np.broadcast_to(vals, (rule.points.shape[0],)).astype(float)
+        vals = np.asarray(f(*_duffy_points(s, t)), dtype=float)
+        vals = np.broadcast_to(vals, (m * m,)).astype(float)
     else:
         vals = np.asarray(f, dtype=float)
-        if vals.shape != (rule.points.shape[0],):
-            raise ValueError(
-                f"sampled values must match the rule nodes, expected {rule.points.shape[0]}, got {vals.shape}"
-            )
+        if vals.shape != (m * m,):
+            raise ValueError(f"sampled values must match the rule nodes, expected {m * m}, got {vals.shape}")
     bad = np.count_nonzero(~np.isfinite(vals))
     if bad:
         raise ValueError(f"{bad} of {vals.size} samples are not finite")
-    B = basis_eval_all(N, params, rule.points)
-    num = B.T @ (rule.weights * vals)
-    den = np.einsum("pi,p,pi->i", B, rule.weights, B)
+    # on the nodes P_{n,k}(s, (1-s) t) = E_r(s) Q_k(t): E_r(s) = P_{n,k}(s, 1-s) on the
+    # edge z = 0, Q_k = P~_k / P~_k(1); sum over t, then over s
+    P = _shifted_table(N, params.c, params.b, np.append(t, 1.0))[0]
+    Q = P[:, :-1] / P[:, -1:]
+    g = (ws[:, None] * vals.reshape(m, m) * wt) @ Q.T
+    k = _graded_indices(N)[1]
+    E = _tri_tables(N, params, s, 1 - s)[0]
+    num = np.einsum("ri,ri->r", E, g.T[k])
+    den = np.einsum("ri,ri,i->r", E, E, ws) * ((Q * Q) @ wt)[k]
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = num / den
     _check_in_range(np.isfinite(coef), "coefficients are")
@@ -206,13 +222,22 @@ def synthesize(vec, pts):
     """Evaluate a coefficient vector at points (TriPoint list or (npts, 2) array).
 
     Weighted bases multiply the polynomial sum by x^a y^b z^c; negative
-    exponents then require interior points.
+    exponents then require interior points.  The first factors are summed
+    once per distinct x: G_k(x) = sum_n c_{n,k} F_{n-k}(x), then
+    u = sum_k H_k(y, 1-x) G_k(x).
     """
     pts = point_rows(pts)
-    B = basis_eval_all(vec.basis.maxdeg, vec.basis.params, pts)
-    out = B @ vec.values
+    N, q, c = vec.basis.maxdeg, vec.basis.params, vec.values
+    xu, at = np.unique(pts[:, 0], return_inverse=True)
+    F = _first_factors(N, _first_factor_param(np.arange(N + 1), q), q.a, xu)[0]
+    F *= c[:, None]
+    G = np.zeros((N + 1, xu.size))
+    for n in range(N + 1):  # degree block n holds k = 0..n
+        G[: n + 1] += F[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]
+    H = _shifted_table(N, q.c, q.b, pts[:, 1], 0, 1.0 - pts[:, 0])[0]
+    out = np.einsum("kp,kp->p", H, G[:, at])
     if vec.basis.weighted:
-        out = out * weight_eval(vec.basis.params, TriPoint(pts[:, 0], pts[:, 1]))
+        out = out * weight_eval(q, TriPoint(pts[:, 0], pts[:, 1]))
     return out
 
 
@@ -235,13 +260,9 @@ def gram_matrix(N, params, m):
 
 def coeffs_csv_text(vec):
     """Coefficient CSV text with header n,k,value in ascending linear index."""
-    lines = ["n,k,value"]
-    i = 0
-    for n in range(vec.basis.maxdeg + 1):
-        for k in range(n + 1):
-            lines.append(f"{n},{k},{vec.values[i]:.17g}")
-            i += 1
-    return "\n".join(lines) + "\n"
+    n, k = _graded_indices(vec.basis.maxdeg)
+    rows = map("{},{},{:.17g}".format, n.tolist(), k.tolist(), vec.values.tolist())
+    return "\n".join(["n,k,value", *rows]) + "\n"
 
 
 def save_coeffs_csv(vec, path):
@@ -278,10 +299,9 @@ def load_coeffs_csv(path, basis):
 
 def values_csv_text(pts, vals):
     """Point-value CSV text with header x,y,value."""
-    lines = ["x,y,value"]
-    for (x, y), v in zip(np.asarray(pts, dtype=float), np.asarray(vals, dtype=float)):
-        lines.append(f"{x:.17g},{y:.17g},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    x, y = np.asarray(pts, dtype=float).T.tolist()
+    rows = map("{:.17g},{:.17g},{:.17g}".format, x, y, np.asarray(vals, dtype=float).tolist())
+    return "\n".join(["x,y,value", *rows]) + "\n"
 
 
 def save_values_csv(pts, vals, path):

@@ -281,6 +281,23 @@ def test_solve_grid_size_flag(tmp_path):
     assert len(rows) == 5 * 6 // 2
 
 
+def test_solve_grid_points_equal_the_nested_loop():
+    for g in (1, 2, 7, 200):
+        want = np.array([(i / g, j / g) for i in range(g + 1) for j in range(g + 1 - i)])
+        got = cli._grid_points(g)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_expand_at_degree_200_gives_finite_coefficients(tmp_path):
+    # the points x basis table of this call would take 40401 x 20301 doubles, 6.6 GB
+    out = tmp_path / "c.csv"
+    assert main(["expand", "--name", "runge", "--N", "200", "--a", "0.5", "--b", "0.5", "--c", "1", "--out", str(out)]) == 0
+    coeffs = _read_coeffs(out)
+    assert len(coeffs) == 201 * 202 // 2
+    assert all(np.isfinite(v) for v in coeffs.values())
+
+
 def test_solve_rejects_short_coefficient_file(tmp_path, capsys):
     rhs = tmp_path / "f.csv"
     rhs.write_text("n,k,value\n2,1,1.0\n")

@@ -1,6 +1,7 @@
 """Tests for quadrature rules, transforms, norms, and CSV storage."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,94 @@ def test_weighted_synthesis_multiplies_by_weight():
     )
 
 
+# ---------------------------------------------- factored against the dense table
+
+
+def _smooth(x, y):
+    return np.exp(x - 2 * y) / (1 + 4 * x * y)
+
+
+def _dense_analyze(vals, N, q, m):
+    # the projection by the full points x basis table
+    rule = tk.duffy_rule(m, q)
+    B = tk.basis_eval_all(N, q, rule.points)
+    return B.T @ (rule.weights * vals) / np.einsum("pi,p,pi->i", B, rule.weights, B)
+
+
+@pytest.mark.parametrize(
+    "pset, N, m",
+    [
+        ((0.0, 0.0, 0.0, 0.0), 12, 13),
+        ((1.5, -0.5, 1.0, 0.0), 12, 13),
+        ((2.0, 1.5, -0.5, 0.0), 9, 10),
+        ((0.5, -0.9, -0.9, 0.0), 12, 13),  # the t-direction table lifts
+        ((-0.5, -0.9, -0.9, 0.0), 7, 8),
+        ((1.0, 0.5, 2.5, 0.7), 10, 11),  # d != 0
+        ((0.5, 1.0, 0.0, 0.0), 8, 14),  # m > N + 1
+    ],
+)
+def test_factored_analyze_matches_the_dense_projection(pset, N, m):
+    q = tk.TriParams(*pset)
+    rule = tk.duffy_rule(m, q)
+    vals = _smooth(rule.points[:, 0], rule.points[:, 1])
+    want = _dense_analyze(vals, N, q, m)
+    got = tk.analyze(_smooth, N, q, m).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the callable is sampled at exactly the rule's nodes
+    assert np.array_equal(tk.analyze(vals, N, q, m).values, got)
+
+
+def _dense_synthesize(vec, pts):
+    # the sum over the full points x basis table, and the sum of its |terms|
+    B = tk.basis_eval_all(vec.basis.maxdeg, vec.basis.params, pts)
+    w = tk.weight_eval(vec.basis.params, tk.TriPoint(pts[:, 0], pts[:, 1])) if vec.basis.weighted else 1.0
+    return w * (B @ vec.values), np.abs(w) * (np.abs(B) @ np.abs(vec.values))
+
+
+@pytest.mark.parametrize(
+    "pset, weighted",
+    [
+        ((0.5, 1.5, 2.5, 0.0), False),
+        ((0.5, 1.5, 2.5, 0.0), True),
+        ((0.5, -0.9, -0.9, 0.0), False),
+        ((1.0, 0.5, 2.5, 0.7), False),
+    ],
+)
+def test_factored_synthesize_matches_the_dense_sum(pset, weighted):
+    rng = _rng(11)
+    q = tk.TriParams(*pset)
+    N = 9
+    vec = tk.CoeffVec(tk.BasisTag(q, weighted, N), rng.standard_normal(tk.basis_size(N)))
+    g = 8
+    grid = np.array([(i / g, j / g) for i in range(g + 1) for j in range(g + 1 - i)])
+    assert np.unique(grid[:, 0]).size == g + 1  # x repeats down each grid column
+    scattered = _interior(rng, 25)
+    batches = [grid, scattered, scattered[:1], np.array([[1.0, 0.0], [0.4, 0.6], [1.0, 0.0]])]
+    for pts in batches:
+        want, terms = _dense_synthesize(vec, pts)
+        got = tk.synthesize(vec, pts)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * terms)
+    as_points = [tk.TriPoint(x, y) for x, y in scattered]
+    assert np.array_equal(tk.synthesize(vec, as_points), tk.synthesize(vec, scattered))
+
+
+def test_analyze_at_degree_100_keeps_its_numpy_peak_small():
+    # a points x basis table at N = 100 would take 10201 x 5151 doubles, 420 MB
+    q = tk.TriParams(0.5, 0.5, 1.0, 0.0)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        coef = tk.analyze(_smooth, 100, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert np.isfinite(coef.values).all()
+    assert peak < 60e6
+
+
 # ------------------------------------------------------- norms and the Gram
 
 
@@ -347,6 +436,25 @@ def test_values_csv_round_trip(tmp_path):
     back_pts, back_vals = tk.load_values_csv(path)
     assert np.array_equal(back_pts, pts)
     assert np.array_equal(back_vals, vals)
+
+
+def test_csv_texts_equal_the_per_row_format():
+    rng = _rng(10)
+    N = 6
+    vec = tk.CoeffVec(tk.BasisTag(tk.TriParams(0, 0, 0, 0), False, N), rng.standard_normal(tk.basis_size(N)))
+    vec.values[[0, 3, 7]] = [0.0, -0.0, 1e-300]
+    want = ["n,k,value"]
+    i = 0
+    for n in range(N + 1):
+        for k in range(n + 1):
+            want.append(f"{n},{k},{vec.values[i]:.17g}")
+            i += 1
+    assert tk.transform.coeffs_csv_text(vec) == "\n".join(want) + "\n"
+    pts = np.vstack([_interior(rng, 9), [[1.0, 0.0], [0.0, 0.0], [1 / 3, 2 / 3]]])
+    vals = rng.standard_normal(len(pts)) * 10.0 ** rng.integers(-20, 20, len(pts))
+    want = ["x,y,value"] + [f"{x:.17g},{y:.17g},{v:.17g}" for (x, y), v in zip(pts, vals)]
+    assert tk.transform.values_csv_text(pts, vals) == "\n".join(want) + "\n"
+    assert tk.transform.values_csv_text(list(map(tuple, pts)), list(vals)) == "\n".join(want) + "\n"
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
