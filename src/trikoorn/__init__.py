@@ -8,163 +8,18 @@ transforms.
 
 __version__ = "0.1.0"
 
-from .jacobi import (
-    JacobiParams,
-    Jet1,
-    LadderStep,
-    jacobi_eval,
-    jacobi_deriv,
-    shifted_jacobi_eval,
-    shifted_jacobi_deriv,
-    homog_shifted_eval,
-    jacobi_ladder_factor,
-    jacobi_ladder_step,
-    jacobi_ladder_pointwise,
-    shifted_ladder_factor,
-    shifted_ladder_step,
-    shifted_ladder_pointwise,
-)
-from .koornwinder import (
-    TriParams,
-    TriIndex,
-    TriPoint,
-    Jet2,
-    index_to_linear,
-    linear_to_index,
-    basis_size,
-    weight_eval,
-    tri_eval,
-    tri_eval_jet,
-    basis_eval_all,
-    jjp_residual,
-    jpj_residual,
-)
-from .ladders import (
-    DegenerateParameterError,
-    LadderId,
-    TriLadderStep,
-    CompositionId,
-    all_ladder_ids,
-    ladder_factor,
-    ladder_step,
-    ladder_pointwise,
-    composition_residual,
-)
-from .operators import (
-    BasisTag,
-    CoeffVec,
-    SparseOp,
-    to_dense,
-    apply_op,
-    compose,
-    build_diff_x,
-    build_diff_y,
-    build_diff_z,
-    build_weighted_diff_x,
-    build_weighted_diff_y,
-    build_weighted_diff_z,
-    build_conv_a,
-    build_conv_b,
-    build_conv_c,
-    build_mult_x,
-    build_mult_y,
-    build_mult_z,
-    build_mult_same_x,
-    build_mult_same_y,
-    build_mult_same_z,
-    build_eigen_k,
-    build_eigen_n,
-    OP_BUILDERS,
-    save_matrix_market,
-    load_matrix_market,
-)
-from .transform import (
-    QuadRule,
-    gauss_jacobi_rule,
-    duffy_rule,
-    norm_sq,
-    analyze,
-    synthesize,
-    gram_matrix,
-    save_coeffs_csv,
-    load_coeffs_csv,
-    save_values_csv,
-    load_values_csv,
-)
+from . import jacobi, koornwinder, ladders, operators, transform
+from .jacobi import *
+from .koornwinder import *
+from .ladders import *
+from .operators import *
+from .transform import *
 
 __all__ = [
     "__version__",
-    "JacobiParams",
-    "Jet1",
-    "LadderStep",
-    "jacobi_eval",
-    "jacobi_deriv",
-    "shifted_jacobi_eval",
-    "shifted_jacobi_deriv",
-    "homog_shifted_eval",
-    "jacobi_ladder_factor",
-    "jacobi_ladder_step",
-    "jacobi_ladder_pointwise",
-    "shifted_ladder_factor",
-    "shifted_ladder_step",
-    "shifted_ladder_pointwise",
-    "TriParams",
-    "TriIndex",
-    "TriPoint",
-    "Jet2",
-    "index_to_linear",
-    "linear_to_index",
-    "basis_size",
-    "weight_eval",
-    "tri_eval",
-    "tri_eval_jet",
-    "basis_eval_all",
-    "jjp_residual",
-    "jpj_residual",
-    "DegenerateParameterError",
-    "LadderId",
-    "TriLadderStep",
-    "CompositionId",
-    "all_ladder_ids",
-    "ladder_factor",
-    "ladder_step",
-    "ladder_pointwise",
-    "composition_residual",
-    "BasisTag",
-    "CoeffVec",
-    "SparseOp",
-    "to_dense",
-    "apply_op",
-    "compose",
-    "build_diff_x",
-    "build_diff_y",
-    "build_diff_z",
-    "build_weighted_diff_x",
-    "build_weighted_diff_y",
-    "build_weighted_diff_z",
-    "build_conv_a",
-    "build_conv_b",
-    "build_conv_c",
-    "build_mult_x",
-    "build_mult_y",
-    "build_mult_z",
-    "build_mult_same_x",
-    "build_mult_same_y",
-    "build_mult_same_z",
-    "build_eigen_k",
-    "build_eigen_n",
-    "OP_BUILDERS",
-    "save_matrix_market",
-    "load_matrix_market",
-    "QuadRule",
-    "gauss_jacobi_rule",
-    "duffy_rule",
-    "norm_sq",
-    "analyze",
-    "synthesize",
-    "gram_matrix",
-    "save_coeffs_csv",
-    "load_coeffs_csv",
-    "save_values_csv",
-    "load_values_csv",
+    *jacobi.__all__,
+    *koornwinder.__all__,
+    *ladders.__all__,
+    *operators.__all__,
+    *transform.__all__,
 ]

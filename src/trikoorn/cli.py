@@ -8,6 +8,7 @@ diagonal coefficient-space solve for the operator the basis diagonalizes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -319,54 +320,50 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
     gen_cids = [cid for cid in CompositionId if cid not in _NEEDS_D0]
     d0_cids = [cid for cid in CompositionId if cid in _NEEDS_D0]
     n, k = (v[:, None] for v in _graded_indices(nmax))
-    for pa in _TRI_GRID:
-        for pb in _TRI_GRID:
-            for pc in _TRI_GRID:
-                for pd in _TRI_GRID:
-                    params = TriParams(pa, pb, pc, pd)
-                    x, y = _interior_points(rng, npts)
-                    batch = _TriBatch(x, y, nmax + 1)
-                    cids = list(gen_cids) + (d0_cids if pd == 0.0 else [])
-                    # every family read below, in one table build; ladder
-                    # targets with a parameter of exactly -1 are skipped
-                    targets = [_step(lid, 0, 0, params)[3] for lid in ids]
-                    batch.prefetch(
-                        [q for q in targets if -1.0 not in (q.a, q.b, q.c, q.d)]
-                        + [q for cid in cids for q in _composition_families(cid, params)]
-                    )
-                    jet = batch.ev(n, k, params)
+    for pa, pb, pc, pd in itertools.product(_TRI_GRID, repeat=4):
+        params = TriParams(pa, pb, pc, pd)
+        x, y = _interior_points(rng, npts)
+        batch = _TriBatch(x, y, nmax + 1)
+        cids = list(gen_cids) + (d0_cids if pd == 0.0 else [])
+        # every family read below, in one table build; ladder targets with a
+        # parameter of exactly -1 are skipped
+        targets = [_step(lid, 0, 0, params)[3] for lid in ids]
+        batch.prefetch(
+            [q for q in targets if -1.0 not in (q.a, q.b, q.c, q.d)]
+            + [q for cid in cids for q in _composition_families(cid, params)]
+        )
+        jet = batch.ev(n, k, params)
 
-                    def case(name, r, j):
-                        return {
-                            "id": name,
-                            "n": int(n[r, 0]),
-                            "k": int(k[r, 0]),
-                            "a": pa,
-                            "b": pb,
-                            "c": pc,
-                            "d": pd,
-                            "x": float(x[j]),
-                            "y": float(y[j]),
-                        }
+        def case(name, r, j):
+            return {
+                "id": name,
+                "n": int(n[r, 0]),
+                "k": int(k[r, 0]),
+                "a": pa,
+                "b": pb,
+                "c": pc,
+                "d": pd,
+                "x": float(x[j]),
+                "y": float(y[j]),
+            }
 
-                    for cid in cids:
-                        L, R, degenerate = _composition(cid, n, k, params, x, y, batch.ev)
-                        rows = np.flatnonzero(~degenerate)
-                        accB.skip(degenerate.sum())
-                        accB.update_rows(L[rows], R[rows], lambda i, j: case(cid.name, rows[i], j))
-                    for lid in ids:
-                        f, n1, k1, q = _step(lid, n, k, params)
-                        lhs = _pointwise(lid, n, k, params, x, y, *jet)
-                        # at a parameter of exactly -1 the target
-                        # normalization degenerates; those samples are
-                        # logged and skipped.  Anywhere else both sides are
-                        # polynomial in the parameters, so the relation is
-                        # asserted even outside the integrable family
-                        skip = (f != 0.0) & (-1.0 in (q.a, q.b, q.c, q.d))
-                        (v,) = batch.ev(np.where((f != 0.0) & ~skip, n1, -1), k1, q, partials=False)
-                        rows = np.flatnonzero(~skip)
-                        accA.skip(skip.sum())
-                        accA.update_rows(lhs[rows], (f * v)[rows], lambda i, j: case(lid.label, rows[i], j))
+        for cid in cids:
+            L, R, degenerate = _composition(cid, n, k, params, x, y, batch.ev)
+            rows = np.flatnonzero(~degenerate)
+            accB.skip(degenerate.sum())
+            accB.update_rows(L[rows], R[rows], lambda i, j: case(cid.name, rows[i], j))
+        for lid in ids:
+            f, n1, k1, q = _step(lid, n, k, params)
+            lhs = _pointwise(lid, n, k, params, x, y, *jet)
+            # at a parameter of exactly -1 the target normalization degenerates;
+            # those samples are logged and skipped.  Anywhere else both sides are
+            # polynomial in the parameters, so the relation is asserted even
+            # outside the integrable family
+            skip = (f != 0.0) & (-1.0 in (q.a, q.b, q.c, q.d))
+            (v,) = batch.ev(np.where((f != 0.0) & ~skip, n1, -1), k1, q, partials=False)
+            rows = np.flatnonzero(~skip)
+            accA.skip(skip.sum())
+            accA.update_rows(lhs[rows], (f * v)[rows], lambda i, j: case(lid.label, rows[i], j))
     return [
         accA.block("triangle_ladders", "ladder"),
         accB.block("composition_identities", "ladder"),
@@ -393,62 +390,56 @@ def sweep_product_links(seed, nmax=10, npts=10):
     lower = np.flatnonzero(n > k)
     below = (n * (n - 1) // 2 + k)[lower, 0]
     links = ("jjp", "jpj")
-    for pa in _TRI_GRID:
-        for pb in _TRI_GRID:
-            for pc in _TRI_GRID:
-                for pd in _TRI_GRID:
-                    params = TriParams(pa, pb, pc, pd)
-                    x, y = _interior_points(rng, npts)
-                    u, ux, uy = _TriBatch(x, y, nmax).ev(n, k, params)
-                    s = 1.0 - x
-                    tau = y / s
-                    A = _first_factor_param(np.arange(nmax + 1), params)
-                    (F,) = _first_factors(nmax, A, pa, x)
-                    (F1,) = _first_factors(nmax - 1, A[:nmax] + 1, pa + 1, x)
-                    G = _shifted_table(nmax, pc, pb, tau)[0]
-                    G1 = _shifted_table(nmax - 1, pc + 1, pb + 1, tau)[0]
-                    dG = np.zeros_like(G)
-                    dG[1:] = (np.arange(1, nmax + 1)[:, None] + pc + pb + 1) * G1
-                    dF = np.zeros_like(F)
-                    dF[lower] = (n - k + A[k] + pa + 1)[lower] * F1[below]
-                    # integer powers as the per-case routes take them, one per k
-                    pw = np.stack([s**j for j in range(nmax + 2)])
-                    L = np.empty((2 * n.size, npts))
-                    R = np.empty_like(L)
-                    L[0::2] = F * pw[kr] * dG[kr]
-                    R[0::2] = s * uy
-                    L[1::2] = dF * pw[kr + 1] * G[kr]
-                    R[1::2] = k * u + s * ux - y * uy
-                    acc.update_rows(
-                        L,
-                        R,
-                        lambda i, j: {
-                            "id": links[i % 2],
-                            "n": int(n[i // 2, 0]),
-                            "k": int(kr[i // 2]),
-                            "a": pa,
-                            "b": pb,
-                            "c": pc,
-                            "d": pd,
-                            "x": float(x[j]),
-                            "y": float(y[j]),
-                        },
-                    )
+    for pa, pb, pc, pd in itertools.product(_TRI_GRID, repeat=4):
+        params = TriParams(pa, pb, pc, pd)
+        x, y = _interior_points(rng, npts)
+        u, ux, uy = _TriBatch(x, y, nmax).ev(n, k, params)
+        s = 1.0 - x
+        tau = y / s
+        A = _first_factor_param(np.arange(nmax + 1), params)
+        (F,) = _first_factors(nmax, A, pa, x)
+        (F1,) = _first_factors(nmax - 1, A[:nmax] + 1, pa + 1, x)
+        G = _shifted_table(nmax, pc, pb, tau)[0]
+        G1 = _shifted_table(nmax - 1, pc + 1, pb + 1, tau)[0]
+        dG = np.zeros_like(G)
+        dG[1:] = (np.arange(1, nmax + 1)[:, None] + pc + pb + 1) * G1
+        dF = np.zeros_like(F)
+        dF[lower] = (n - k + A[k] + pa + 1)[lower] * F1[below]
+        # integer powers as the per-case routes take them, one per k
+        pw = np.stack([s**j for j in range(nmax + 2)])
+        L = np.empty((2 * n.size, npts))
+        R = np.empty_like(L)
+        L[0::2] = F * pw[kr] * dG[kr]
+        R[0::2] = s * uy
+        L[1::2] = dF * pw[kr + 1] * G[kr]
+        R[1::2] = k * u + s * ux - y * uy
+        acc.update_rows(
+            L,
+            R,
+            lambda i, j: {
+                "id": links[i % 2],
+                "n": int(n[i // 2, 0]),
+                "k": int(kr[i // 2]),
+                "a": pa,
+                "b": pb,
+                "c": pc,
+                "d": pd,
+                "x": float(x[j]),
+                "y": float(y[j]),
+            },
+        )
     return [acc.block("product_links", "exact")]
 
 
-def _synth_jets(vec, x, y):
+def _synth_jets(vec, x, y, tables):
     """Exact value and first partials of the synthesized field.
 
-    On a weighted basis the field is w p with w = x^a y^b z^c, so its x
-    partial is w (p_x + p (a/x - c/z)) and its y partial w (p_y + p (b/y - c/z));
-    there the points must be interior.
+    `tables` holds the (u, ux, uy) tables of every element of vec's basis at
+    the points.  On a weighted basis the field is w p with w = x^a y^b z^c, so
+    its x partial is w (p_x + p (a/x - c/z)) and its y partial
+    w (p_y + p (b/y - c/z)); there the points must be interior.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    U, UX, UY = _tri_tables(vec.basis.maxdeg, vec.basis.params, x, y, partials=True)
-    v = vec.values
-    u, ux, uy = v @ U, v @ UX, v @ UY
+    u, ux, uy = (vec.values @ T for T in tables)
     if not vec.basis.weighted:
         return u, ux, uy
     p = vec.basis.params
@@ -580,7 +571,7 @@ def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
                     factor = {"same": 1.0, "x": x, "y": y, "z": 1.0 - x - y}[_EXACT_REFS[name]]
                     lhs = factor * synthesize(vec, pts)
                 elif name in _FD_REFS:
-                    _, ux, uy = _synth_jets(vec, x, y)
+                    _, ux, uy = _synth_jets(vec, x, y, hessian[:3])
                     lhs = {"dx": ux, "dy": uy, "dz": uy - ux}[_FD_REFS[name]]
                 else:
                     jets = [v @ T for T in hessian]

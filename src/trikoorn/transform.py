@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, gamma, inf, isfinite, lgamma
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -22,9 +23,7 @@ from .koornwinder import (
     _first_factor_param,
     _first_factors,
     _graded_indices,
-    _tri_core,
     _tri_tables,
-    basis_eval_all,
     linear_to_index,
     point_rows,
     weight_eval,
@@ -75,8 +74,7 @@ def gauss_jacobi_rule(m, alpha, beta):
     if alpha <= -1 or beta <= -1:
         raise ValueError(f"weight exponents must exceed -1, got ({alpha}, {beta})")
     a, b = float(alpha), float(beta)
-    diag = np.empty(m)
-    off = np.empty(max(m - 1, 0))
+    diag, off = np.empty(m), np.empty(max(m - 1, 0))
     overflow = ValueError(f"the {m}-node Gauss-Jacobi rule for exponents ({a}, {b}) is out of float64 range")
     try:
         diag[0] = (b - a) / (a + b + 2)
@@ -137,16 +135,28 @@ def duffy_rule(m, params):
     return QuadRule(pts, np.outer(ws, wt).ravel(), params, int(m), 2 * int(m) - 1)
 
 
+def _edge_tables(N, params, s, ws, t, wt):
+    """E, Q, the k of each row r and den_r of the degree <= N basis on the Duffy nodes.
+
+    There P_{n,k}(s, (1-s) t) = E_r(s) Q_k(t): E_r(s) = P_{n,k}(s, 1-s) on the edge
+    z = 0, Q_k = P~_k / P~_k(1).  den_r = (sum_i ws E_r^2)(sum_j wt Q_k^2) is the norm.
+    """
+    P = _shifted_table(N, params.c, params.b, np.append(t, 1.0))[0]
+    Q = P[:, :-1] / P[:, -1:]
+    k = _graded_indices(N)[1]
+    E = _tri_tables(N, params, s, 1 - s)[0]
+    den = np.einsum("ri,ri,i->r", E, E, ws) * ((Q * Q) @ wt)[k]
+    return E, Q, k, den
+
+
 def norm_sq(idx, params):
-    """Squared weighted norm of one basis element, by a rule exact for its square.
+    """Squared weighted norm of one element: its denominator in `analyze` at N = n, m = n + 1.
 
     Raises ValueError where it is zero or not finite in float64.
     """
     idx.validate()
-    params.validate()
-    rule = duffy_rule(idx.n + 1, params)
-    vals = _tri_core(idx.n, idx.k, params, rule.points[:, 0], rule.points[:, 1])
-    nsq = float(np.dot(rule.weights, vals * vals))
+    den = _edge_tables(idx.n, params, *_duffy_factors(idx.n + 1, params))[3]
+    nsq = float(den[idx.k - idx.n - 1])  # in the last degree block
     if not 0.0 < nsq < inf:
         raise ValueError(f"the squared norm of (n, k) = ({idx.n}, {idx.k}) is out of float64 range")
     return nsq
@@ -189,13 +199,11 @@ def analyze(f, N, params, m=None):
         the quadrature inner product divided by the quadrature norm of the
         same element, so rule-level bias cancels between the two.
     """
-    if m is None:
-        m = N + 1
+    m = N + 1 if m is None else m
     _check_rule_size(N, m)
     s, ws, t, wt = _duffy_factors(m, params)
     if callable(f):
-        vals = np.asarray(f(*_duffy_points(s, t)), dtype=float)
-        vals = np.broadcast_to(vals, (m * m,)).astype(float)
+        vals = np.broadcast_to(np.asarray(f(*_duffy_points(s, t)), dtype=float), (m * m,)).astype(float)
     else:
         vals = np.asarray(f, dtype=float)
         if vals.shape != (m * m,):
@@ -203,15 +211,10 @@ def analyze(f, N, params, m=None):
     bad = np.count_nonzero(~np.isfinite(vals))
     if bad:
         raise ValueError(f"{bad} of {vals.size} samples are not finite")
-    # on the nodes P_{n,k}(s, (1-s) t) = E_r(s) Q_k(t): E_r(s) = P_{n,k}(s, 1-s) on the
-    # edge z = 0, Q_k = P~_k / P~_k(1); sum over t, then over s
-    P = _shifted_table(N, params.c, params.b, np.append(t, 1.0))[0]
-    Q = P[:, :-1] / P[:, -1:]
+    # sum over t, then over s
+    E, Q, k, den = _edge_tables(N, params, s, ws, t, wt)
     g = (ws[:, None] * vals.reshape(m, m) * wt) @ Q.T
-    k = _graded_indices(N)[1]
-    E = _tri_tables(N, params, s, 1 - s)[0]
     num = np.einsum("ri,ri->r", E, g.T[k])
-    den = np.einsum("ri,ri,i->r", E, E, ws) * ((Q * Q) @ wt)[k]
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = num / den
     _check_in_range(np.isfinite(coef), "coefficients are")
@@ -247,12 +250,13 @@ def gram_matrix(N, params, m):
     Requires m >= N + 1 so the rule strength covers every pairwise product;
     the result is then diagonal up to roundoff.  Raises ValueError where a
     diagonal entry is zero or not finite (the rule weights underflow, or the
-    norms overflow).
+    norms overflow).  Entries factor as (sum_i ws E_r E_r')(sum_j wt Q_k Q_k'), in O(N^5) time.
     """
     _check_rule_size(N, m)
-    rule = duffy_rule(m, params)
-    B = basis_eval_all(N, params, rule.points)
-    G = B.T @ (B * rule.weights[:, None])
+    s, ws, t, wt = _duffy_factors(m, params)
+    E, Q, k, _ = _edge_tables(N, params, s, ws, t, wt)
+    G = (E * ws) @ E.T
+    G *= ((Q * wt) @ Q.T)[np.ix_(k, k)]
     d = np.diag(G)
     _check_in_range((0.0 < d) & (d < inf), "squared norms are")
     return G
@@ -267,8 +271,7 @@ def coeffs_csv_text(vec):
 
 def save_coeffs_csv(vec, path):
     """Write coefficients as CSV with header n,k,value in ascending linear index."""
-    with open(str(path), "w") as fh:
-        fh.write(coeffs_csv_text(vec))
+    Path(path).write_text(coeffs_csv_text(vec))
 
 
 def load_coeffs_csv(path, basis):
@@ -277,8 +280,7 @@ def load_coeffs_csv(path, basis):
         header = fh.readline().strip()
         if header != "n,k,value":
             raise ValueError(f"expected header 'n,k,value', got {header!r}")
-        vals = np.zeros(basis.size)
-        count = 0
+        vals, count = np.zeros(basis.size), 0
         for line in fh:
             line = line.strip()
             if not line:
@@ -306,14 +308,12 @@ def values_csv_text(pts, vals):
 
 def save_values_csv(pts, vals, path):
     """Write point values as CSV with header x,y,value."""
-    with open(str(path), "w") as fh:
-        fh.write(values_csv_text(pts, vals))
+    Path(path).write_text(values_csv_text(pts, vals))
 
 
 def load_values_csv(path):
     """Read a CSV with header x,y,value; returns (points, values)."""
-    pts = []
-    vals = []
+    pts, vals = [], []
     with open(str(path)) as fh:
         header = fh.readline().strip()
         if header != "x,y,value":

@@ -9,6 +9,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
 import trikoorn as tk
+from trikoorn.transform import _duffy_factors, _edge_tables
 
 
 def _rng(tag):
@@ -336,7 +337,8 @@ def test_norm_sq_equals_the_column_of_the_full_table(pset):
     q = tk.TriParams(*pset)
     for n in range(8):
         for k in range(n + 1):
-            assert tk.norm_sq(tk.TriIndex(n, k), q) == _norm_sq_from_the_table(n, k, q)
+            want = _norm_sq_from_the_table(n, k, q)
+            assert abs(tk.norm_sq(tk.TriIndex(n, k), q) - want) <= 1e-14 * want
 
 
 def test_norm_sq_moves_at_roundoff_where_only_the_table_lifts():
@@ -347,8 +349,97 @@ def test_norm_sq_moves_at_roundoff_where_only_the_table_lifts():
         for k in range(n + 1):
             want = _norm_sq_from_the_table(n, k, q)
             assert abs(tk.norm_sq(tk.TriIndex(n, k), q) - want) <= 1e-15 * want
-            if k != 1:
-                assert tk.norm_sq(tk.TriIndex(n, k), q) == want
+
+
+def _log_h(n, alpha, beta):
+    # log of the squared norm of the degree-n Jacobi polynomial on (0, 1)
+    # under x^beta (1-x)^alpha, normalized to P(1) = binom(n + alpha, n)
+    if n == 0:
+        return math.lgamma(alpha + 1) + math.lgamma(beta + 1) - math.lgamma(alpha + beta + 2)
+    return (
+        math.lgamma(n + alpha + 1)
+        + math.lgamma(n + beta + 1)
+        - math.log(2 * n + alpha + beta + 1)
+        - math.lgamma(n + alpha + beta + 1)
+        - math.lgamma(n + 1)
+    )
+
+
+def _closed_form_norm_sq(n, k, q):
+    # under the Duffy map the squared norm is a product of two 1-D Jacobi norms
+    return math.exp(_log_h(n - k, 2 * k + q.b + q.c + q.d + 1, q.a) + _log_h(k, q.c, q.b))
+
+
+_NORM_PSETS = [
+    (0.0, 0.0, 0.0, 0.0),
+    (0.5, 1.5, 2.5, 0.0),
+    (1.0, 0.0, 2.0, 0.5),
+    (0.5, -0.9, -0.9, 0.0),
+    (-0.5, -0.9, -0.9, 0.7),
+]
+
+
+@pytest.mark.parametrize("pset", _NORM_PSETS)
+def test_norms_match_the_closed_form(pset):
+    q = tk.TriParams(*pset)
+    N = 11
+    want = np.array([_closed_form_norm_sq(n, k, q) for n in range(N + 1) for k in range(n + 1)])
+    got = np.array([tk.norm_sq(tk.TriIndex(n, k), q) for n in range(N + 1) for k in range(n + 1)])
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    diag = np.diag(tk.gram_matrix(N, q, N + 2))
+    assert np.all(np.abs(diag - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("pset", _NORM_PSETS)
+def test_norm_sq_reads_the_edge_tables_denominator(pset):
+    q = tk.TriParams(*pset)
+    for n in range(9):
+        den = _edge_tables(n, q, *_duffy_factors(n + 1, q))[3]
+        for k in range(n + 1):
+            assert tk.norm_sq(tk.TriIndex(n, k), q) == den[n * (n + 1) // 2 + k]
+
+
+def _dense_gram(N, q, m):
+    # the Gram matrix by the full points x basis table
+    rule = tk.duffy_rule(m, q)
+    B = tk.basis_eval_all(N, q, rule.points)
+    return B.T @ (rule.weights[:, None] * B)
+
+
+@pytest.mark.parametrize(
+    "pset, N, m",
+    [
+        ((0.0, 0.0, 0.0, 0.0), 12, 13),
+        ((0.5, 1.5, 2.5, 0.0), 10, 12),
+        ((1.0, 0.5, 2.5, 0.7), 10, 11),  # d != 0
+        ((0.5, -0.9, -0.9, 0.0), 12, 13),  # the t-direction table lifts
+        ((-0.5, -0.9, -0.9, 0.3), 7, 12),
+        ((2.0, 1.5, -0.5, 0.0), 4, 9),  # m > N + 1
+    ],
+)
+def test_factored_gram_matches_the_dense_table(pset, N, m):
+    q = tk.TriParams(*pset)
+    want = _dense_gram(N, q, m)
+    got = tk.gram_matrix(N, q, m)
+    assert got.shape == want.shape == (tk.basis_size(N),) * 2
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.diag(want))
+
+
+def test_gram_at_degree_60_keeps_its_numpy_peak_small():
+    # the output takes 1891^2 doubles, 29 MB; a points x basis table would add
+    # 3721 x 1891 doubles, and its weighted copy as many again
+    q = tk.TriParams(0.5, 0.5, 1.0, 0.0)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        G = tk.gram_matrix(60, q, 61)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert np.isfinite(G).all()
+    assert peak < 80e6
 
 
 def test_gram_is_diagonal_with_norms():
