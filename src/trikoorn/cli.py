@@ -104,6 +104,10 @@ _JAC_FAMILIES = (
     ("shifted", 0.0, lambda x: x, False),
 )
 _TRI_GRID = (-0.5, 0.0, 0.5, 1.5)
+# parameter sets per chunk of the ladders sweep, the 8 that share (a, b): a
+# chunk holds about 0.35 MB per set at its peak, which adds to verify's peak
+# RSS, and the time saved levels off past about 8
+_LADDER_CHUNK = 8
 
 _OPERATOR_PARAM_SETS = (
     TriParams(0.0, 0.0, 0.0),
@@ -169,7 +173,10 @@ class _Worst:
 
     def update_rows(self, lhs, rhs, case_of):
         """update() with each row of lhs against rhs in turn; case_of(i, j) names row i at point j."""
-        r, j = _scaled_residual(lhs, rhs)
+        self.update_max(*_scaled_residual(lhs, rhs), case_of)
+
+    def update_max(self, r, j, case_of):
+        """update() with each row residual r[i], largest at point j[i], in turn."""
         if r.size:
             i = int(np.argmax(r))
             self.cases += r.size - 1
@@ -183,17 +190,17 @@ class _Worst:
 
 
 def _interior_points(rng, npts):
-    """Sample points strictly inside the triangle, away from all three edges."""
-    xs = np.empty(npts)
-    ys = np.empty(npts)
-    got = 0
-    while got < npts:
-        x = rng.uniform(0.05, 0.90)
-        y = rng.uniform(0.05, 0.90)
-        if 1.0 - x - y >= 0.05:
-            xs[got] = x
-            ys[got] = y
-            got += 1
+    """Sample points strictly inside the triangle, away from all three edges.
+
+    Each draw takes as many (x, y) pairs as are still wanted, so rng is left
+    where a pair-at-a-time loop leaves it, and one call for the points of
+    several sets draws what one call per set draws.
+    """
+    xs, ys = np.empty(0), np.empty(0)
+    while xs.size < npts:
+        x, y = rng.uniform(0.05, 0.90, (npts - xs.size, 2)).T
+        inside = 1.0 - x - y >= 0.05
+        xs, ys = np.append(xs, x[inside]), np.append(ys, y[inside])
     return xs, ys
 
 
@@ -205,59 +212,109 @@ def _scaled_residual(lhs, rhs):
     """
     lhs = np.asarray(lhs, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    den = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    rvec = np.atleast_1d(np.abs(lhs - rhs) / den)
-    rvec[np.isnan(rvec)] = np.inf
-    return rvec.max(axis=-1), np.argmax(rvec, axis=-1)
+    den = np.atleast_1d(np.maximum(np.abs(lhs), np.abs(rhs)))
+    rvec = np.atleast_1d(lhs - rhs)
+    np.abs(rvec, out=rvec)
+    rvec /= np.maximum(den, 1.0, out=den)
+    j = np.argmax(rvec, axis=-1)
+    r = np.take_along_axis(rvec, j[..., None], -1)[..., 0]
+    if np.isnan(r).any():  # argmax finds NaN first; count it as inf
+        rvec[np.isnan(rvec)] = np.inf
+        j = np.argmax(rvec, axis=-1)
+        r = np.take_along_axis(rvec, j[..., None], -1)[..., 0]
+    return r, j
 
 
-class _TriBatch:
-    """Cached basis jet tables over a fixed point batch.
+def _rows(tabs, e, n, k):
+    """Rows (n, k) of entry e of each stacked table in tabs, zero rows where k < 0 or k > n.
 
-    Sweeps touch the same parameter families many times; tables are built
-    once per family and reused.  `prefetch` builds the tables of many
-    families in one kernel call; any other family is built on first use.
+    e is an entry index, or an array of them, that broadcasts against the
+    index arrays n and k; the rows take a last, point axis.
     """
+    dead = (k < 0) | (k > n)
+    if not dead.any():
+        return tuple(T[e, n * (n + 1) // 2 + k] for T in tabs)
+    rows = tuple(T[e, np.where(dead, 0, n * (n + 1) // 2 + k)] for T in tabs)
+    dead = np.broadcast_to(dead, rows[0].shape[:-1])
+    for row in rows:
+        row[dead] = 0.0
+    return rows
 
-    def __init__(self, x, y, N):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-        self.N = N
-        self._jets = {}
 
-    @staticmethod
-    def _key(params):
-        return (params.a, params.b, params.c, params.d)
+def _set_values(q, S):
+    """(S, 4) parameters of a TriParams whose fields are scalars or hold one value per set on their first axis."""
+    out = np.empty((S, 4))
+    for i, v in enumerate((q.a, q.b, q.c, q.d)):
+        out[:, i] = np.reshape(v, (S, -1))[:, 0] if np.ndim(v) else v
+    return out
 
-    def prefetch(self, families):
-        """Build the tables of every family not yet cached, in one call."""
-        new = {self._key(p): p for p in families if self._key(p) not in self._jets}
-        if new:
-            U, UX, UY = _tri_tables(self.N, list(new.values()), self.x, self.y, partials=True)
-            self._jets.update(zip(new, zip(U, UX, UY)))
 
-    def jets(self, params):
-        self.prefetch([params])
-        return self._jets[self._key(params)]
+def _families(reads, S):
+    """The distinct families among (q, need) pairs over S parameter sets.
 
-    def ev(self, n, k, params, partials=True):
-        """Rows (u, ux, uy) of the elements at index arrays n, k; zero rows out of range.
+    Returns their parameters in each set, (C, S, 4), the sets that read
+    each, (C, S), the union over its pairs, and each pair's family.
+    """
+    V = np.stack([_set_values(q, S) for q, _ in reads])
+    keys = [v.tobytes() for v in V]
+    distinct = list(dict.fromkeys(keys))
+    of = np.array([distinct.index(key) for key in keys])
+    need = np.zeros((len(distinct), S), bool)
+    np.logical_or.at(need, of, np.stack([np.broadcast_to(want, S) for _, want in reads]))
+    return V[[keys.index(key) for key in distinct]], need, of
 
-        With partials=False only the value rows (u,) are gathered.
-        """
-        n, k = np.ravel(n), np.ravel(k)
-        ok = (k >= 0) & (k <= n)
-        live = np.count_nonzero(ok)
-        if not live:
-            zero = np.zeros((n.size, self.x.size))
-            return (zero, zero, zero) if partials else (zero,)
-        rows = np.where(ok, n * (n + 1) // 2 + k, 0)
-        if rows.max() >= (self.N + 1) * (self.N + 2) // 2:
-            raise ValueError(f"batch tables stop at degree {self.N}, requested {n[ok].max()}")
-        tabs = self.jets(params)[: 3 if partials else 1]
-        if live == n.size:
-            return tuple(T[rows] for T in tabs)
-        return tuple(np.where(ok[:, None], T[rows], 0.0) for T in tabs)
+
+def _set_tables(N, x, y, *kinds):
+    """The tables of the families that a chunk of S parameter sets reads, and their lookup.
+
+    Each kind (V, need, partials) holds the parameters (C, S, 4) of C
+    families in each set and the sets that read them, (C, S); one kernel
+    call builds their tables, each at its set's points x[s], y[s] of shape
+    (S, npts), with partials or for values only.  Returns
+    ev(n, k, q, partials=True): the rows (u, ux, uy), or (u,), of the
+    elements at index columns n, k of family q, one per set, shape
+    (S, m, npts), zero rows out of range.
+    """
+    tables = {}
+    for V, need, partials in kinds:
+        c, s = need.nonzero()
+        tabs = _tri_tables(N, [TriParams(*v) for v in V[c, s]], x[s], y[s], partials) if c.size else None
+        tables[partials] = np.where(need[..., None], V, np.nan), np.cumsum(need).reshape(need.shape) - 1, tabs
+    found = {}
+
+    def ev(n, k, q, partials=True):
+        key = (partials,) + tuple(np.asarray(v).tobytes() for v in (q.a, q.b, q.c, q.d))
+        if key not in found:  # each set's entry of q, and the sets that have it
+            V, slot, tabs = tables[partials]
+            hit = (V == _set_values(q, V.shape[1])).all(-1)
+            found[key] = slot[hit.argmax(0), np.arange(V.shape[1])], hit.any(0), tabs
+        e, has, tabs = found[key]
+        n, k = n[..., 0], k[..., 0]
+        live = ((k >= 0) & (k <= n)).any(-1)
+        if not live.any():
+            return tuple(np.zeros((e.size, n.shape[-1], x.shape[-1])) for _ in range(3 if partials else 1))
+        if (live & ~has).any():
+            raise ValueError("a family read by the sweep was not built")
+        return _rows(tabs[: 3 if partials else 1], e[:, None], n, k)
+
+    return ev
+
+
+def _at_minus_one(q):
+    return (q.a == -1.0) | (q.b == -1.0) | (q.c == -1.0) | (q.d == -1.0)
+
+
+def _reduce(acc, r, j, keep, names, sets, n, k, x, y):
+    """update_max() with the kept rows of residual maxima r at points j, (set, operator, row) arrays, in order."""
+    flat = np.flatnonzero(keep)
+
+    def case(i, jj):
+        s, o, row = np.unravel_index(flat[i], keep.shape)
+        pa, pb, pc, pd = sets[s]
+        where = {"x": float(x[s, 0, jj]), "y": float(y[s, 0, jj])}
+        return {"id": names[o], "n": int(n[row, 0]), "k": int(k[row, 0]), "a": pa, "b": pb, "c": pc, "d": pd, **where}
+
+    acc.update_max(r.reshape(-1)[flat], j.reshape(-1)[flat], case)
 
 
 # ---------------------------------------------------------------------------
@@ -308,62 +365,88 @@ def sweep_jacobi_ladders(seed, nmax=20, npts=50):
 def sweep_triangle_ladders(seed, nmax=10, npts=20):
     """All triangle ladder relations and their compositions on a 4-value grid.
 
-    Each operator and each identity is evaluated once per parameter set,
-    over every (n, k) with n <= nmax at once, from tables of every family
-    read built in one kernel call; rows are reduced in (n, k) order, so the
-    reports equal those of a case-by-case loop.
+    The parameter sets run in chunks of _LADDER_CHUNK consecutive sets, on a
+    leading set axis, each at its own points, and each operator and each
+    identity is evaluated once per chunk, over every set and every (n, k)
+    with n <= nmax.  A chunk's tables come from a few
+    kernel calls over all its sets, and each kind is dropped before the next
+    is built: the families that the identities read, those that the d = 0
+    identities read (on the sets with d = 0), then the ladder targets, seven
+    families at a time.  Rows are reduced in (set, operator, n, k) order, so
+    the reports equal those of a case-by-case loop.
     """
     rng = np.random.default_rng([seed, 20])
     accA = _Worst()
     accB = _Worst()
     ids = all_ladder_ids()
-    gen_cids = [cid for cid in CompositionId if cid not in _NEEDS_D0]
-    d0_cids = [cid for cid in CompositionId if cid in _NEEDS_D0]
     n, k = (v[:, None] for v in _graded_indices(nmax))
-    for pa, pb, pc, pd in itertools.product(_TRI_GRID, repeat=4):
-        params = TriParams(pa, pb, pc, pd)
-        x, y = _interior_points(rng, npts)
-        batch = _TriBatch(x, y, nmax + 1)
-        cids = list(gen_cids) + (d0_cids if pd == 0.0 else [])
-        # every family read below, in one table build; ladder targets with a
-        # parameter of exactly -1 are skipped
-        targets = [_step(lid, 0, 0, params)[3] for lid in ids]
-        batch.prefetch(
-            [q for q in targets if -1.0 not in (q.a, q.b, q.c, q.d)]
-            + [q for cid in cids for q in _composition_families(cid, params)]
-        )
-        jet = batch.ev(n, k, params)
+    grid = list(itertools.product(_TRI_GRID, repeat=4))
+    pts = np.stack(_interior_points(rng, len(grid) * npts)).reshape(2, len(grid), 1, npts)
+    # every family read, in every set: the d = 0 identities hold on the sets
+    # with d = 0 only, and ladder targets with a parameter of exactly -1 are
+    # skipped, so not built
+    P = TriParams(*np.array(grid).T)
+    phases = []
+    for d0 in (False, True):
+        cids = [cid for cid in CompositionId if (cid in _NEEDS_D0) == d0]
+        on = P.d == 0.0 if d0 else np.ones(len(grid), bool)
+        fams = [_composition_families(cid, P) for cid in cids]
+        reads = ([(q, on) for f in fams for q in f[i]] for i in (0, 1))
+        phases.append((cids, on, [(*_families(r, len(grid))[:2], i == 0) for i, r in enumerate(reads) if r]))
+    reads = [(q, ~_at_minus_one(q)) for q in (_step(lid, 0, 0, P)[3] for lid in ids)]
+    targets, need, target = _families(reads, len(grid))
+    cids = phases[0][0] + phases[1][0]
+    del P, fams, reads
 
-        def case(name, r, j):
-            return {
-                "id": name,
-                "n": int(n[r, 0]),
-                "k": int(k[r, 0]),
-                "a": pa,
-                "b": pb,
-                "c": pc,
-                "d": pd,
-                "x": float(x[j]),
-                "y": float(y[j]),
-            }
+    def identities(c0, cids, on, kinds):
+        """Both sides of identities c0, c0 + 1, ... on the chunk's sets that
+        hold them, into r, j and keep; returns the jets of params there."""
+        sel = np.flatnonzero(on[lo : lo + len(sets)])
+        if not sel.size:
+            return None
+        sub = TriParams(*(v[sel] for v in (params.a, params.b, params.c, params.d)))
+        ev = _set_tables(nmax + 1, x[sel, 0], y[sel, 0], *[(V[:, lo + sel], w[:, lo + sel], p) for V, w, p in kinds])
+        jet = ev(n, k, sub)
+        for c, cid in enumerate(cids, c0):
+            L, R, degenerate = _composition(cid, n, k, sub, x[sel], y[sel], ev, jet)
+            r[sel, c], j[sel, c] = _scaled_residual(L, R)
+            keep[sel, c] = ~degenerate[..., 0]
+            accB.skip(degenerate[..., 0].sum())
+        return jet
 
-        for cid in cids:
-            L, R, degenerate = _composition(cid, n, k, params, x, y, batch.ev)
-            rows = np.flatnonzero(~degenerate)
-            accB.skip(degenerate.sum())
-            accB.update_rows(L[rows], R[rows], lambda i, j: case(cid.name, rows[i], j))
-        for lid in ids:
-            f, n1, k1, q = _step(lid, n, k, params)
-            lhs = _pointwise(lid, n, k, params, x, y, *jet)
-            # at a parameter of exactly -1 the target normalization degenerates;
-            # those samples are logged and skipped.  Anywhere else both sides are
-            # polynomial in the parameters, so the relation is asserted even
-            # outside the integrable family
-            skip = (f != 0.0) & (-1.0 in (q.a, q.b, q.c, q.d))
-            (v,) = batch.ev(np.where((f != 0.0) & ~skip, n1, -1), k1, q, partials=False)
-            rows = np.flatnonzero(~skip)
-            accA.skip(skip.sum())
-            accA.update_rows(lhs[rows], (f * v)[rows], lambda i, j: case(lid.label, rows[i], j))
+    def ladders(jet):
+        """Both sides of every ladder relation on all the chunk's sets, into r, j and keep."""
+        for g in range(0, len(targets), 7):
+            ev = _set_tables(nmax + 1, x[:, 0], y[:, 0], (targets[g : g + 7, part], need[g : g + 7, part], False))
+            for i in np.flatnonzero((g <= target) & (target < g + 7)):
+                f, n1, k1, q = _step(ids[i], n, k, params)
+                lhs = _pointwise(ids[i], n, k, params, x, y, *jet)
+                # at a parameter of exactly -1 the target normalization degenerates;
+                # those samples are logged and skipped.  Anywhere else both sides are
+                # polynomial in the parameters, so the relation is asserted even
+                # outside the integrable family
+                skip = (f != 0.0) & _at_minus_one(q)
+                (v,) = ev(np.where((f != 0.0) & ~skip, n1, -1), k1, q, partials=False)
+                r[:, i], j[:, i] = _scaled_residual(lhs, f * v)
+                keep[:, i] = ~skip[..., 0]
+            del ev  # the next group's tables are built without these
+
+    for lo in range(0, len(grid), _LADDER_CHUNK):
+        sets = grid[lo : lo + _LADDER_CHUNK]
+        part = slice(lo, lo + len(sets))
+        x, y = pts[:, part]
+        params = TriParams(*np.array(sets).T[:, :, None, None])
+        shape = (len(sets), len(cids), n.size)
+        r, j, keep = np.zeros(shape), np.zeros(shape, int), np.zeros(shape, bool)
+        jet = identities(0, *phases[0])
+        identities(len(phases[0][0]), *phases[1])
+        _reduce(accB, r, j, keep, [cid.name for cid in cids], sets, n, k, x, y)
+        shape = (len(sets), len(ids), n.size)
+        r, j, keep = np.zeros(shape), np.zeros(shape, int), np.zeros(shape, bool)
+        ladders(jet)
+        accA.skip(keep.size - np.count_nonzero(keep))
+        _reduce(accA, r, j, keep, [lid.label for lid in ids], sets, n, k, x, y)
+        del jet  # the next chunk's tables are built without these
     return [
         accA.block("triangle_ladders", "ladder"),
         accB.block("composition_identities", "ladder"),
@@ -393,7 +476,7 @@ def sweep_product_links(seed, nmax=10, npts=10):
     for pa, pb, pc, pd in itertools.product(_TRI_GRID, repeat=4):
         params = TriParams(pa, pb, pc, pd)
         x, y = _interior_points(rng, npts)
-        u, ux, uy = _TriBatch(x, y, nmax).ev(n, k, params)
+        u, ux, uy = _tri_tables(nmax, params, x, y, partials=True)
         s = 1.0 - x
         tau = y / s
         A = _first_factor_param(np.arange(nmax + 1), params)
@@ -460,11 +543,10 @@ def _hessian_jets(N, params, x, y):
     n, k = (v[:, None] for v in _graded_indices(N))
     fy, ny, ky, qy = _step(LadderId("y", 1), n, k, params)
     fx, nx, kx, qx = _step(LadderId("x", 5), n, k, params)
-    batch = _TriBatch(x, y, N)
-    batch.prefetch([params, qy, qx])
-    u, ux, uy = batch.jets(params)
-    _, qy_x, qy_y = batch.ev(ny, ky, qy)
-    _, qx_x, _ = batch.ev(nx, kx, qx)
+    tabs = _tri_tables(N, [params, qy, qx], x, y, partials=True)
+    u, ux, uy = (T[0] for T in tabs)
+    _, qy_x, qy_y = _rows(tabs, 1, ny[:, 0], ky[:, 0])
+    _, qx_x, _ = _rows(tabs, 2, nx[:, 0], kx[:, 0])
     uxy = fy * qy_x
     uyy = fy * qy_y
     uxx = (fx * qx_x - (n - 1) * ux + y * uxy) / (1.0 - x)

@@ -109,8 +109,9 @@ def _recurrence(nmax, a, b, y, s, nderiv=0):
     """Rows of H_j(y, s) = s^j P~_j(y/s) by the three-term recurrence, one degree j at a time.
 
     a and b are scalars of degree nmax, or (K, 1) columns of safe entries,
-    each to its own degree in nmax (K,), non-increasing.  Step j yields H_j
-    of the entries reaching degree j, then dH_j/dy (nderiv >= 1) and dH_j/ds
+    each to its own degree in nmax (K,), non-increasing; with columns, y and
+    s may be (K, npts), one point row per entry.  Step j yields H_j of the
+    entries reaching degree j, then dH_j/dy (nderiv >= 1) and dH_j/ds
     (nderiv = 2); the rows are overwritten two steps later.
     """
     col = np.ndim(a) > 0
@@ -122,7 +123,8 @@ def _recurrence(nmax, a, b, y, s, nderiv=0):
         if not col:
             A, B, C = A.tolist(), B.tolist(), C.tolist()
     t, s2 = 2 * y - s, s**2
-    shape = np.shape(a)[:1] + t.shape
+    per_entry = t.ndim == 2
+    shape = t.shape if per_entry else np.shape(a)[:1] + t.shape
     prev = cur = [np.ones(shape)] + [np.zeros(shape) for _ in range(nderiv)]
     for j in range(top + 1):
         if j == 1:
@@ -143,9 +145,12 @@ def _recurrence(nmax, a, b, y, s, nderiv=0):
             lin -= Hm
             prev, cur = cur, new
         yield cur
-        if col:  # the entries that go on to degree j + 1, a prefix
+        if col and nmax[len(a) - 1] <= j:  # some stop at degree j; the rest, a prefix, go on
             K = np.count_nonzero(nmax > j)
             a, b, cur, prev = a[:K], b[:K], [v[:K] for v in cur], [v[:K] for v in prev]
+            if per_entry:
+                y, t = y[:K], t[:K]
+                s, s2 = (s[:K], s2[:K]) if np.ndim(s) else (s, s2)
             if top > 1:
                 A, B, C = A[:, :K], B[:, :K], C[:, :K]
 
@@ -158,12 +163,14 @@ def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0, rows=None):
     (nderiv + 1, K, max(nmax) + 1, npts); or, given a (K, max(nmax) + 1)
     integer map rows, entry i's degree-j row is row rows[i, j] of a
     (nderiv + 1, rows.max() + 1, npts) table.  Rows no entry reaches are
-    left unset.  s = 1 stays a scalar, costing no array products.
-    Division-free.
+    left unset.  With a column, a 2-D x (and s) holds one point row per
+    entry, (K, npts); otherwise all entries share the points.  s = 1 stays a
+    scalar, costing no array products.  Division-free.
     """
     x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
-    x, s = (v.ravel() for v in np.broadcast_arrays(x, s)) if s.ndim else (x.ravel(), float(s))
+    x, s = np.broadcast_arrays(x, s) if s.ndim else (x, float(s))
     if np.ndim(a) == 0:  # on Python floats, the faster scalars
+        x, s = x.ravel(), (s.ravel() if np.ndim(s) else s)
         T = np.empty((nderiv + 1, nmax + 1, x.size))
         if _recurrence_safe(nmax, a, b):
             for j, out in enumerate(_recurrence(nmax, float(a), float(b), x, s, nderiv)):
@@ -175,30 +182,40 @@ def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0, rows=None):
         for d, row in enumerate(_lift(G, a, b, np.arange(1, nmax + 1)[:, None], x, s, nderiv)):
             T[d, 1:] = row
         return T
+    if x.ndim != 2:
+        x, s = x.ravel(), (s.ravel() if np.ndim(s) else s)
+
+    def pts(i):  # the points of entries i: their rows, or the shared ones
+        return (x[i], s[i] if np.ndim(s) else s) if x.ndim == 2 else (x, s)
+
     nmax, a, b = (v.ravel() for v in np.broadcast_arrays(nmax, np.asarray(a, float), np.asarray(b, float)))
     if nmax.size == 1 and rows is None:  # a lone entry is a scalar call
-        return _shifted_table(int(nmax[0]), a[0], b[0], x, nderiv, s)[:, None]
+        xi, si = pts(0)
+        return _shifted_table(int(nmax[0]), a[0], b[0], xi, nderiv, si)[:, None]
     grid = (nmax.size, nmax.max() + 1) if rows is None else None
     rows = np.arange(grid[0] * grid[1]).reshape(grid) if grid else rows
-    T = np.empty((nderiv + 1, rows.max() + 1, x.size))
+    T = np.empty((nderiv + 1, rows.max() + 1, x.shape[-1]))
     # one recurrence for the safe entries, in order of falling degree
     safe = _recurrence_safe(nmax, a, b)
     order = np.flatnonzero(safe)[np.argsort(-nmax[safe], kind="stable")]
     dest = rows[order].T
-    for j, out in enumerate(_recurrence(nmax[order], a[order, None], b[order, None], x, s, nderiv)):
+    for j, out in enumerate(_recurrence(nmax[order], a[order, None], b[order, None], *pts(order), nderiv)):
         for d, row in enumerate(out):
             T[d, dest[j, : len(row)]] = row
     lift = np.flatnonzero(~safe)
     if lift.size:  # all rows (entry i, degree n >= 1) of the unsafe entries at once
         m = nmax[lift]
-        G = _shifted_table(m - 1, a[lift] + 1, b[lift] + 1, x, max(nderiv, 1), s)
         i, n = np.nonzero(np.arange(m.max()) < m[:, None])
-        g, al, bl, dest = G[:, i, n], a[lift[i], None], b[lift[i], None], rows[lift[i], n + 1]
+        at = np.zeros((m.size, m.max()), int)
+        at[i, n] = np.arange(i.size)  # G's rows are the (i, n) pairs in turn
+        xl, sl = pts(lift)
+        g = _shifted_table(m - 1, a[lift] + 1, b[lift] + 1, xl, max(nderiv, 1), sl, rows=at)
+        al, bl, dest = a[lift[i], None], b[lift[i], None], rows[lift[i], n + 1]
         T[:, rows[lift, 0]] = 0.0
         T[0, rows[lift, 0]] = 1.0
-        for d, row in enumerate(_lift(g, al, bl, n[:, None] + 1, x, s, nderiv)):
+        for d, row in enumerate(_lift(g, al, bl, n[:, None] + 1, *pts(lift[i]), nderiv)):
             T[d, dest] = row
-    return T.reshape((nderiv + 1,) + grid + (x.size,)) if grid else T
+    return T.reshape((nderiv + 1,) + grid + (x.shape[-1],)) if grid else T
 
 
 def _lift(G, a, b, n, x, s, nderiv):
@@ -215,7 +232,10 @@ def _lift(G, a, b, n, x, s, nderiv):
 
 
 def _homog_table(kmax, a, b, y, s, partials=False):
-    """Second-factor tables (H, Hy, Hs) of H_k(y, s), k <= kmax, per entry of a, b; partials None unless requested."""
+    """Second-factor tables (H, Hy, Hs) of H_k(y, s), k <= kmax, per entry of a, b; partials None unless requested.
+
+    With a column of entries, y and s may hold one point row per entry, (K, npts).
+    """
     T = _shifted_table(kmax, a, b, y, 2 if partials else 0, s)
     return tuple(T) if partials else (T[0], None, None)
 

@@ -221,7 +221,8 @@ def _first_factors(N, A, b, x, nderiv=0):
     """F_{n-k}^{(A[..., k], b)}(x), n <= N, in linear index order, then x-derivatives up to nderiv.
 
     A holds each family's column A_k on its last axis, and b its second
-    parameter (broadcast against A[..., 0]).  One table call runs every
+    parameter (broadcast against A[..., 0]).  x is shared, or holds one
+    point row per family, (families, npts).  One table call runs every
     (family, k) entry, k to its own degree N - k, writing each row straight
     to its place; shape (nderiv + 1,) + A.shape[:-1] + (basis_size(N), npts).
     """
@@ -229,21 +230,25 @@ def _first_factors(N, A, b, x, nderiv=0):
     n = k[:, None] + k  # (k, degree j) -> n = k + j; degrees past N - k go unwritten
     lin = np.where(n <= N, n * (n + 1) // 2 + k[:, None], 0)
     rows = np.arange(A.size // (N + 1))[:, None, None] * basis_size(N) + lin
+    x = np.repeat(x, N + 1, axis=0) if x.ndim == 2 else x
     tabs = _shifted_table(N - k, A, np.asarray(b)[..., None], x, nderiv, rows=rows.reshape(-1, N + 1))
-    return tabs.reshape((nderiv + 1,) + A.shape[:-1] + (basis_size(N), x.size))
+    return tabs.reshape((nderiv + 1,) + A.shape[:-1] + (basis_size(N), x.shape[-1]))
 
 
 def _tri_tables(N, params, x, y, partials=False):
     """Tables of all basis elements of degree <= N at raw coordinate arrays.
 
     params is one TriParams, or a list of them: one kernel call then builds
-    the first factors of every family and one the second factors.  Returns
+    the first factors of every family and one the second factors, and x and
+    y may then be (len(params), npts), one point row per family.  Returns
     (U, UX, UY), each of shape (basis_size(N), npts), with a leading family
     axis for a list; the partial tables are None unless requested.  No
     parameter validation (used on ladder-target families too).
     """
-    xf, yf = (np.asarray(v, dtype=float).ravel() for v in (x, y))
     fams = [params] if isinstance(params, TriParams) else params
+    xf, yf = (np.asarray(v, dtype=float) for v in (x, y))
+    if fams is not params or xf.ndim != 2:
+        xf, yf = xf.ravel(), yf.ravel()
     cols = TriParams(*np.array([(q.a, q.b, q.c, q.d) for q in fams]).T[:, :, None])
     A = _first_factor_param(np.arange(N + 1), cols)
     tabs = _first_factors(N, A, cols.a[:, 0], xf, 1 if partials else 0)

@@ -231,9 +231,9 @@ _NEEDS_D0 = {
 def _core_rows(x, y):
     """Row evaluator from single-element evaluations (zero rows out of range)."""
 
-    def ev(n, k, p):
+    def ev(n, k, p, partials=True):
         jets = [_tri_core(int(i), int(j), p, x, y, partials=True) for i, j in zip(n.ravel(), k.ravel())]
-        return tuple(np.stack(rows) for rows in zip(*jets))
+        return tuple(np.stack(rows) for rows in zip(*jets))[: 3 if partials else 1]
 
     return ev
 
@@ -255,18 +255,19 @@ def _ladder_gradient(n, k, params):
 
     Uses the d = 0 differentiation expansions; the x-expansion divides by
     2k + b + c + 1.  Also returns the mask of (n, k) where that divisor
-    vanishes; coefficients there are finite filler.
+    vanishes; coefficients there are finite filler.  The targets are shifts
+    of params, so params may hold arrays.
     """
     a, b, c = params.a, params.b, params.c
     den = 2 * k + b + c + 1
     degenerate = np.abs(den) < 1e-9
     den = np.where(degenerate, 1.0, den)
-    px = TriParams(a + 1, b, c + 1, 0.0)
+    px = params.shifted(1, 0, 1, 0)
     gx = [
         ((n + k + a + b + c + 2) * (k + b + c + 1) / den, n - 1, k, px),
         ((k + b) * (n + k + b + c + 1) / den, n - 1, k - 1, px),
     ]
-    gy = [(k + b + c + 1, n - 1, k - 1, TriParams(a, b + 1, c + 1, 0.0))]
+    gy = [(k + b + c + 1, n - 1, k - 1, params.shifted(0, 1, 1, 0))]
     return gx, gy, degenerate
 
 
@@ -323,8 +324,10 @@ def _chain_sum(terms, n, k, params, x, y, ev, jet):
             term = _pointwise(outer, n, k, params, x, y, *jet)
         else:
             f, n1, k1, q = _step(inner, n, k, params)
-            u, ux, uy = ev(np.where(f != 0.0, n1, -1), k1, q)
-            term = _pointwise(outer, n1, k1, q, x, y, f * u, f * ux, f * uy)
+            image = ev(np.where(f != 0.0, n1, -1), k1, q)
+            for v in image:  # f times the target's rows, in place: ev returns new arrays
+                v *= f
+            term = _pointwise(outer, n1, k1, q, x, y, *image)
         left = term if left is None else left + term if sign > 0 else left - term
     return left
 
@@ -334,8 +337,8 @@ def _eig_k_left(n, k, params, x, y, ev):
     b, c = params.b, params.c
     f1, n1, k1, p1 = _step(_y(1), n, k, params)
     f2, n2, k2, p2 = _step(_y(1), n1, k1, p1)
-    duy = f1 * ev(n1, k1, p1)[0]
-    duyy = f1 * f2 * ev(n2, k2, p2)[0]
+    duy = f1 * ev(n1, k1, p1, False)[0]
+    duyy = f1 * f2 * ev(n2, k2, p2, False)[0]
     return (1.0 - x - y) * y * duyy + ((1 + b) * (1 - x) - (2 + b + c) * y) * duy
 
 
@@ -343,18 +346,18 @@ def _eig_n_left(n, k, params, x, y, ev):
     """Degree-eigen operator applied through the gradient expansions, plus the degenerate mask."""
     a, b, c = params.a, params.b, params.c
     gx, gy, degenerate = _ladder_gradient(n, k, params)
-    dux = sum(cf * ev(n1, k1, p1)[0] for cf, n1, k1, p1 in gx)
-    duy = sum(cf * ev(n1, k1, p1)[0] for cf, n1, k1, p1 in gy)
+    dux = sum(cf * ev(n1, k1, p1, False)[0] for cf, n1, k1, p1 in gx)
+    duy = sum(cf * ev(n1, k1, p1, False)[0] for cf, n1, k1, p1 in gy)
     duxx = duxy = duyy = 0.0
     for cf, n1, k1, p1 in gx:
         g2x, g2y, deg = _ladder_gradient(n1, k1, p1)
         degenerate = degenerate | deg & _in_range(n1, k1)
-        duxx += cf * sum(c2 * ev(n2, k2, p2)[0] for c2, n2, k2, p2 in g2x)
-        duxy += cf * sum(c2 * ev(n2, k2, p2)[0] for c2, n2, k2, p2 in g2y)
+        duxx += cf * sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2x)
+        duxy += cf * sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2y)
     for cf, n1, k1, p1 in gy:
         _, g2y, deg = _ladder_gradient(n1, k1, p1)
         degenerate = degenerate | deg & _in_range(n1, k1)
-        duyy += cf * sum(c2 * ev(n2, k2, p2)[0] for c2, n2, k2, p2 in g2y)
+        duyy += cf * sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2y)
     left = (
         x * (1 - x) * duxx
         - 2 * x * y * duxy
@@ -366,27 +369,34 @@ def _eig_n_left(n, k, params, x, y, ev):
 
 
 def _composition_families(cid, params):
-    """The parameter families whose tables `_composition` reads for one identity, params first."""
+    """The parameter families whose tables `_composition` reads for one identity.
+
+    Returns (jets, values): the families read with their partials, params
+    first, and those read for values only.  params may hold arrays.
+    """
     if cid is CompositionId.EIG_K:
         p1 = _step(_y(1), 0, 0, params)[3]
-        return [params, p1, _step(_y(1), 0, 0, p1)[3]]
+        return [params], [p1, _step(_y(1), 0, 0, p1)[3]]
     if cid is CompositionId.EIG_N:
         gx, gy, _ = _ladder_gradient(0, 0, params)
         first = [p1 for _, _, _, p1 in gx + gy]
         second = [p2 for p1 in first for g in _ladder_gradient(0, 0, p1)[:2] for _, _, _, p2 in g]
-        return [params] + first + second
-    return [params] + [_step(inner, 0, 0, params)[3] for _, _, inner in _CHAINS[cid] if inner is not None]
+        return [params], first + second
+    return [params] + [_step(inner, 0, 0, params)[3] for _, _, inner in _CHAINS[cid] if inner is not None], []
 
 
-def _composition(cid, n, k, params, x, y, ev):
+def _composition(cid, n, k, params, x, y, ev, jet=None):
     """Both sides of one identity for every row of the index columns n, k.
 
-    `ev(n, k, params)` returns the jet rows (u, ux, uy) of the elements at
-    index arrays, zero rows out of range.  Returns (left, right, degenerate),
-    where degenerate marks the rows whose gradient expansion divides by zero
-    (their sides are meaningless).
+    `ev(n, k, params, partials=True)` returns the jet rows (u, ux, uy) of the
+    elements at index arrays, or (u,) without partials, zero rows out of
+    range, as new arrays; jet may hold those of params at n, k already.
+    params may hold arrays that broadcast against the index columns, as x
+    and y do.  Returns (left, right, degenerate), where degenerate, shaped as
+    left, marks the samples whose gradient expansion divides by zero (their
+    sides are meaningless).
     """
-    jet = ev(n, k, params)
+    jet = ev(n, k, params) if jet is None else jet
     degenerate = np.zeros(np.shape(n), dtype=bool)
     if cid is CompositionId.EIG_K:
         left = _eig_k_left(n, k, params, x, y, ev)
@@ -397,7 +407,7 @@ def _composition(cid, n, k, params, x, y, ev):
     D = 2 * k + params.b + params.c + 1
     E = 2 * n + params.t + 2
     right = _CLOSED[cid](n, k, params, x, y, 1.0 - x - y, D, E, *jet)
-    return left, right, degenerate.ravel()
+    return left, right, np.broadcast_to(degenerate, left.shape)
 
 
 def composition_residual(cid, idx, params, pt, _evaluator=None):
@@ -429,7 +439,7 @@ def composition_residual(cid, idx, params, pt, _evaluator=None):
     x, y = x.ravel(), y.ravel()
     ev = _evaluator if _evaluator is not None else _core_rows(x, y)
     left, right, degenerate = _composition(cid, np.array([[idx.n]]), np.array([[idx.k]]), params, x, y, ev)
-    if degenerate[0]:
+    if degenerate.any():
         raise DegenerateParameterError(
             f"{cid.name} at (n, k) = ({idx.n}, {idx.k}): an x-derivative expansion divides by "
             f"2k+b+c+1 = 0 (b={params.b}, c={params.c})"

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,32 +422,42 @@ def test_a_nan_residual_fails_the_verification(monkeypatch, tmp_path):
     assert block["max_residual"] == float("inf") and block["worst_case"]["id"] == "eigen_k"
 
 
-def test_vectorized_ladder_sweep_equals_a_per_case_loop(monkeypatch):
-    seed, nmax, npts = 0, 2, 5
-    batches = []
-
-    class Recorded(cli._TriBatch):
-        def __init__(self, *args):
-            super().__init__(*args)
-            batches.append(self)
-
-    # the loop below reuses the sweep's cached tables, so it costs no rebuilds;
-    # a 3-value grid still holds both skip kinds (targets at exactly -1 from
-    # 0, and 2k + b + c + 1 = 0 at b = c = -0.5) and keeps the test short
-    monkeypatch.setattr(cli, "_TriBatch", Recorded)
-    monkeypatch.setattr(cli, "_TRI_GRID", (-0.5, 0.0, 0.5))
-    got = cli.sweep_triangle_ladders(seed, nmax=nmax, npts=npts)
+def _per_set_ladder_sweep(seed, nmax, npts):
+    """The ladders suite as a loop over parameter sets, operators and (n, k),
+    each set's tables built one family at a time at its re-drawn points."""
     rng = np.random.default_rng([seed, 20])
     acc_a, acc_b = cli._Worst(), cli._Worst()
-    for batch, (pa, pb, pc, pd) in zip(batches, itertools.product(cli._TRI_GRID, repeat=4), strict=True):
+    pairs = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
+    for pa, pb, pc, pd in itertools.product(cli._TRI_GRID, repeat=4):
         params = tk.TriParams(pa, pb, pc, pd)
         x, y = cli._interior_points(rng, npts)
-        assert np.array_equal(batch.x, x) and np.array_equal(batch.y, y)
         pt = tk.TriPoint(x, y)
-        U, UX, UY = batch.jets(params)
+        tables = {}
+
+        def jets(q):
+            key = (q.a, q.b, q.c, q.d)
+            if key not in tables:
+                tables[key] = cli._tri_tables(nmax + 1, q, x, y, partials=True)
+            return tables[key]
+
+        def ev(n, k, q, partials=True):
+            n, k = np.ravel(n), np.ravel(k)
+            ok = (k >= 0) & (k <= n)
+            rows = np.where(ok, n * (n + 1) // 2 + k, 0)
+            return tuple(np.where(ok[:, None], T[rows], 0.0) for T in jets(q)[: 3 if partials else 1])
+
+        U, UX, UY = jets(params)
         cids = [c for c in tk.CompositionId if c not in _NEEDS_D0]
         cids += [c for c in tk.CompositionId if c in _NEEDS_D0 and pd == 0.0]
-        pairs = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
+        for cid, (n, k) in itertools.product(cids, pairs):
+            try:
+                L, R = tk.composition_residual(cid, tk.TriIndex(n, k), params, pt, _evaluator=ev)
+            except tk.DegenerateParameterError:
+                acc_b.skip()
+                continue
+            r, j = cli._scaled_residual(L, R)
+            case = {"id": cid.name, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
+            acc_b.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
         for lid, (n, k) in itertools.product(tk.all_ladder_ids(), pairs):
             idx, i = tk.TriIndex(n, k), n * (n + 1) // 2 + k
             st = tk.ladder_step(lid, idx, params)
@@ -457,38 +468,112 @@ def test_vectorized_ladder_sweep_equals_a_per_case_loop(monkeypatch):
                 continue
             rhs = np.zeros(npts)
             if st.factor != 0.0 and 0 <= t.k <= t.n:
-                rhs = st.factor * batch.jets(q)[0][t.n * (t.n + 1) // 2 + t.k]
+                rhs = st.factor * jets(q)[0][t.n * (t.n + 1) // 2 + t.k]
             r, j = cli._scaled_residual(lhs, rhs)
             case = {"id": lid.label, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
             acc_a.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
-        for cid, (n, k) in itertools.product(cids, pairs):
-            try:
-                L, R = tk.composition_residual(cid, tk.TriIndex(n, k), params, pt, _evaluator=batch.ev)
-            except tk.DegenerateParameterError:
-                acc_b.skip()
-                continue
-            r, j = cli._scaled_residual(L, R)
-            case = {"id": cid.name, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
-            acc_b.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
-    want = [acc_a.block("triangle_ladders", "ladder"), acc_b.block("composition_identities", "ladder")]
-    assert got == want
+    return [acc_a.block("triangle_ladders", "ladder"), acc_b.block("composition_identities", "ladder")]
+
+
+def test_vectorized_ladder_sweep_equals_a_per_case_loop(monkeypatch):
+    # a 3-value grid still holds both skip kinds (targets at exactly -1 from
+    # 0, and 2k + b + c + 1 = 0 at b = c = -0.5) and keeps the test short;
+    # its 81 sets end in a part chunk, and d = 0 falls at varying places
+    # within the chunks
+    seed, nmax, npts = 0, 2, 5
+    monkeypatch.setattr(cli, "_TRI_GRID", (-0.5, 0.0, 0.5))
+    got = cli.sweep_triangle_ladders(seed, nmax=nmax, npts=npts)
+    assert got == _per_set_ladder_sweep(seed, nmax, npts)
     assert got[0].skipped > 0 and got[1].skipped > 0
 
 
-def test_ladder_sweep_builds_one_table_per_parameter_set(monkeypatch):
-    # every family a parameter set reads comes from one multi-family build,
-    # and none is built on demand
+def test_ladder_sweep_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    monkeypatch.setattr(cli, "_TRI_GRID", (-0.5, 0.0, 1.5))
+    want = cli.sweep_triangle_ladders(1, nmax=3, npts=6)
+    for chunk in (1, 3, 16):
+        monkeypatch.setattr(cli, "_LADDER_CHUNK", chunk)
+        assert cli.sweep_triangle_ladders(1, nmax=3, npts=6) == want
+
+
+def test_ladder_sweep_builds_each_table_once_per_chunk_of_sets(monkeypatch):
+    # per chunk of 8 sets: the identities' families with partials and for
+    # values over all 8, the d = 0 identities' over the 2 sets with d = 0,
+    # and the ladder targets in three groups over all 8; no family is built
+    # twice for a set in one call, and none on demand
+    npts, chunk = 20, cli._LADDER_CHUNK
+    grid = list(itertools.product(cli._TRI_GRID, repeat=4))
+    xs, _ = cli._interior_points(np.random.default_rng([0, 20]), len(grid) * npts)
+    set_of = {row.tobytes(): i for i, row in enumerate(xs.reshape(len(grid), npts))}
     calls = []
 
-    def counted(N, params, *args, **kwargs):
-        calls.append(params)
-        return tri_tables(N, params, *args, **kwargs)
+    def counted(N, params, x, y, partials=False):
+        sets = [set_of[row.tobytes()] for row in x]
+        assert len({(q.a, q.b, q.c, q.d, s) for q, s in zip(params, sets)}) == len(params)
+        calls.append((sorted(set(sets)), partials))
+        return tri_tables(N, params, x, y, partials)
 
     tri_tables = cli._tri_tables
     monkeypatch.setattr(cli, "_tri_tables", counted)
-    cli.sweep_triangle_ladders(0, nmax=3)
-    assert len(calls) == len(cli._TRI_GRID) ** 4
-    assert all(isinstance(fams, list) and len(fams) > 1 for fams in calls)
+    cli.sweep_triangle_ladders(0, nmax=3, npts=npts)
+    want = []
+    for lo in range(0, len(grid), chunk):
+        every = list(range(lo, lo + chunk))
+        d0 = [s for s in every if grid[s][3] == 0.0]
+        want += [(every, True), (every, False), (d0, True), (d0, False)] + [(every, False)] * 3
+    assert calls == want
+    assert all(len(sets) > 1 for sets, _ in calls)
+
+
+def test_stacked_ladder_sweep_breaks_ties_as_the_per_set_loop(monkeypatch):
+    # exact ties: residual 1 at (set 0, operator 1, n = 1), (set 0, operator
+    # 2, n = 0) and (set 1, operator 0, n = 0), 0 elsewhere.  A loop over
+    # sets, then operators, then rows meets the first one first; an order
+    # with operators outermost, or rows before operators, would name another
+    seed, npts = 0, 5
+    monkeypatch.setattr(cli, "_TRI_GRID", (-0.5, 0.0, 0.5))
+    ids = tk.all_ladder_ids()
+    general = [c for c in tk.CompositionId if c not in _NEEDS_D0]
+    step = cli._step
+
+    def mark(i, n, p):
+        first = (p.a == -0.5) & (p.b == -0.5) & (p.c == -0.5)
+        set0, set1 = first & (p.d == -0.5), first & (p.d == 0.0)
+        return ((i == 1) & set0 & (n == 1)) | ((i == 2) & set0 & (n == 0)) | ((i == 0) & set1 & (n == 0))
+
+    def pointwise(lid, n, k, p, x, y, u, ux, uy):
+        return mark(ids.index(lid), n, p) + 0.0 * u
+
+    def composition(cid, n, k, p, x, y, ev, jet=None):
+        left = mark(general.index(cid) if cid in general else -1, n, p) + 0.0 * x
+        return left, np.zeros_like(left), np.zeros(left.shape, bool)
+
+    monkeypatch.setattr(cli, "_pointwise", pointwise)
+    monkeypatch.setattr(cli, "_composition", composition)
+    monkeypatch.setattr(cli, "_step", lambda lid, n, k, p: (0.0 * step(lid, n, k, p)[0],) + step(lid, n, k, p)[1:])
+    got = cli.sweep_triangle_ladders(seed, nmax=2, npts=npts)
+    x, y = cli._interior_points(np.random.default_rng([seed, 20]), npts)
+    where = {"n": 1, "k": 0, "a": -0.5, "b": -0.5, "c": -0.5, "d": -0.5, "x": float(x[0]), "y": float(y[0])}
+    assert [b.max_residual for b in got] == [1.0, 1.0]
+    assert got[0].worst_case == {"id": ids[1].label, **where}
+    assert got[1].worst_case == {"id": general[1].name, **where}
+
+
+def test_ladder_sweep_keeps_its_numpy_peak_small(monkeypatch):
+    # two chunks of 8 parameter sets at the suite's degree and points; one
+    # chunk holds about 3 MB at its peak, and all 256 sets of the suite at
+    # once would hold about 190 MB of tables
+    monkeypatch.setattr(cli, "_TRI_GRID", (-0.5, 0.0))
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        blocks = cli.sweep_triangle_ladders(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert blocks[0].cases > 0 and blocks[1].cases > 0
+    assert peak < 8e6
 
 
 def test_vectorized_eigen_sweep_equals_a_per_case_loop():

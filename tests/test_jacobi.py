@@ -371,6 +371,29 @@ def test_shifted_table_column_equals_the_scalar_tables(nderiv):
         assert np.array_equal(flat[:, rows[i, : deg[i] + 1]], want)
 
 
+@pytest.mark.parametrize("nderiv", [0, 1, 2])
+def test_shifted_table_point_rows_equal_one_call_per_entry(nderiv):
+    # each entry at its own points and scale: ragged degrees, safe entries
+    # and lifted ones (a parameter below -1, of exactly -1, a + b near -2)
+    deg = np.array([12, 0, 5, 12, 3, 1, 8, 15, 9])
+    a = np.array([0.5, -1.5, -1.0, -0.9, -2.5, 0.3, 1.42, -1.5, -0.9])
+    b = np.array([1.5, 0.5, -1.0, -0.95, 2.0, -3.5, -2.42, -1.5, -0.9])
+    rng = _rng(12)
+    x = rng.uniform(0.0, 1.0, (deg.size, 6))
+    s = x + rng.uniform(0.0, 1.0, x.shape)
+    for scale in (1.0, s):
+        got = _shifted_table(deg, a, b, x, nderiv, scale)
+        for i in range(deg.size):
+            want = _shifted_table(int(deg[i]), a[i], b[i], x[i], nderiv, scale if np.ndim(scale) == 0 else scale[i])
+            assert np.array_equal(got[:, i, : deg[i] + 1], want)
+    lone = _shifted_table(deg[6:7], a[6:7], b[6:7], x[6:7], nderiv, s[6:7])
+    assert np.array_equal(lone[:, 0], _shifted_table(int(deg[6]), a[6], b[6], x[6], nderiv, s[6]))
+    H = _homog_table(9, a, b, x, s, partials=True)
+    for i in range(deg.size):
+        for got, want in zip(H, _homog_table(9, a[i], b[i], x[i], s[i], partials=True)):
+            assert np.array_equal(got[i], want)
+
+
 def test_jacobi_suite_does_not_import_mpmath():
     src = os.path.dirname(os.path.dirname(tk.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

@@ -273,6 +273,21 @@ def test_multi_family_tables_equal_the_per_family_ones(N, partials):
             assert (g is None and w is None) or np.array_equal(g[f], w)
 
 
+@pytest.mark.parametrize("partials", [False, True])
+@pytest.mark.parametrize("N", [0, 1, 11])
+def test_multi_family_tables_at_point_rows_equal_one_call_per_family(N, partials):
+    # one point row per family, among them (1.42, -2.42) and b = c = -0.9,
+    # whose factors are lifted, and a repeated family at other points
+    rng = _rng(13)
+    fams = [tk.TriParams(*p) for p in _LIFTED_FAMILIES + [(1.42, -2.42, 0.5, 0.0), (0.5, 1.5, 2.5, 0.0)]]
+    x = rng.uniform(0.0, 1.0, (len(fams), 9))
+    y = rng.uniform(0.0, 1.0, x.shape) * (1.0 - x)
+    got = _tri_tables(N, fams, x, y, partials=partials)
+    for f, q in enumerate(fams):
+        for g, w in zip(got, _tri_tables(N, q, x[f], y[f], partials=partials)):
+            assert (g is None and w is None) or np.array_equal(g[f], w)
+
+
 def test_basis_eval_all_first_column_is_ones():
     rng = _rng(7)
     q = tk.TriParams(1.0, 2.0, 0.5, 0.0)
