@@ -108,6 +108,10 @@ _TRI_GRID = (-0.5, 0.0, 0.5, 1.5)
 # chunk holds about 0.35 MB per set at its peak, which adds to verify's peak
 # RSS, and the time saved levels off past about 8
 _LADDER_CHUNK = 8
+# parameter sets per chunk of the appendix sweep: a chunk holds about 0.09 MB
+# per set at its peak, so 16 sets hold half the ladders sweep's peak (1.5 MB
+# against 2.9 MB), which sets verify's peak RSS
+_LINK_CHUNK = 16
 
 _OPERATOR_PARAM_SETS = (
     TriParams(0.0, 0.0, 0.0),
@@ -457,11 +461,13 @@ def sweep_product_links(seed, nmax=10, npts=10):
     """Product-form cross-checks of the basis against its one-variable factors.
 
     These are the two routes of jjp_residual and jpj_residual, with their
-    expressions, over every (n, k) with n <= nmax at once.  Per parameter
-    set the right routes read one jet table; the left routes read, built
-    independently of it, the first factors at (A_k, a) and (A_k + 1, a + 1)
-    and the second factors at (c, b) and (c + 1, b + 1) at tau = y/(1-x).
-    Rows are reduced in (n, k, link) order, so the report equals that of a
+    expressions, over every (n, k) with n <= nmax at once.  The parameter
+    sets run in chunks of _LINK_CHUNK consecutive sets, on a leading set
+    axis, each at its own points.  Per chunk the right routes read one jet
+    table; the left routes read, built independently of it, the first
+    factors at (A_k, a) and (A_k + 1, a + 1) and the second factors at
+    (c, b) and (c + 1, b + 1) at tau = y/(1-x), one kernel call each.  Rows
+    are reduced in (set, n, k, link) order, so the report equals that of a
     case-by-case loop.
     """
     rng = np.random.default_rng([seed, 40])
@@ -473,44 +479,40 @@ def sweep_product_links(seed, nmax=10, npts=10):
     lower = np.flatnonzero(n > k)
     below = (n * (n - 1) // 2 + k)[lower, 0]
     links = ("jjp", "jpj")
-    for pa, pb, pc, pd in itertools.product(_TRI_GRID, repeat=4):
-        params = TriParams(pa, pb, pc, pd)
-        x, y = _interior_points(rng, npts)
-        u, ux, uy = _tri_tables(nmax, params, x, y, partials=True)
+    grid = list(itertools.product(_TRI_GRID, repeat=4))
+    pts = np.stack(_interior_points(rng, len(grid) * npts)).reshape(2, len(grid), npts)
+    for lo in range(0, len(grid), _LINK_CHUNK):
+        sets = grid[lo : lo + _LINK_CHUNK]
+        x, y = pts[:, lo : lo + len(sets)]
+        pa, pb, pc, pd = np.array(sets).T[:, :, None]
+        u, ux, uy = _tri_tables(nmax, [TriParams(*q) for q in sets], x, y, partials=True)
         s = 1.0 - x
         tau = y / s
-        A = _first_factor_param(np.arange(nmax + 1), params)
-        (F,) = _first_factors(nmax, A, pa, x)
-        (F1,) = _first_factors(nmax - 1, A[:nmax] + 1, pa + 1, x)
+        A = _first_factor_param(np.arange(nmax + 1), TriParams(pa, pb, pc, pd))
+        (F,) = _first_factors(nmax, A, pa[:, 0], x)
+        (F1,) = _first_factors(nmax - 1, A[:, :nmax] + 1, pa[:, 0] + 1, x)
         G = _shifted_table(nmax, pc, pb, tau)[0]
-        G1 = _shifted_table(nmax - 1, pc + 1, pb + 1, tau)[0]
+        # a column call takes no negative degree; at nmax = 0 no row is read
+        G1 = _shifted_table(max(nmax - 1, 0), pc + 1, pb + 1, tau)[0, :, :nmax]
         dG = np.zeros_like(G)
-        dG[1:] = (np.arange(1, nmax + 1)[:, None] + pc + pb + 1) * G1
+        dG[:, 1:] = (np.arange(1, nmax + 1)[:, None] + pc[:, None] + pb[:, None] + 1) * G1
         dF = np.zeros_like(F)
-        dF[lower] = (n - k + A[k] + pa + 1)[lower] * F1[below]
+        dF[:, lower] = (n - k + A[:, k] + pa[:, None] + 1)[:, lower] * F1[:, below]
         # integer powers as the per-case routes take them, one per k
-        pw = np.stack([s**j for j in range(nmax + 2)])
-        L = np.empty((2 * n.size, npts))
+        pw = np.stack([s**j for j in range(nmax + 2)], axis=1)
+        L = np.empty((len(sets), 2 * n.size, npts))
         R = np.empty_like(L)
-        L[0::2] = F * pw[kr] * dG[kr]
-        R[0::2] = s * uy
-        L[1::2] = dF * pw[kr + 1] * G[kr]
-        R[1::2] = k * u + s * ux - y * uy
-        acc.update_rows(
-            L,
-            R,
-            lambda i, j: {
-                "id": links[i % 2],
-                "n": int(n[i // 2, 0]),
-                "k": int(kr[i // 2]),
-                "a": pa,
-                "b": pb,
-                "c": pc,
-                "d": pd,
-                "x": float(x[j]),
-                "y": float(y[j]),
-            },
-        )
+        L[:, 0::2] = F * pw[:, kr] * dG[:, kr]
+        R[:, 0::2] = s[:, None] * uy
+        L[:, 1::2] = dF * pw[:, kr + 1] * G[:, kr]
+        R[:, 1::2] = k * u + s[:, None] * ux - y[:, None] * uy
+
+        def case(i, j):
+            q, row = divmod(i, L.shape[1])
+            where = dict(zip("abcd", sets[q]), x=float(x[q, j]), y=float(y[q, j]))
+            return {"id": links[row % 2], "n": int(n[row // 2, 0]), "k": int(kr[row // 2]), **where}
+
+        acc.update_max(*(v.reshape(-1) for v in _scaled_residual(L, R)), case)
     return [acc.block("product_links", "exact")]
 
 

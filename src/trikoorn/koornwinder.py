@@ -224,8 +224,11 @@ def _first_factors(N, A, b, x, nderiv=0):
     parameter (broadcast against A[..., 0]).  x is shared, or holds one
     point row per family, (families, npts).  One table call runs every
     (family, k) entry, k to its own degree N - k, writing each row straight
-    to its place; shape (nderiv + 1,) + A.shape[:-1] + (basis_size(N), npts).
+    to its place; shape (nderiv + 1,) + A.shape[:-1] + (basis_size(N), npts),
+    with no rows for N < 0.
     """
+    if N < 0:
+        return np.empty((nderiv + 1,) + A.shape[:-1] + (0, np.shape(x)[-1]))
     k = np.arange(N + 1)
     n = k[:, None] + k  # (k, degree j) -> n = k + j; degrees past N - k go unwritten
     lin = np.where(n <= N, n * (n + 1) // 2 + k[:, None], 0)

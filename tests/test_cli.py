@@ -664,9 +664,8 @@ def test_vectorized_jacobi_sweep_equals_a_per_case_loop():
     assert got == want
 
 
-def test_vectorized_product_links_sweep_equals_a_per_case_loop():
-    seed, nmax, npts = 0, 3, 4
-    got = cli.sweep_product_links(seed, nmax=nmax, npts=npts)
+def _per_case_product_links(seed, nmax, npts):
+    """The appendix suite as a loop over parameter sets, (n, k) and links, through jjp_residual and jpj_residual."""
     rng = np.random.default_rng([seed, 40])
     acc = cli._Worst()
     for pa, pb, pc, pd in itertools.product(cli._TRI_GRID, repeat=4):
@@ -680,4 +679,75 @@ def test_vectorized_product_links_sweep_equals_a_per_case_loop():
                     r, j = cli._scaled_residual(L, R)
                     case = {"id": which, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
                     acc.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
-    assert got == [acc.block("product_links", "exact")]
+    return [acc.block("product_links", "exact")]
+
+
+def test_vectorized_product_links_sweep_equals_a_per_case_loop():
+    seed, nmax, npts = 0, 3, 4
+    got = cli.sweep_product_links(seed, nmax=nmax, npts=npts)
+    assert got == _per_case_product_links(seed, nmax, npts)
+
+
+@pytest.mark.parametrize("nmax", [0, 1])
+def test_product_links_sweep_at_the_lowest_degrees_equals_a_per_case_loop(nmax):
+    # at nmax = 0 the (A_k + 1, a + 1) first factors have no rows
+    got = cli.sweep_product_links(2, nmax=nmax, npts=3)
+    assert got == _per_case_product_links(2, nmax, 3)
+    assert got[0].cases == 256 * (nmax + 1) * (nmax + 2)
+
+
+def test_product_links_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    want = cli.sweep_product_links(1, nmax=2, npts=3)
+    for chunk in (1, 3, 256):
+        monkeypatch.setattr(cli, "_LINK_CHUNK", chunk)
+        assert cli.sweep_product_links(1, nmax=2, npts=3) == want
+
+
+def test_stacked_product_links_break_ties_as_the_per_set_loop(monkeypatch):
+    # the left routes read zero tables, and the right routes rows of 1e3, so
+    # every marked (set, row, link) has residual exactly 1 and all others 0:
+    # an x-partial row marks the jpj link only, a y-partial row both.  Set 1
+    # has jpj at (1, 0) and both links at (2, 0), set 2 both at (0, 0).  A
+    # loop over sets, then rows, then links meets (set 1, (1, 0), jpj) first;
+    # links or rows outermost would name another case
+    seed, npts = 0, 4
+    monkeypatch.setattr(cli, "_TRI_GRID", (-0.5, 0.0))
+    grid = list(itertools.product(cli._TRI_GRID, repeat=4))
+    first_factors, shifted_table = cli._first_factors, cli._shifted_table
+
+    def tri_tables(N, params, x, y, partials=False):
+        u, ux, uy = (np.zeros((len(params), tk.basis_size(N), npts)) for _ in range(3))
+        for i, q in enumerate(params):
+            if (q.a, q.b, q.c, q.d) == grid[1]:
+                ux[i, 1] = uy[i, 3] = 1e3
+            elif (q.a, q.b, q.c, q.d) == grid[2]:
+                uy[i, 0] = 1e3
+        return u, ux, uy
+
+    monkeypatch.setattr(cli, "_tri_tables", tri_tables)
+    monkeypatch.setattr(cli, "_first_factors", lambda *args: 0.0 * first_factors(*args))
+    monkeypatch.setattr(cli, "_shifted_table", lambda *args: 0.0 * shifted_table(*args))
+    for chunk in (16, 1):
+        monkeypatch.setattr(cli, "_LINK_CHUNK", chunk)
+        (got,) = cli.sweep_product_links(seed, nmax=2, npts=npts)
+        x, y = cli._interior_points(np.random.default_rng([seed, 40]), 2 * npts)
+        pa, pb, pc, pd = grid[1]
+        where = {"a": pa, "b": pb, "c": pc, "d": pd, "x": float(x[npts]), "y": float(y[npts])}
+        assert got.max_residual == 1.0
+        assert got.worst_case == {"id": "jpj", "n": 1, "k": 0, **where}
+
+
+def test_product_links_sweep_keeps_its_numpy_peak_small():
+    # all 256 sets at the suite's degree and points: a chunk of 16 sets holds
+    # about 1.5 MB at its peak, and all 256 at once about 22 MB
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        (block,) = cli.sweep_product_links(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert block.cases == 33792
+    assert peak < 4e6

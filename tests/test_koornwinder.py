@@ -6,7 +6,7 @@ from scipy.special import eval_jacobi
 
 import trikoorn as tk
 from trikoorn.jacobi import _homog_table, _shifted_table
-from trikoorn.koornwinder import _tri_tables
+from trikoorn.koornwinder import _first_factors, _tri_tables
 
 
 def _rng(tag):
@@ -286,6 +286,15 @@ def test_multi_family_tables_at_point_rows_equal_one_call_per_family(N, partials
     for f, q in enumerate(fams):
         for g, w in zip(got, _tri_tables(N, q, x[f], y[f], partials=partials)):
             assert (g is None and w is None) or np.array_equal(g[f], w)
+
+
+@pytest.mark.parametrize("nderiv", [0, 1])
+def test_first_factors_below_degree_zero_have_no_rows(nderiv):
+    # one column at shared points, and three families at a point row each
+    x = np.linspace(0.1, 0.9, 5)
+    assert _first_factors(-1, np.empty(0), 0.5, x, nderiv).shape == (nderiv + 1, 0, 5)
+    got = _first_factors(-1, np.empty((3, 0)), np.zeros(3), np.tile(x, (3, 1)), nderiv)
+    assert got.shape == (nderiv + 1, 3, 0, 5)
 
 
 def test_basis_eval_all_first_column_is_ones():
