@@ -329,39 +329,42 @@ def _reduce(acc, r, j, keep, names, sets, n, k, x, y):
 def sweep_jacobi_ladders(seed, nmax=20, npts=50):
     """Both one-variable ladder families, every relation, a 5x5 parameter grid.
 
-    Both families run off the one ladder table: each operator is evaluated
-    once per parameter pair over all degrees at once, against the targets of
-    all twelve built in one table call, and rows are reduced in n order, so
+    Both families run off the one ladder table.  Per family, one table call
+    builds the sources of all 25 parameter pairs, each pair at its own
+    points, and one call per target shift (da, db) the targets of the
+    operators that share it; each operator is evaluated once over every
+    (pair, n, point), and rows are reduced in (pair, operator, n) order, so
     the reports equal those of a case-by-case loop.
     """
-    n = np.arange(nmax + 1)[:, None]
+    pairs = list(itertools.product(_JAC_GRID, repeat=2))
+    ops = list(_JACOBI_LADDERS.items())
+    a, b = np.array(pairs).T
+    n, P, pa, pb = np.arange(nmax + 1)[:, None], np.arange(len(pairs))[:, None], a[:, None, None], b[:, None, None]
     blocks = []
     for fam_i, (family, lo, to01, interval) in enumerate(_JAC_FAMILIES):
-        rng = np.random.default_rng([seed, 10 + fam_i])
+        X = np.random.default_rng([seed, 10 + fam_i]).uniform(lo, 1.0, (len(pairs), npts))  # pair after pair
+        x = to01(X)
+        u, du = _shifted_table(nmax, a, b, x, nderiv=1)
+        r, j = np.empty((len(pairs), len(ops), nmax + 1)), np.empty((len(pairs), len(ops), nmax + 1), int)
+        for da, db in dict.fromkeys(op.move[1:] for _, op in ops):  # the distinct target shifts in turn
+            tgt = _shifted_table(nmax + 1, a + da, b + db, x)[0]
+            for o, (_, op) in enumerate(ops):
+                if op.move[1:] != (da, db):  # another shift's operator
+                    continue
+                dn, scale = op.move[0], (2.0**op.e if interval else 1.0)
+                f = scale * op.factor(n, pa, pb)
+                lhs = scale * op.pointwise(n, pa, pb, x[:, None], u, du)
+                live = (f != 0.0) & (n + dn >= 0)
+                rhs = np.where(live, f * tgt[P, np.where(live, n + dn, 0)[..., 0]], 0.0)
+                r[:, o], j[:, o] = _scaled_residual(lhs, rhs)
+
+        def case(i, jj):
+            p, o, row = np.unravel_index(i, r.shape)
+            (s, dagger), (a_, b_) = ops[o][0], pairs[p]
+            return {"s": s, "dagger": dagger, "n": int(row), "a": a_, "b": b_, "x": float(X[p, jj])}
+
         acc = _Worst()
-        for a in _JAC_GRID:
-            for b in _JAC_GRID:
-                X = rng.uniform(lo, 1.0, npts)
-                x = to01(X)
-                src = _shifted_table(nmax + 1, a, b, x, nderiv=1)
-                u, du = src[0, : nmax + 1], src[1, : nmax + 1]
-                keys = list(dict.fromkeys((a + op.move[1], b + op.move[2]) for op in _JACOBI_LADDERS.values()))
-                ka, kb = np.array(keys).T
-                tgt = dict(zip(keys, _shifted_table(nmax + 1, ka, kb, x)[0]))
-                for (s, dagger), op in _JACOBI_LADDERS.items():
-                    scale = 2.0**op.e if interval else 1.0
-                    dn, da, db = op.move
-                    f = scale * op.factor(n, a, b)
-                    lhs = scale * op.pointwise(n, a, b, x, u, du)
-                    live = (f != 0.0) & (n + dn >= 0)
-                    rhs = np.zeros_like(lhs)
-                    if live.any():
-                        rhs = np.where(live, f * tgt[(a + da, b + db)][np.where(live, n + dn, 0)[:, 0]], 0.0)
-                    acc.update_rows(
-                        lhs,
-                        rhs,
-                        lambda i, j: {"s": s, "dagger": dagger, "n": i, "a": a, "b": b, "x": float(X[j])},
-                    )
+        acc.update_max(r.reshape(-1), j.reshape(-1), case)
         blocks.append(acc.block(f"{family}_ladders", "exact"))
     return blocks
 
@@ -492,8 +495,7 @@ def sweep_product_links(seed, nmax=10, npts=10):
         (F,) = _first_factors(nmax, A, pa[:, 0], x)
         (F1,) = _first_factors(nmax - 1, A[:, :nmax] + 1, pa[:, 0] + 1, x)
         G = _shifted_table(nmax, pc, pb, tau)[0]
-        # a column call takes no negative degree; at nmax = 0 no row is read
-        G1 = _shifted_table(max(nmax - 1, 0), pc + 1, pb + 1, tau)[0, :, :nmax]
+        G1 = _shifted_table(nmax - 1, pc + 1, pb + 1, tau)[0]
         dG = np.zeros_like(G)
         dG[:, 1:] = (np.arange(1, nmax + 1)[:, None] + pc[:, None] + pb[:, None] + 1) * G1
         dF = np.zeros_like(F)

@@ -3,7 +3,8 @@
 Every table comes from one three-term recurrence on the homogenized form
 H_n(y, s) = s^n P~_n(y/s), with derivative propagation.  It takes the
 parameter pairs as a column, each entry to its own degree, so that the
-triangle tables of many families run one recurrence for all their k.  Where
+triangle tables of many families run one recurrence for all their k; a
+scalar call is a column of one entry, on the same path.  Where
 it is unsafe, because a denominator nears zero or a parameter is below -1
 (ladder targets leave the a, b > -1 family), a table is lifted from the
 (a+1, b+1) one by the homogenized shifted ladders 1T, 1F, and 4T composed
@@ -89,6 +90,8 @@ def _recurrence_safe(nmax, a, b):
     """Whether the recurrence is safe to degree nmax, per entry of nmax and a: no
     denominator near zero, no parameter below -1 (it then loses digits at that
     end as the degree grows, 2.5e-12 in dH/dy at (1.42, -2.42), k = 15)."""
+    if (np.minimum(a, b) >= -0.75).all():  # then a + b >= -1.5: no denominator nears zero
+        return np.ones(np.shape(a), bool)
     # only the integers nearest the zeros of n + a + b + 1 and 2n + a + b can
     # come within 1/4 of them
     n1, n2 = np.rint(-(a + b + 1)), np.rint(-(a + b) / 2)
@@ -108,25 +111,29 @@ def _rec_coeffs(n, a, b):
 def _recurrence(nmax, a, b, y, s, nderiv=0):
     """Rows of H_j(y, s) = s^j P~_j(y/s) by the three-term recurrence, one degree j at a time.
 
-    a and b are scalars of degree nmax, or (K, 1) columns of safe entries,
-    each to its own degree in nmax (K,), non-increasing; with columns, y and
-    s may be (K, npts), one point row per entry.  Step j yields H_j of the
-    entries reaching degree j, then dH_j/dy (nderiv >= 1) and dH_j/ds
+    a and b are (K, 1) columns of safe entries, each to its own degree in
+    nmax (K,), non-increasing; y and s hold one point row per entry, (K,
+    npts), or one row that all share.  Step j yields H_j of the entries
+    reaching degree j, (K_j, npts), then dH_j/dy (nderiv >= 1) and dH_j/ds
     (nderiv = 2); the rows are overwritten two steps later.
     """
-    col = np.ndim(a) > 0
-    nmax = np.atleast_1d(nmax)
-    top = int(nmax[0]) if nmax.size else -1
-    if top > 1:
-        with np.errstate(divide="ignore", invalid="ignore"):  # pairs past an entry's degree go unread
-            A, B, C = _rec_coeffs(np.arange(1, top)[(slice(None),) + (None,) * np.ndim(a)], a, b)
-        if not col:
-            A, B, C = A.tolist(), B.tolist(), C.tolist()
+    deg = nmax.tolist()
+    if not deg:
+        return
+    K, top = len(deg), deg[0]
+    with np.errstate(divide="ignore", invalid="ignore"):  # pairs past an entry's degree go unread
+        A, B, C = _rec_coeffs(np.arange(1, top)[:, None, None], a, b)
+    if K == 1:  # one entry's parameters and coefficients as Python floats, which multiply faster
+        a, b, A, B, C = a.item(), b.item(), A.ravel().tolist(), B.ravel().tolist(), C.ravel().tolist()
+    y, s = (y if y.ndim == 2 else y[None]), (s if isinstance(s, float) or s.ndim == 2 else s[None])
     t, s2 = 2 * y - s, s**2
-    per_entry = t.ndim == 2
-    shape = t.shape if per_entry else np.shape(a)[:1] + t.shape
-    prev = cur = [np.ones(shape)] + [np.zeros(shape) for _ in range(nderiv)]
+    prev = cur = [np.ones((K, t.shape[1]))] + [np.zeros((K, t.shape[1])) for _ in range(nderiv)]
     for j in range(top + 1):
+        if deg[K - 1] < j:  # those short of degree j, a suffix, stop; the rest go on
+            K = np.count_nonzero(nmax >= j)
+            a, b, y, t, A, B, C = a[:K], b[:K], y[:K], t[:K], A[:, :K], B[:, :K], C[:, :K]
+            cur, prev = [v[:K] for v in cur], [v[:K] for v in prev]
+            s, s2 = (s, s2) if isinstance(s, float) else (s[:K], s2[:K])
         if j == 1:
             H = (a + 1) * s + (a + b + 2) * (y - s)
             prev, cur = cur, [H] + [np.full(H.shape, v) for v in (a + b + 2, -(b + 1))[:nderiv]]
@@ -145,64 +152,47 @@ def _recurrence(nmax, a, b, y, s, nderiv=0):
             lin -= Hm
             prev, cur = cur, new
         yield cur
-        if col and nmax[len(a) - 1] <= j:  # some stop at degree j; the rest, a prefix, go on
-            K = np.count_nonzero(nmax > j)
-            a, b, cur, prev = a[:K], b[:K], [v[:K] for v in cur], [v[:K] for v in prev]
-            if per_entry:
-                y, t = y[:K], t[:K]
-                s, s2 = (s[:K], s2[:K]) if np.ndim(s) else (s, s2)
-            if top > 1:
-                A, B, C = A[:, :K], B[:, :K], C[:, :K]
 
 
 def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0, rows=None):
     """H_n(x, s) = s^n P~_n(x/s), n <= nmax, then its x- and s-partials up to nderiv.
 
-    Scalars give shape (nderiv + 1, nmax + 1, npts).  Arrays broadcast to a
-    column of K entries (C order), each to its own degree, in shape
-    (nderiv + 1, K, max(nmax) + 1, npts); or, given a (K, max(nmax) + 1)
-    integer map rows, entry i's degree-j row is row rows[i, j] of a
-    (nderiv + 1, rows.max() + 1, npts) table.  Rows no entry reaches are
-    left unset.  With a column, a 2-D x (and s) holds one point row per
-    entry, (K, npts); otherwise all entries share the points.  s = 1 stays a
-    scalar, costing no array products.  Division-free.
+    nmax, a and b broadcast to a column of K entries (C order), each to its
+    own degree, in shape (nderiv + 1, K, max(nmax) + 1, npts); or, given a
+    (K, max(nmax) + 1) integer map rows, entry i's degree-j row is row
+    rows[i, j] of a (nderiv + 1, rows.max() + 1, npts) table.  Rows no entry
+    reaches are left unset, and an entry of negative degree reaches none.
+    A 2-D x (and s) holds one point row per entry, (K, npts); otherwise all
+    entries share the points.  Scalar nmax, a and b are a column of one
+    entry at the raveled points, returned without its entry axis, (nderiv +
+    1, nmax + 1, npts).  A scalar s stays a Python float, costing no array
+    products.  Division-free.
     """
+    col = np.empty((3,) + np.broadcast(nmax, a, b).shape)  # each entry's degree, a and b
+    col[0], col[1], col[2] = nmax, a, b
+    lone = rows is None and col.ndim == 1
+    nmax, a, b = col.reshape(3, -1)
+    nmax = nmax.astype(int)
     x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
     x, s = np.broadcast_arrays(x, s) if s.ndim else (x, float(s))
-    if np.ndim(a) == 0:  # on Python floats, the faster scalars
-        x, s = x.ravel(), (s.ravel() if np.ndim(s) else s)
-        T = np.empty((nderiv + 1, nmax + 1, x.size))
-        if _recurrence_safe(nmax, a, b):
-            for j, out in enumerate(_recurrence(nmax, float(a), float(b), x, s, nderiv)):
-                for d, row in enumerate(out):
-                    T[d, j] = row
-            return T
-        G = _shifted_table(nmax - 1, a + 1, b + 1, x, max(nderiv, 1), s)
-        T[:, 0], T[0, 0] = 0.0, 1.0
-        for d, row in enumerate(_lift(G, a, b, np.arange(1, nmax + 1)[:, None], x, s, nderiv)):
-            T[d, 1:] = row
-        return T
-    if x.ndim != 2:
-        x, s = x.ravel(), (s.ravel() if np.ndim(s) else s)
+    if lone or x.ndim != 2:
+        x, s = x.ravel(), (s if isinstance(s, float) else s.ravel())
 
     def pts(i):  # the points of entries i: their rows, or the shared ones
-        return (x[i], s[i] if np.ndim(s) else s) if x.ndim == 2 else (x, s)
+        return (x[i], s if isinstance(s, float) else s[i]) if x.ndim == 2 else (x, s)
 
-    nmax, a, b = (v.ravel() for v in np.broadcast_arrays(nmax, np.asarray(a, float), np.asarray(b, float)))
-    if nmax.size == 1 and rows is None:  # a lone entry is a scalar call
-        xi, si = pts(0)
-        return _shifted_table(int(nmax[0]), a[0], b[0], xi, nderiv, si)[:, None]
-    grid = (nmax.size, nmax.max() + 1) if rows is None else None
+    grid = (nmax.size, nmax.max(initial=-1) + 1) if rows is None else None
     rows = np.arange(grid[0] * grid[1]).reshape(grid) if grid else rows
-    T = np.empty((nderiv + 1, rows.max() + 1, x.shape[-1]))
-    # one recurrence for the safe entries, in order of falling degree
+    T = np.empty((nderiv + 1, rows.max(initial=-1) + 1, x.shape[-1]))
+    # one recurrence for the safe entries, in order of falling degree, and one lift for the rest
     safe = _recurrence_safe(nmax, a, b)
-    order = np.flatnonzero(safe)[np.argsort(-nmax[safe], kind="stable")]
-    dest = rows[order].T
-    for j, out in enumerate(_recurrence(nmax[order], a[order, None], b[order, None], *pts(order), nderiv)):
+    order, cut = np.lexsort((-nmax, ~safe)), np.count_nonzero(safe)
+    run, lift = order[:cut], order[cut:]
+    dest = rows[run].T
+    for j, out in enumerate(_recurrence(nmax[run], a[run, None], b[run, None], *pts(run), nderiv)):
+        at = dest[j, 0] if len(out[0]) == 1 else dest[j, : len(out[0])]  # a lone row by plain index, which writes faster
         for d, row in enumerate(out):
-            T[d, dest[j, : len(row)]] = row
-    lift = np.flatnonzero(~safe)
+            T[d, at] = row
     if lift.size:  # all rows (entry i, degree n >= 1) of the unsafe entries at once
         m = nmax[lift]
         i, n = np.nonzero(np.arange(m.max()) < m[:, None])
@@ -210,12 +200,11 @@ def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0, rows=None):
         at[i, n] = np.arange(i.size)  # G's rows are the (i, n) pairs in turn
         xl, sl = pts(lift)
         g = _shifted_table(m - 1, a[lift] + 1, b[lift] + 1, xl, max(nderiv, 1), sl, rows=at)
-        al, bl, dest = a[lift[i], None], b[lift[i], None], rows[lift[i], n + 1]
-        T[:, rows[lift, 0]] = 0.0
-        T[0, rows[lift, 0]] = 1.0
+        al, bl, dest, z = a[lift[i], None], b[lift[i], None], rows[lift[i], n + 1], rows[lift, 0]
+        T[:, z], T[0, z] = 0.0, 1.0
         for d, row in enumerate(_lift(g, al, bl, n[:, None] + 1, *pts(lift[i]), nderiv)):
             T[d, dest] = row
-    return T.reshape((nderiv + 1,) + grid + (x.shape[-1],)) if grid else T
+    return T if lone or not grid else T.reshape((nderiv + 1,) + grid + (x.shape[-1],))
 
 
 def _lift(G, a, b, n, x, s, nderiv):

@@ -664,6 +664,79 @@ def test_vectorized_jacobi_sweep_equals_a_per_case_loop():
     assert got == want
 
 
+def test_stacked_jacobi_sweep_breaks_ties_as_the_per_pair_loop(monkeypatch):
+    # zero source tables make every left side 0, and target rows of 1e3 make
+    # the residual exactly 1 wherever a live operator reads them, 0
+    # elsewhere.  Marked: at pair 0 the (a - 1, b - 1) row 3, read by 1T at
+    # n = 2, and the (a + 1, b) row 1, read by 2F at n = 1 and 4T at n = 2;
+    # at pair 1 the (a + 1, b + 1) row 0, read by 1F at n = 1.  A loop over
+    # pairs, then operators, then degrees meets (pair 0, 1T, n = 2) first;
+    # degrees before operators would name 2F, operators outermost 1F
+    seed, nmax, npts = 0, 3, 4
+    pairs = list(itertools.product(cli._JAC_GRID, repeat=2))
+    marks = {(0, (-1.0, -1.0), 3), (0, (1.0, 0.0), 1), (1, (1.0, 1.0), 0)}
+    samples = [
+        np.random.default_rng([seed, 10 + fam_i]).uniform(lo, 1.0, (len(pairs), npts))
+        for fam_i, (_, lo, _, _) in enumerate(cli._JAC_FAMILIES)
+    ]
+    points = [to01(X) for X, (_, _, to01, _) in zip(samples, cli._JAC_FAMILIES)]
+    shifted_table = cli._shifted_table
+
+    def tables(deg, a, b, x, nderiv=0):
+        T = 0.0 * shifted_table(deg, a, b, x, nderiv)
+        if nderiv == 0:  # the targets, each entry at its pair's points
+            for e, ab in enumerate(zip(np.ravel(a), np.ravel(b))):
+                p = next(p for pts in points for p in range(len(pairs)) if np.array_equal(x[e], pts[p]))
+                for row in (row for q, shift, row in marks if q == p and shift == tuple(np.subtract(ab, pairs[p]))):
+                    T[0, e, row] = 1e3
+        return T
+
+    monkeypatch.setattr(cli, "_shifted_table", tables)
+    got = cli.sweep_jacobi_ladders(seed, nmax=nmax, npts=npts)
+    for block, X in zip(got, samples):
+        assert block.max_residual == 1.0
+        assert block.worst_case == {"s": 1, "dagger": True, "n": 2, "a": -0.5, "b": -0.5, "x": float(X[0, 0])}
+
+
+def test_jacobi_sweep_makes_one_table_call_per_target_shift(monkeypatch):
+    # per family, one call for the sources of all pairs, then one for the
+    # targets of all pairs at each of the 8 distinct shifts (da, db)
+    calls = []
+    shifted_table = cli._shifted_table
+    pairs = np.array(list(itertools.product(cli._JAC_GRID, repeat=2)))
+
+    def counted(deg, a, b, x, nderiv=0):
+        shift = {(float(da), float(db)) for da, db in zip(a - pairs[:, 0], b - pairs[:, 1])}
+        calls.append((np.size(a), deg, nderiv, shift.pop() if len(shift) == 1 else None))
+        return shifted_table(deg, a, b, x, nderiv)
+
+    monkeypatch.setattr(cli, "_shifted_table", counted)
+    cli.sweep_jacobi_ladders(0, nmax=3, npts=4)
+    shifts = {(1, 1), (-1, -1), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)}
+    for family in (calls[:9], calls[9:]):
+        assert family[0] == (25, 3, 1, (0, 0))
+        assert [c[:3] for c in family[1:]] == [(25, 4, 0)] * 8
+        assert {c[3] for c in family[1:]} == shifts
+    assert len(calls) == 18
+
+
+def test_jacobi_sweep_keeps_its_numpy_peak_small():
+    # the suite's pairs, degree and points: a shift's target table holds
+    # 0.22 MB and the sources 0.42 MB, and the sweep's peak (2.0 MB) stays
+    # below the 2.9 MB of a ladders sweep chunk, which sets verify's
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        blocks = cli.sweep_jacobi_ladders(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert [b.cases for b in blocks] == [6300, 6300]
+    assert peak < 2.9e6
+
+
 def _per_case_product_links(seed, nmax, npts):
     """The appendix suite as a loop over parameter sets, (n, k) and links, through jjp_residual and jpj_residual."""
     rng = np.random.default_rng([seed, 40])

@@ -349,11 +349,21 @@ def test_shifted_table_lift_branch_is_the_homog_table_at_unit_scale(a, b, nderiv
         assert np.array_equal(tab[1], Hy)
 
 
+def _assert_exact_sums(tab, a, b, x, s):
+    """Every degree-k row of a (nderiv + 1, kmax + 1, npts) table at every point, to 1e-12 of the exact explicit sum."""
+    x, s = (v.ravel() for v in np.broadcast_arrays(x, s))
+    for k in range(tab.shape[1]):
+        for p in range(x.size):
+            for got, ref in zip(tab[:, k, p], _homog_exact(k, a, b, x[p], s[p])):
+                assert abs(Fraction(got) - ref) <= 1e-12 * max(1, abs(ref)), (k, a, b, x[p], s[p])
+
+
 @pytest.mark.parametrize("nderiv", [0, 1, 2])
 def test_shifted_table_column_equals_the_scalar_tables(nderiv):
     # mixed degrees, safe entries and lifted ones (a parameter below -1, of
     # exactly -1, a + b near -2) in one column, in the grid layout and in a
-    # row map that reverses each entry's degrees into one flat table
+    # row map that reverses each entry's degrees into one flat table: each
+    # entry equals its one-entry call, in both call forms, and the exact sum
     deg = np.array([12, 0, 5, 12, 3, 1, 8, 15])
     a = np.array([0.5, -1.5, -1.0, -0.9, -2.5, 0.3, 1.42, -1.5])
     b = np.array([1.5, 0.5, -1.0, -0.95, 2.0, -3.5, -2.42, -1.5])
@@ -366,15 +376,18 @@ def test_shifted_table_column_equals_the_scalar_tables(nderiv):
     assert grid.shape == (nderiv + 1, deg.size, deg.max() + 1, x.size)
     assert flat.shape == (nderiv + 1, (deg + 1).sum(), x.size)
     for i in range(deg.size):
-        want = _shifted_table(int(deg[i]), a[i], b[i], x, nderiv, s)
+        want = _shifted_table(deg[i : i + 1], a[i : i + 1], b[i : i + 1], x, nderiv, s)[:, 0]
+        assert np.array_equal(_shifted_table(int(deg[i]), a[i], b[i], x, nderiv, s), want)
         assert np.array_equal(grid[:, i, : deg[i] + 1], want)
         assert np.array_equal(flat[:, rows[i, : deg[i] + 1]], want)
+        _assert_exact_sums(want, a[i], b[i], x, s)
 
 
 @pytest.mark.parametrize("nderiv", [0, 1, 2])
 def test_shifted_table_point_rows_equal_one_call_per_entry(nderiv):
     # each entry at its own points and scale: ragged degrees, safe entries
-    # and lifted ones (a parameter below -1, of exactly -1, a + b near -2)
+    # and lifted ones (a parameter below -1, of exactly -1, a + b near -2);
+    # each equals its one-entry call and the exact sum
     deg = np.array([12, 0, 5, 12, 3, 1, 8, 15, 9])
     a = np.array([0.5, -1.5, -1.0, -0.9, -2.5, 0.3, 1.42, -1.5, -0.9])
     b = np.array([1.5, 0.5, -1.0, -0.95, 2.0, -3.5, -2.42, -1.5, -0.9])
@@ -384,14 +397,46 @@ def test_shifted_table_point_rows_equal_one_call_per_entry(nderiv):
     for scale in (1.0, s):
         got = _shifted_table(deg, a, b, x, nderiv, scale)
         for i in range(deg.size):
-            want = _shifted_table(int(deg[i]), a[i], b[i], x[i], nderiv, scale if np.ndim(scale) == 0 else scale[i])
+            si = scale if np.ndim(scale) == 0 else scale[i : i + 1]
+            want = _shifted_table(deg[i : i + 1], a[i : i + 1], b[i : i + 1], x[i : i + 1], nderiv, si)[:, 0]
             assert np.array_equal(got[:, i, : deg[i] + 1], want)
+            _assert_exact_sums(want, a[i], b[i], x[i], si)
     lone = _shifted_table(deg[6:7], a[6:7], b[6:7], x[6:7], nderiv, s[6:7])
     assert np.array_equal(lone[:, 0], _shifted_table(int(deg[6]), a[6], b[6], x[6], nderiv, s[6]))
     H = _homog_table(9, a, b, x, s, partials=True)
     for i in range(deg.size):
-        for got, want in zip(H, _homog_table(9, a[i], b[i], x[i], s[i], partials=True)):
-            assert np.array_equal(got[i], want)
+        for got, want in zip(H, _homog_table(9, a[i : i + 1], b[i : i + 1], x[i : i + 1], s[i : i + 1], partials=True)):
+            assert np.array_equal(got[i], want[0])
+
+
+@pytest.mark.parametrize("nderiv", [0, 1, 2])
+def test_shifted_table_negative_degrees_reach_no_rows(nderiv):
+    x = np.linspace(0.0, 1.0, 5)
+    assert _shifted_table(-1, 0.5, 1.5, x, nderiv).shape == (nderiv + 1, 0, 5)
+    a, b = np.array([-1.5, 0.5, 0.3, -1.5]), np.array([0.5, 1.5, 0.2, 0.5])
+    X = np.tile(x, (4, 1))
+    assert _shifted_table(-1, a, b, X, nderiv).shape == (nderiv + 1, 4, 0, 5)
+    assert _shifted_table(-1, a, b, x, nderiv, rows=np.zeros((4, 0), int)).shape == (nderiv + 1, 0, 5)
+    # mixed with entries of negative degree, a safe entry and a lifted one
+    # keep their one-entry tables, in the grid and in a row map that the
+    # negative entries share
+    deg = np.array([-1, 4, -2, 3])
+    grid = _shifted_table(deg, a, b, X, nderiv)
+    assert grid.shape == (nderiv + 1, 4, 5, 5)
+    rows = np.array([[8, 7, 6, 5, 4], [4, 3, 2, 1, 0], [0, 1, 2, 3, 4], [8, 7, 6, 5, 4]])
+    flat = _shifted_table(deg, a, b, X, nderiv, rows=rows)
+    assert flat.shape == (nderiv + 1, 9, 5)
+    for i in (1, 3):
+        want = _shifted_table(int(deg[i]), a[i], b[i], x, nderiv)
+        assert np.array_equal(grid[:, i, : deg[i] + 1], want)
+        assert np.array_equal(flat[:, rows[i, : deg[i] + 1]], want)
+
+
+def test_shifted_table_takes_empty_point_sets():
+    # a safe entry and a lifted one (a + b near -2), shared points and point rows
+    assert _shifted_table(5, -0.95, -0.95, np.array([]), 2).shape == (3, 6, 0)
+    got = _shifted_table(np.array([5, 3]), np.array([-0.95, 0.5]), -0.95, np.empty((2, 0)), 2, np.empty((2, 0)))
+    assert got.shape == (3, 2, 6, 0)
 
 
 def test_jacobi_suite_does_not_import_mpmath():
