@@ -77,25 +77,16 @@ class ResonanceError(ValueError):
     """The shift lambda coincides with an operator eigenvalue."""
 
 
-# Tolerance classes, matched to the noise floor of the oracle backing each
-# kind of check.  TRIKOORN_TOL_SCALE multiplies all of them.
+# Tolerance classes.  Every oracle is exact, so roundoff is all a check lets
+# through: `exact` bounds each block that checks an identity of the paper, and
+# `structure` the stencil counts and the partition of unity.  A suite passes
+# under `exact`.  TRIKOORN_TOL_SCALE multiplies both.
 TOLERANCES = {
     "exact": 1e-10,
-    "ladder": 1e-9,
-    "fd": 1e-7,
-    "fd2": 1e-5,
     "structure": 1e-12,
 }
 
 SUITE_NAMES = ("jacobi", "ladders", "operators", "appendix", "eigen")
-
-_SUITE_CLASS = {
-    "jacobi": "exact",
-    "ladders": "ladder",
-    "operators": "fd2",
-    "appendix": "exact",
-    "eigen": "fd2",
-}
 
 _JAC_GRID = (-0.5, 0.0, 0.5, 1.0, 2.5)
 # name, lower end of the sampled interval, map to (0, 1), 2**e scale applied
@@ -126,8 +117,8 @@ def _tol_scale():
         scale = float(raw)
     except ValueError:
         raise UsageError(f"TRIKOORN_TOL_SCALE must be a real number, got {raw!r}")
-    if scale <= 0:
-        raise UsageError(f"TRIKOORN_TOL_SCALE must be positive, got {raw!r}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise UsageError(f"TRIKOORN_TOL_SCALE must be a finite positive number, got {raw!r}")
     return scale
 
 
@@ -455,8 +446,8 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
         _reduce(accA, r, j, keep, [lid.label for lid in ids], sets, n, k, x, y)
         del jet  # the next chunk's tables are built without these
     return [
-        accA.block("triangle_ladders", "ladder"),
-        accB.block("composition_identities", "ladder"),
+        accA.block("triangle_ladders", "exact"),
+        accB.block("composition_identities", "exact"),
     ]
 
 
@@ -576,94 +567,86 @@ def _second_order_n(params, x, y, jets):
     )
 
 
-_EXACT_REFS = {
-    "conv_a": "same",
-    "conv_b": "same",
-    "conv_c": "same",
-    "mult_x": "x",
-    "mult_y": "y",
-    "mult_z": "z",
-    "mult_same_x": "x",
-    "mult_same_y": "y",
-    "mult_same_z": "z",
-}
+def _times(factor):
+    """Reference of a conversion or multiplication: factor(x, y) times the field of vec."""
+    return lambda vec, params, x, y, pts, hessian: factor(x, y) * synthesize(vec, pts)
 
-_FD_REFS = {
-    "diff_x": "dx",
-    "diff_y": "dy",
-    "diff_z": "dz",
-    "weighted_diff_x": "dx",
-    "weighted_diff_y": "dy",
-    "weighted_diff_z": "dz",
-}
 
-_COLUMN_BOUNDS = {
-    "diff_x": 2,
-    "diff_y": 1,
-    "diff_z": 2,
-    "weighted_diff_x": 2,
-    "weighted_diff_y": 1,
-    "weighted_diff_z": 2,
-    "conv_a": 2,
-    "conv_b": 4,
-    "conv_c": 4,
-    "mult_x": 2,
-    "mult_y": 4,
-    "mult_z": 4,
-    "mult_same_x": 3,
-    "mult_same_y": 9,
-    "mult_same_z": 9,
-    "eigen_k": 1,
-    "eigen_n": 1,
+def _partial(pick):
+    """Reference of a differentiation: pick(u_x, u_y) of the field of vec, exactly."""
+
+    def ref(vec, params, x, y, pts, hessian):
+        _, ux, uy = _synth_jets(vec, x, y, hessian[:3])
+        return pick(ux, uy)
+
+    return ref
+
+
+def _diagonal(expr):
+    """Reference of a diagonal operator: its second-order expression on the jets of vec."""
+    return lambda vec, params, x, y, pts, hessian: expr(params, x, y, [vec.values @ T for T in hessian])
+
+
+_SAME, _X, _Y, _Z = map(_times, (lambda x, y: 1.0, lambda x, y: x, lambda x, y: y, lambda x, y: 1.0 - x - y))
+_DX, _DY, _DZ = map(_partial, (lambda ux, uy: ux, lambda ux, uy: uy, lambda ux, uy: uy - ux))
+
+# operator -> (block, pointwise reference of its image of a field, most
+# nonzeros in one column of its matrix)
+_OPERATOR_CHECKS = {
+    "diff_x": ("derivative_equivalence", _DX, 2),
+    "diff_y": ("derivative_equivalence", _DY, 1),
+    "diff_z": ("derivative_equivalence", _DZ, 2),
+    "weighted_diff_x": ("derivative_equivalence", _DX, 2),
+    "weighted_diff_y": ("derivative_equivalence", _DY, 1),
+    "weighted_diff_z": ("derivative_equivalence", _DZ, 2),
+    "conv_a": ("exact_equivalence", _SAME, 2),
+    "conv_b": ("exact_equivalence", _SAME, 4),
+    "conv_c": ("exact_equivalence", _SAME, 4),
+    "mult_x": ("exact_equivalence", _X, 2),
+    "mult_y": ("exact_equivalence", _Y, 4),
+    "mult_z": ("exact_equivalence", _Z, 4),
+    "mult_same_x": ("exact_equivalence", _X, 3),
+    "mult_same_y": ("exact_equivalence", _Y, 9),
+    "mult_same_z": ("exact_equivalence", _Z, 9),
+    "eigen_k": ("second_order_equivalence", _diagonal(_second_order_k), 1),
+    "eigen_n": ("second_order_equivalence", _diagonal(_second_order_n), 1),
 }
 
 
 def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
     """Every coefficient-space builder against its pointwise meaning.
 
-    Conversion and multiplication are exact checks; differentiation is
-    checked against exact partials of the synthesized field; the diagonal
-    operators against their second-order pointwise expressions, with the
-    exact second partials of `_hessian_jets`; structure checks cover
-    stencil counts and the coordinate partition of unity.
+    Each builder's row of `_OPERATOR_CHECKS` names its block and its exact
+    reference: conversion and multiplication scale the synthesized field,
+    differentiation takes its exact partials, and the diagonal operators
+    their second-order pointwise expressions, with the exact second partials
+    of `_hessian_jets`; structure checks cover stencil counts and the
+    coordinate partition of unity.
     """
     rng = np.random.default_rng([seed, 30])
-    acc_exact = _Worst()
-    acc_fd = _Worst()
-    acc_fd2 = _Worst()
+    accs = {name: _Worst() for name in ("exact_equivalence", "derivative_equivalence", "second_order_equivalence")}
     acc_struct = _Worst()
-    for p_i, params in enumerate(_OPERATOR_PARAM_SETS):
+    for params in _OPERATOR_PARAM_SETS:
         x, y = _interior_points(rng, npts)
         pts = np.column_stack([x, y])
         pset = {"a": params.a, "b": params.b, "c": params.c}
         hessian = _hessian_jets(N, params, x, y)
         for name, builder in OP_BUILDERS.items():
-            acc = acc_exact if name in _EXACT_REFS else acc_fd if name in _FD_REFS else acc_fd2
+            block, reference, bound = _OPERATOR_CHECKS[name]
+            acc = accs[block]
             try:
                 op = builder(N, params)
             except ValueError:
                 acc.skip()
                 acc_struct.skip()
                 continue
-            bound = _COLUMN_BOUNDS[name]
             col_ok = op.nnz == 0 or int(np.max(op.column_nnz())) <= bound
             acc_struct.update(0.0 if col_ok else 1.0, {"id": name, "check": "column_bound", **pset})
             for trial in range(ntrials):
                 v = rng.standard_normal(op.domain.size)
                 vec = CoeffVec(op.domain, v)
-                out = apply_op(op, vec)
-                rhs = synthesize(out, pts)
-                if name in _EXACT_REFS:
-                    factor = {"same": 1.0, "x": x, "y": y, "z": 1.0 - x - y}[_EXACT_REFS[name]]
-                    lhs = factor * synthesize(vec, pts)
-                elif name in _FD_REFS:
-                    _, ux, uy = _synth_jets(vec, x, y, hessian[:3])
-                    lhs = {"dx": ux, "dy": uy, "dz": uy - ux}[_FD_REFS[name]]
-                else:
-                    jets = [v @ T for T in hessian]
-                    second_order = _second_order_k if name == "eigen_k" else _second_order_n
-                    lhs = second_order(params, x, y, jets)
-                r, j = _scaled_residual(lhs, rhs)
+                rhs = synthesize(apply_op(op, vec), pts)
+                r, j = _scaled_residual(reference(vec, params, x, y, pts, hessian), rhs)
                 acc.update(r, {"id": name, "trial": trial, **pset, "x": float(x[j]), "y": float(y[j])})
         dy_op = build_diff_y(N, params)
         count_ok = dy_op.nnz == N * (N + 1) // 2
@@ -677,12 +660,7 @@ def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
             acc_struct.update(r, {"id": "partition_of_unity", "check": "sum", **pset})
         else:
             acc_struct.skip()
-    return [
-        acc_exact.block("exact_equivalence", "exact"),
-        acc_fd.block("derivative_equivalence", "fd"),
-        acc_fd2.block("second_order_equivalence", "fd2"),
-        acc_struct.block("structure", "structure"),
-    ]
+    return [acc.block(name, "exact") for name, acc in accs.items()] + [acc_struct.block("structure", "structure")]
 
 
 def _solve_coeffs(fc, lam):
@@ -777,7 +755,7 @@ def sweep_eigen(seed, nmax=6, npts=20):
                 "y": float(y[j]),
             },
         )
-    return [acc_pt.block("second_order_pointwise", "fd2"), acc_solve.block("solve_residual", "fd2")]
+    return [acc_pt.block("second_order_pointwise", "exact"), acc_solve.block("solve_residual", "exact")]
 
 
 _SUITE_FUNCS = {
@@ -789,23 +767,21 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name, seed):
-    """Run one named suite and merge its blocks into a single report.
+def run_suite(name, seed, scale=1.0):
+    """Run one named suite and merge its blocks into a single report under `exact`.
 
-    Blocks with tighter tolerance classes are folded in with their residuals
-    scaled up by the class ratio, so the merged pass flag is equivalent to
-    every block passing its own class tolerance.
+    A `structure` block is folded in with its residual scaled up by the class
+    ratio, so the merged pass flag is equivalent to every block passing its
+    own class tolerance, each multiplied by scale.
     """
     blocks = _SUITE_FUNCS[name](seed)
-    scale = _tol_scale()
-    suite_class = _SUITE_CLASS[name]
-    tol = TOLERANCES[suite_class] * scale
+    tol = TOLERANCES["exact"] * scale
     cases = sum(b.cases for b in blocks)
     skipped = sum(b.skipped for b in blocks)
     best_val = -1.0
     best_case = {}
     for b in blocks:
-        norm = b.max_residual * (TOLERANCES[suite_class] / TOLERANCES[b.tol_class])
+        norm = b.max_residual * (TOLERANCES["exact"] / TOLERANCES[b.tol_class])
         if norm > best_val:
             best_val = norm
             best_case = {"block": b.name, **b.worst_case}
@@ -822,8 +798,7 @@ def _fmt_value(v):
     return str(v)
 
 
-def render_text(reports, seed):
-    scale = _tol_scale()
+def render_text(reports, seed, scale):
     lines = []
     for rep in reports:
         lines.append(f"suite={rep.suite}")
@@ -842,10 +817,10 @@ def render_text(reports, seed):
     return "\n".join(lines) + "\n"
 
 
-def render_json(reports, blocks_by_suite, seed):
+def render_json(reports, blocks_by_suite, seed, scale):
     payload = {
         "seed": seed,
-        "tolerance_scale": _tol_scale(),
+        "tolerance_scale": scale,
         "overall": "pass" if all(r.passed for r in reports) else "fail",
         "suites": [
             {
@@ -860,7 +835,7 @@ def render_json(reports, blocks_by_suite, seed):
                     {
                         "name": b.name,
                         "tolerance_class": b.tol_class,
-                        "tolerance": TOLERANCES[b.tol_class] * _tol_scale(),
+                        "tolerance": TOLERANCES[b.tol_class] * scale,
                         "cases": b.cases,
                         "skipped": b.skipped,
                         "max_residual": b.max_residual,
@@ -920,15 +895,16 @@ def resolve_builtin(name, params):
 
 
 def cmd_verify(args):
+    scale = _tol_scale()
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
     reports = []
     blocks_by_suite = {}
     for name in names:
-        rep, blocks = run_suite(name, args.seed)
+        rep, blocks = run_suite(name, args.seed, scale)
         reports.append(rep)
         blocks_by_suite[name] = blocks
-    text = render_text(reports, args.seed)
-    js = render_json(reports, blocks_by_suite, args.seed)
+    text = render_text(reports, args.seed, scale)
+    js = render_json(reports, blocks_by_suite, args.seed, scale)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -1029,8 +1005,7 @@ def cmd_info(args):
         "operators: " + " ".join(OP_BUILDERS),
         "compositions: " + " ".join(cid.name for cid in CompositionId),
         "builtins: one x y z poly:<n,k> runge",
-        "tolerances: "
-        + " ".join(f"{k}={TOLERANCES[k]!r}" for k in ("exact", "ladder", "fd", "fd2", "structure")),
+        "tolerances: " + " ".join(f"{k}={v!r}" for k, v in TOLERANCES.items()),
         f"tolerance_scale={scale!r}",
         "exit_codes: 0=pass 1=verification-failure 2=usage-error 3=degeneracy",
     ]
@@ -1054,7 +1029,7 @@ def _checked(convert, ok, need):
     return parse
 
 
-_DEGREE = _checked(int, lambda v: v >= 0, "must be a nonnegative integer")
+_NONNEGATIVE = _checked(int, lambda v: v >= 0, "must be a nonnegative integer")
 _COUNT = _checked(int, lambda v: v >= 1, "must be a positive integer")
 _FINITE = _checked(float, math.isfinite, "must be a finite number")
 
@@ -1074,13 +1049,13 @@ def build_parser():
 
     sp = sub.add_parser("verify", help="run seeded verification sweeps")
     sp.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_NONNEGATIVE, default=0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("build-op", help="export a coefficient-space operator")
     sp.add_argument("--name", required=True)
-    sp.add_argument("--N", type=_DEGREE, required=True)
+    sp.add_argument("--N", type=_NONNEGATIVE, required=True)
     _add_params(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_build_op)
@@ -1090,7 +1065,7 @@ def build_parser():
     group.add_argument("--name", help="built-in function id")
     group.add_argument("--values", help="CSV of values sampled at the rule nodes")
     group.add_argument("--emit-nodes", action="store_true", help="write the rule nodes instead")
-    sp.add_argument("--N", type=_DEGREE, required=True)
+    sp.add_argument("--N", type=_NONNEGATIVE, required=True)
     _add_params(sp)
     sp.add_argument("--m", type=_COUNT, default=None, help="nodes per direction, default N+1")
     sp.add_argument("--out", default=None)
@@ -1099,7 +1074,7 @@ def build_parser():
     sp = sub.add_parser("solve", help="diagonal shifted solve in coefficient space")
     sp.add_argument("--lambda", dest="lam", type=_FINITE, required=True)
     sp.add_argument("--rhs", required=True, help="built-in id or coefficient CSV path")
-    sp.add_argument("--N", type=_DEGREE, required=True)
+    sp.add_argument("--N", type=_NONNEGATIVE, required=True)
     _add_params(sp)
     sp.add_argument("--grid", type=_COUNT, default=20, help="barycentric grid subdivisions")
     sp.add_argument("--out", default=None)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import trikoorn as tk
-from trikoorn import cli
+from trikoorn import cli, operators
 from trikoorn.cli import main
 from trikoorn.ladders import _NEEDS_D0
 
@@ -64,9 +64,11 @@ def test_malformed_builtin_is_usage_error(capsys):
     assert main(["solve", "--lambda", "1", "--rhs", "nosuchfunc", "--N", "3"]) == 2
 
 
-def test_bad_tolerance_scale_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("TRIKOORN_TOL_SCALE", "not-a-number")
+@pytest.mark.parametrize("scale", ["not-a-number", "inf", "nan", "1e400"])
+def test_bad_tolerance_scale_is_usage_error(scale, monkeypatch, capsys):
+    monkeypatch.setenv("TRIKOORN_TOL_SCALE", scale)
     assert main(["verify", "--suite", "eigen"]) == 2
+    assert "TRIKOORN_TOL_SCALE" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -82,6 +84,7 @@ def test_bad_tolerance_scale_is_usage_error(monkeypatch, capsys):
         ["build-op", "--name", "conv_a", "--N", "3", "--a", "nan"],
         ["expand", "--name", "one", "--N", "3", "--b", "inf"],
         ["solve", "--lambda", "1", "--rhs", "one", "--N", "3", "--c=-inf"],
+        ["verify", "--suite", "eigen", "--seed", "-1"],
     ],
 )
 def test_bad_numeric_flags_are_usage_errors(argv, capsys):
@@ -341,11 +344,36 @@ def test_verify_seed_changes_sampled_cases(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, term, factor, block",
+    [
+        ("diff_x", 0, 1 + 1e-10, "derivative_equivalence"),
+        ("diff_x", 1, 1 + 1e-10, "derivative_equivalence"),
+        ("eigen_n", 0, 1 + 1e-8, "second_order_equivalence"),
+    ],
+)
+def test_verify_operators_fails_on_a_small_stencil_defect(name, term, factor, block, monkeypatch, tmp_path):
+    # one stencil term off by a relative 1e-10 moves derivative_equivalence
+    # to 2e-9..6e-9, and 1e-8 moves second_order_equivalence to 1e-8: both
+    # pass a 1e-7 or 1e-5 bound, and both fail the exact class's 1e-10
+    st = operators._STENCILS[name]
+    terms = list(st.terms)
+    dn, dk, num = terms[term]
+    terms[term] = (dn, dk, lambda *abc: num(*abc) * factor)
+    monkeypatch.setitem(operators._STENCILS, name, st._replace(terms=tuple(terms)))
+    out = tmp_path / "r.txt"
+    for seed in (0, 1, 14):
+        assert main(["verify", "--suite", "operators", "--seed", str(seed), "--out", str(out)]) == 1
+        worst = json.loads((tmp_path / "r.txt.json").read_text())["suites"][0]["worst_case"]
+        assert (worst["block"], worst["id"]) == (block, name)
+
+
 def test_verify_operators_passes_on_a_seed_that_defeated_finite_differences(tmp_path):
     # seed 14 put diff_x and diff_z residuals of a differenced oracle above
-    # the fd bound; exact partials leave it at roundoff.  On these seeds a
+    # 1e-7; exact partials leave them at roundoff.  On these seeds a
     # differenced Hessian left the second-order blocks at 4.5e-10 to 9.0e-7,
-    # and the exact ones of _hessian_jets leave them at roundoff too
+    # and the exact ones of _hessian_jets leave them at roundoff too, far
+    # inside the exact class's 1e-10
     out = tmp_path / "r.txt"
     for seed in (0, 1, 14):
         residuals = {}
@@ -472,7 +500,7 @@ def _per_set_ladder_sweep(seed, nmax, npts):
             r, j = cli._scaled_residual(lhs, rhs)
             case = {"id": lid.label, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
             acc_a.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
-    return [acc_a.block("triangle_ladders", "ladder"), acc_b.block("composition_identities", "ladder")]
+    return [acc_a.block("triangle_ladders", "exact"), acc_b.block("composition_identities", "exact")]
 
 
 def test_vectorized_ladder_sweep_equals_a_per_case_loop(monkeypatch):
@@ -609,7 +637,7 @@ def test_vectorized_eigen_sweep_equals_a_per_case_loop():
                 ):
                     r, j = cli._scaled_residual(lhs, mu * u)
                     acc.update(r, {"id": name, "n": n, "k": k, **pset, "x": float(x[j]), "y": float(y[j])})
-    assert got[0] == acc.block("second_order_pointwise", "fd2")
+    assert got[0] == acc.block("second_order_pointwise", "exact")
 
 
 @pytest.mark.parametrize(
