@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._text import rows_text
 from .koornwinder import TriParams, _graded_indices, basis_size
 from .ladders import DegenerateParameterError
 
@@ -414,11 +415,7 @@ def _tag_lines(prefix, tag):
 def matrix_market_text(op):
     """Matrix Market coordinate text for the operator (1-based indices)."""
     head = f"%%MatrixMarket matrix coordinate real general\n{op.shape[0]} {op.shape[1]} {op.nnz}\n"
-    cells = [None] * (3 * op.nnz)
-    cells[0::3] = (op.rows + 1).tolist()
-    cells[1::3] = (op.cols + 1).tolist()
-    cells[2::3] = op.vals.tolist()
-    return head + ("%d %d %.17g\n" * op.nnz) % tuple(cells)
+    return rows_text(head, [op.rows + 1, op.cols + 1, op.vals], " ")
 
 
 def descriptor_text(op):

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from ._text import rows_text
 from .jacobi import _shifted_table
 from .koornwinder import (
     TriParams,
@@ -264,9 +265,7 @@ def gram_matrix(N, params, m):
 
 def coeffs_csv_text(vec):
     """Coefficient CSV text with header n,k,value in ascending linear index."""
-    n, k = _graded_indices(vec.basis.maxdeg)
-    rows = map("{},{},{:.17g}".format, n.tolist(), k.tolist(), vec.values.tolist())
-    return "\n".join(["n,k,value", *rows]) + "\n"
+    return rows_text("n,k,value\n", [*_graded_indices(vec.basis.maxdeg), vec.values], ",")
 
 
 def save_coeffs_csv(vec, path):
@@ -280,7 +279,7 @@ def load_coeffs_csv(path, basis):
         header = fh.readline().strip()
         if header != "n,k,value":
             raise ValueError(f"expected header 'n,k,value', got {header!r}")
-        vals, count = np.zeros(basis.size), 0
+        vals, seen = np.zeros(basis.size), np.zeros(basis.size, dtype=bool)
         for line in fh:
             line = line.strip()
             if not line:
@@ -292,18 +291,19 @@ def load_coeffs_csv(path, basis):
             v = float(v_s)
             if not np.isfinite(v):
                 raise ValueError(f"coefficient of ({n}, {k}) is not finite: {v_s!r}")
-            vals[n * (n + 1) // 2 + k] = v
-            count += 1
-    if count != basis.size:
-        raise ValueError(f"expected {basis.size} rows, got {count}")
+            i = n * (n + 1) // 2 + k
+            if seen[i]:
+                raise ValueError(f"index ({n}, {k}) appears twice")
+            vals[i], seen[i] = v, True
+    if not seen.all():
+        raise ValueError(f"expected {basis.size} rows, got {seen.sum()}")
     return CoeffVec(basis, vals)
 
 
 def values_csv_text(pts, vals):
     """Point-value CSV text with header x,y,value."""
-    x, y = np.asarray(pts, dtype=float).T.tolist()
-    rows = map("{:.17g},{:.17g},{:.17g}".format, x, y, np.asarray(vals, dtype=float).tolist())
-    return "\n".join(["x,y,value", *rows]) + "\n"
+    x, y = np.asarray(pts, dtype=float).T
+    return rows_text("x,y,value\n", [x, y, np.asarray(vals, dtype=float)], ",")
 
 
 def save_values_csv(pts, vals, path):

@@ -402,6 +402,46 @@ def test_solve_rejects_non_finite_coefficients(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--lambda", "2.5", "--rhs", "runge", "--N", "60", "--grid", "200", "--a", "1", "--c", "1.5"],
+        ["expand", "--name", "runge", "--N", "20", "--a", "0.5", "--b", "-0.9", "--c", "-0.9"],
+    ],
+    ids=["solve", "expand"],
+)
+def test_csv_outputs_equal_the_per_row_format(tmp_path, monkeypatch, argv):
+    # solve writes 1891 coefficient and 20301 grid rows (the vectorized
+    # writer), expand at N = 20 writes 231 rows (the per-row one)
+    want = {}
+
+    def coeffs(vec, path):
+        n, k = tk.koornwinder._graded_indices(vec.basis.maxdeg)
+        want[path] = ["n,k,value"] + [f"{a},{b},{v:.17g}" for a, b, v in zip(n, k, vec.values)]
+        tk.save_coeffs_csv(vec, path)
+
+    def values(pts, vals, path):
+        want[path] = ["x,y,value"] + [f"{x:.17g},{y:.17g},{v:.17g}" for (x, y), v in zip(pts, vals)]
+        tk.save_values_csv(pts, vals, path)
+
+    monkeypatch.setattr(cli, "save_coeffs_csv", coeffs)
+    monkeypatch.setattr(cli, "save_values_csv", values)
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(want) == (2 if argv[0] == "solve" else 1)
+    for path, lines in want.items():
+        assert open(path).read() == "\n".join(lines) + "\n"
+
+
+def test_solve_rejects_a_repeated_coefficient_row(tmp_path, capsys):
+    # (1, 0) twice and (1, 1) missing: the row count matches the basis size
+    rhs = tmp_path / "f.csv"
+    rhs.write_text("n,k,value\n0,0,1.0\n1,0,2.0\n1,0,3.0\n")
+    out = tmp_path / "u.csv"
+    assert main(["solve", "--lambda", "1", "--rhs", str(rhs), "--N", "1", "--out", str(out)]) == 2
+    assert "(1, 0) appears twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_expand_rejects_non_finite_sampled_values(tmp_path, capsys):
     nodes = tmp_path / "nodes.csv"
     assert main(["expand", "--emit-nodes", "--N", "2", "--out", str(nodes)]) == 0

@@ -385,9 +385,11 @@ def test_stencil_evaluator_matches_a_per_column_loop(name):
 
 
 def test_matrix_market_text_matches_per_entry_formatting():
-    op = tk.build_mult_same_y(6, tk.TriParams(0.5, 1.5, 2.5, 0.0))
-    lines = ["%%MatrixMarket matrix coordinate real general", f"{op.shape[0]} {op.shape[1]} {op.nnz}"]
-    lines += [f"{r + 1} {c + 1} {v:.17g}" for r, c, v in zip(op.rows, op.cols, op.vals)]
-    assert ops.matrix_market_text(op) == "\n".join(lines) + "\n"
-    empty = tk.build_diff_y(0, tk.TriParams(0.5, 1.5, 2.5, 0.0))
-    assert ops.matrix_market_text(empty).count("\n") == 2
+    # N = 40 takes the vectorized writer, the smaller N the per-row one, and
+    # some builds at N = 0 are empty
+    for name, build in tk.OP_BUILDERS.items():
+        for N in (0, 1, 5, 40):
+            op = build(N, tk.TriParams(0.5, 1.5, 2.5, 0.0))
+            lines = ["%%MatrixMarket matrix coordinate real general", f"{op.shape[0]} {op.shape[1]} {op.nnz}"]
+            lines += [f"{r + 1} {c + 1} {v:.17g}" for r, c, v in zip(op.rows, op.cols, op.vals)]
+            assert ops.matrix_market_text(op) == "\n".join(lines) + "\n", (name, N)
