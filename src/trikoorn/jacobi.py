@@ -12,8 +12,9 @@ with 3T, all unsafe entries of a column at once.  The lift divides by
 nothing but the degree, so the corner s = 0 is an ordinary point, and it
 recurses until the recurrence is safe.
 
-The twelve ladder operators are the rows of one table in shifted form; the
-(-1, 1) family is derived from it by x = (X + 1)/2 and a power-of-two scale.
+The twelve ladder operators are the rows of one table in shifted form.  The
+(-1, 1) family is derived from it by x = (X + 1)/2 and a power-of-two scale,
+and the 24 triangle operators of ladders.py by two substitution rules.
 """
 
 from __future__ import annotations
@@ -297,11 +298,27 @@ def homog_shifted_eval(k, p, y, s):
     return _eval_core(k, p.a, p.b, y, s)
 
 
+# x**i w**j by (i, j), built once; None stands for 1 and multiplies nothing; j = -1 serves ladders.py
+_MONOMIALS = {(0, 0): None, (1, 0): lambda x, w: x, (0, 1): lambda x, w: w, (1, 1): lambda x, w: x * w,
+    (0, -1): lambda x, w: 1 / w, (1, -1): lambda x, w: x / w}
+
+
+def _affine(alpha, u, beta, x, w, du):
+    """alpha u + beta du, where beta = (sign, i, j) stands for sign x**i w**j."""
+    mono = _MONOMIALS[beta[1:]]
+    t = du if mono is None else mono(x, w) * du
+    return alpha * u - t if beta[0] < 0 else alpha * u + t
+
+
 class _Ladder(NamedTuple):
     """One operator of the table, shared by both families.
 
     `factor(n, a, b)` and `pointwise(n, a, b, x, u, du)` are the shifted
     forms on (0, 1), with n an int or an (m, 1) integer column.  The
+    pointwise form is alpha u + beta du, with beta = sign x**i w**j, w = 1 -
+    x, held as (sign, i, j), and `alpha(n, a, b, x, w, s)` homogeneous of
+    degree i + j - 1 in (x, w, s), s standing for 1 (a zero shaped as x at
+    degree -1), so that the row acts on a homogenized H(x, s) too.  The
     interval operator is the same one under x = (X + 1)/2, scaled by 2**e:
     its factor is 2**e times the shifted factor, and its pointwise form is
     2**e times the shifted form with du/dx = 2 du/dX.
@@ -309,37 +326,33 @@ class _Ladder(NamedTuple):
 
     move: tuple  # (dn, da, db)
     factor: Callable
-    pointwise: Callable
+    alpha: Callable
+    beta: tuple  # (sign, i, j)
     e: int
 
+    def pointwise(self, n, a, b, x, u, du):
+        w = 1 - x
+        return _affine(self.alpha(n, a, b, x, w, 1.0), u, self.beta, x, w, du)
 
-# (s, dagger) -> operator, in the sweep's case order.  Reordering an
-# expression moves the verify reports, which stay byte-identical.
+
+# (s, dagger) -> operator, in the sweep's case order.  Reordering an expression moves
+# results in the last bits, and with them the verify reports (byte-identical per seed).
 _LADDERS = {
-    (1, False): _Ladder((-1, 1, 1), lambda n, a, b: n + a + b + 1,
-        lambda n, a, b, x, u, du: du + 0.0 * x, -1),
-    (1, True): _Ladder((1, -1, -1), lambda n, a, b: n + 1.0,
-        lambda n, a, b, x, u, du: (x * a - (1 - x) * b) * u - x * (1 - x) * du, 1),
-    (2, False): _Ladder((0, 1, 0), lambda n, a, b: n + a + b + 1,
-        lambda n, a, b, x, u, du: (a + b + n + 1) * u + x * du, 0),
-    (2, True): _Ladder((0, -1, 0), lambda n, a, b: n + a,
-        lambda n, a, b, x, u, du: (a + (1 - x) * n) * u - x * (1 - x) * du, 1),
+    (1, False): _Ladder((-1, 1, 1), lambda n, a, b: n + a + b + 1, lambda n, a, b, x, w, s: 0.0 * x, (1, 0, 0), -1),
+    (1, True): _Ladder((1, -1, -1), lambda n, a, b: n + 1.0, lambda n, a, b, x, w, s: x * a - w * b, (-1, 1, 1), 1),
+    (2, False): _Ladder((0, 1, 0), lambda n, a, b: n + a + b + 1, lambda n, a, b, x, w, s: a + b + n + 1, (1, 1, 0), 0),
+    (2, True): _Ladder((0, -1, 0), lambda n, a, b: n + a, lambda n, a, b, x, w, s: a * s + w * n, (-1, 1, 1), 1),
     (3, False): _Ladder((0, 0, 1), lambda n, a, b: n + a + b + 1,
-        lambda n, a, b, x, u, du: (a + b + n + 1) * u - (1 - x) * du, 0),
-    (3, True): _Ladder((0, 0, -1), lambda n, a, b: n + b,
-        lambda n, a, b, x, u, du: (b + x * n) * u + x * (1 - x) * du, 1),
+        lambda n, a, b, x, w, s: a + b + n + 1, (-1, 0, 1), 0),
+    (3, True): _Ladder((0, 0, -1), lambda n, a, b: n + b, lambda n, a, b, x, w, s: b * s + x * n, (1, 1, 1), 1),
     (4, False): _Ladder((1, -1, 0), lambda n, a, b: n + 1.0,
-        lambda n, a, b, x, u, du: (x * a - (1 - x) * (b + n + 1)) * u - x * (1 - x) * du, 1),
-    (4, True): _Ladder((-1, 1, 0), lambda n, a, b: n + b,
-        lambda n, a, b, x, u, du: -n * u + x * du, 0),
+        lambda n, a, b, x, w, s: x * a - w * (b + n + 1), (-1, 1, 1), 1),
+    (4, True): _Ladder((-1, 1, 0), lambda n, a, b: n + b, lambda n, a, b, x, w, s: -n, (1, 1, 0), 0),
     (5, False): _Ladder((1, 0, -1), lambda n, a, b: n + 1.0,
-        lambda n, a, b, x, u, du: (x * (a + n + 1) - (1 - x) * b) * u - x * (1 - x) * du, 1),
-    (5, True): _Ladder((-1, 0, 1), lambda n, a, b: n + a,
-        lambda n, a, b, x, u, du: n * u + (1 - x) * du, 0),
-    (6, False): _Ladder((0, 1, -1), lambda n, a, b: n + b,
-        lambda n, a, b, x, u, du: b * u + x * du, 0),
-    (6, True): _Ladder((0, -1, 1), lambda n, a, b: n + a,
-        lambda n, a, b, x, u, du: a * u - (1 - x) * du, 0),
+        lambda n, a, b, x, w, s: x * (a + n + 1) - w * b, (-1, 1, 1), 1),
+    (5, True): _Ladder((-1, 0, 1), lambda n, a, b: n + a, lambda n, a, b, x, w, s: n, (1, 0, 1), 0),
+    (6, False): _Ladder((0, 1, -1), lambda n, a, b: n + b, lambda n, a, b, x, w, s: b, (1, 1, 0), 0),
+    (6, True): _Ladder((0, -1, 1), lambda n, a, b: n + a, lambda n, a, b, x, w, s: a, (-1, 0, 1), 0),
 }
 
 

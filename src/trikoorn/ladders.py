@@ -3,13 +3,15 @@
 Each of the 24 operators is one row of the `_LADDERS` table, which carries
 it in two forms that must agree: an index-space step (the move of (n, k)
 and of the parameters, and the factor of the target element) and a
-pointwise first-order differential expression applied to a jet.  Factors
-and coefficients are affine in (n, k), so every row takes n and k as ints
-or as (m, 1) integer columns, and one call covers all index pairs.  The
-composed identities recover derivative, conversion, multiplication, and
-eigenvalue relations from chains of at most two ladder applications;
-`_composition` evaluates them over index columns as well, and the public
-functions are its single-index case.
+pointwise first-order differential expression applied to a jet.  The rows
+are derived from the 12 of the jacobi.py table by two substitution rules,
+one acting on each factor of the element.  Factors and coefficients are
+affine in (n, k), so every row takes n and k as ints or as (m, 1) integer
+columns, and one call covers all index pairs.  The composed identities
+recover derivative, conversion, multiplication, and eigenvalue relations
+from chains of at most two ladder applications; `_composition` evaluates
+them over index columns as well, and the public functions are its
+single-index case.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .koornwinder import TriIndex, TriParams, _tri_core
-from .jacobi import _check_degree
+from .koornwinder import TriIndex, TriParams, _first_factor_param, _tri_core
+from .jacobi import _LADDERS as _JACOBI_LADDERS, _MONOMIALS, _affine
 
 __all__ = [
     "LadderId",
@@ -81,73 +83,55 @@ def all_ladder_ids():
 
 
 class _Ladder(NamedTuple):
-    """One catalogue row.
-
-    `factor(n, k, p)` and `pointwise(n, k, p, x, y, z, u, ux, uy)` accept n, k
-    as ints or as (m, 1) integer columns, so one call covers every index pair.
-    """
+    """One catalogue row: the move, `factor(n, k, p)`, `pointwise(n, k, p, x, y,
+    z, w, u, ux, uy)` with w = 1 - x, and whether the latter divides by w; n, k
+    are ints or (m, 1) integer columns, so one call covers every index pair."""
 
     move: tuple  # (dn, dk, da, db, dc, dd)
     factor: Callable
     pointwise: Callable
-    singular: bool = False  # coefficients divide by 1 - x
+    singular: bool
 
 
-# Reordering an expression moves results in the last bits, and with them the
-# verify reports, which are meant to stay byte-identical across versions.
+def _y_rule(op):
+    """Jacobi row op on the second factor H_k^{(c,b)}(y, 1-x): (n, a, b, x, w,
+    s) -> (k, c, b, y, z, 1-x), du -> u_y.  It maps H_k to its factor times
+    (1-x)**(i+j-1-dk) H_{k+dk}, so it divides by 1 - x where dk < i + j - 1."""
+    (dk, da, db), (_, i, j) = op.move, op.beta
+    singular = dk < i + j - 1
+
+    def pointwise(n, k, p, x, y, z, w, u, ux, uy):
+        v = _affine(op.alpha(k, p.c, p.b, y, z, w), u, op.beta, y, z, uy)
+        return v / w if singular else v
+
+    move = (dk, dk, 0, db, da, -(da + db) - 2 * dk)  # keeps 2k + b + c + d + 1
+    return _Ladder(move, lambda n, k, p: op.factor(k, p.c, p.b), pointwise, singular)
+
+
+def _x_rule(op):
+    """Jacobi row op on the first factor F_{n-k}^{(A, a)}(x), A = 2k + b + c + d +
+    1: (n, a, b) -> (n - k, A, a), du -> u_x + (k u - y u_y)/(1-x) by Euler's
+    identity for the second factor.  With g = beta/w, the image is (alpha + k g)
+    u + beta u_x - y g u_y, and g cancels the division unless j = 0."""
+    (dn, da, db), (sign, i, j) = op.move, op.beta
+    over_w = _MONOMIALS[i, j - 1]
+
+    def pointwise(n, k, p, x, y, z, w, u, ux, uy):
+        g = sign if over_w is None else sign * over_w(x, w)
+        alpha = op.alpha(n - k, _first_factor_param(k, p), p.a, x, w, 1.0)
+        return _affine(alpha + k * g, u, op.beta, x, w, ux) - (y * g) * uy
+
+    factor = lambda n, k, p: op.factor(n - k, _first_factor_param(k, p), p.a)
+    return _Ladder((dn, 0, db, 0, 0, da), factor, pointwise, j == 0)
+
+
+# Label s takes the Jacobi row s, the dagger flipped at one label per axis.  Reordering an
+# expression moves results in the last bits, and with them the verify reports.
 _LADDERS = {
-    ("y", 1, False): _Ladder((-1, -1, 0, 1, 1, 0), lambda n, k, p: k + p.b + p.c + 1,
-        lambda n, k, p, x, y, z, u, ux, uy: uy + 0.0 * x),
-    ("y", 1, True): _Ladder((1, 1, 0, -1, -1, 0), lambda n, k, p: k + 1.0,
-        lambda n, k, p, x, y, z, u, ux, uy: (y * p.c - z * p.b) * u - y * z * uy),
-    ("y", 2, False): _Ladder((0, 0, 0, 0, 1, -1), lambda n, k, p: k + p.b + p.c + 1,
-        lambda n, k, p, x, y, z, u, ux, uy: (k + p.b + p.c + 1) * u + y * uy),
-    ("y", 2, True): _Ladder((0, 0, 0, 0, -1, 1), lambda n, k, p: k + p.c,
-        lambda n, k, p, x, y, z, u, ux, uy: (p.c + k - y * k / (1 - x)) * u - (y / (1 - x)) * z * uy, True),
-    ("y", 3, False): _Ladder((0, 0, 0, 1, 0, -1), lambda n, k, p: k + p.b + p.c + 1,
-        lambda n, k, p, x, y, z, u, ux, uy: (k + p.b + p.c + 1) * u - z * uy),
-    ("y", 3, True): _Ladder((0, 0, 0, -1, 0, 1), lambda n, k, p: k + p.b,
-        lambda n, k, p, x, y, z, u, ux, uy: (p.b + k * y / (1 - x)) * u + (y / (1 - x)) * z * uy, True),
-    ("y", 4, False): _Ladder((1, 1, 0, 0, -1, -1), lambda n, k, p: k + 1.0,
-        lambda n, k, p, x, y, z, u, ux, uy: (y * p.c - z * (p.b + k + 1)) * u - y * z * uy),
-    ("y", 4, True): _Ladder((-1, -1, 0, 0, 1, 1), lambda n, k, p: k + p.b,
-        lambda n, k, p, x, y, z, u, ux, uy: -(k / (1 - x)) * u + (y / (1 - x)) * uy, True),
-    ("y", 5, False): _Ladder((1, 1, 0, -1, 0, -1), lambda n, k, p: k + 1.0,
-        lambda n, k, p, x, y, z, u, ux, uy: (y * (p.c + k + 1) - z * p.b) * u - y * z * uy),
-    ("y", 5, True): _Ladder((-1, -1, 0, 1, 0, 1), lambda n, k, p: k + p.c,
-        lambda n, k, p, x, y, z, u, ux, uy: (k / (1 - x)) * u + (1 - y / (1 - x)) * uy, True),
-    ("y", 6, False): _Ladder((0, 0, 0, 1, -1, 0), lambda n, k, p: k + p.c,
-        lambda n, k, p, x, y, z, u, ux, uy: p.c * u - z * uy),
-    ("y", 6, True): _Ladder((0, 0, 0, -1, 1, 0), lambda n, k, p: k + p.b,
-        lambda n, k, p, x, y, z, u, ux, uy: p.b * u + y * uy),
-    ("x", 1, False): _Ladder((-1, 0, 1, 0, 0, 1), lambda n, k, p: n + k + p.t + 2,
-        lambda n, k, p, x, y, z, u, ux, uy: (k / (1 - x)) * u + ux - (y / (1 - x)) * uy, True),
-    ("x", 1, True): _Ladder((1, 0, -1, 0, 0, -1), lambda n, k, p: n - k + 1.0,
-        lambda n, k, p, x, y, z, u, ux, uy: (x * (k + p.t + 1) - p.a) * u - x * (1 - x) * ux + x * y * uy),
-    ("x", 2, False): _Ladder((0, 0, 0, 0, 0, 1), lambda n, k, p: n + k + p.t + 2,
-        lambda n, k, p, x, y, z, u, ux, uy:
-        (n + k + p.t + 2 + x * k / (1 - x)) * u + x * ux - (x * y / (1 - x)) * uy, True),
-    ("x", 2, True): _Ladder((0, 0, 0, 0, 0, -1), lambda n, k, p: n + k + p.t - p.a + 1,
-        lambda n, k, p, x, y, z, u, ux, uy:
-        (n + k + p.b + p.c + p.d + 1 - x * n) * u - x * (1 - x) * ux + x * y * uy),
-    ("x", 3, False): _Ladder((0, 0, 1, 0, 0, 0), lambda n, k, p: n + k + p.t + 2,
-        lambda n, k, p, x, y, z, u, ux, uy: (n + p.t + 2) * u - (1 - x) * ux + y * uy),
-    ("x", 3, True): _Ladder((0, 0, -1, 0, 0, 0), lambda n, k, p: n - k + p.a,
-        lambda n, k, p, x, y, z, u, ux, uy: (p.a + x * n) * u + x * (1 - x) * ux - x * y * uy),
-    ("x", 4, False): _Ladder((1, 0, 0, 0, 0, -1), lambda n, k, p: n - k + 1.0,
-        lambda n, k, p, x, y, z, u, ux, uy:
-        (x * (n + p.t + 2) - p.a - n + k - 1) * u - x * (1 - x) * ux + x * y * uy),
-    ("x", 4, True): _Ladder((-1, 0, 0, 0, 0, 1), lambda n, k, p: n - k + p.a,
-        lambda n, k, p, x, y, z, u, ux, uy: (k / (1 - x) - n) * u + x * ux - (x * y / (1 - x)) * uy, True),
-    ("x", 5, False): _Ladder((-1, 0, 1, 0, 0, 0), lambda n, k, p: n + k + p.t - p.a + 1,
-        lambda n, k, p, x, y, z, u, ux, uy: n * u + (1 - x) * ux - y * uy),
-    ("x", 5, True): _Ladder((1, 0, -1, 0, 0, 0), lambda n, k, p: n - k + 1.0,
-        lambda n, k, p, x, y, z, u, ux, uy: (x * (n + p.t + 2) - p.a) * u - x * (1 - x) * ux + x * y * uy),
-    ("x", 6, False): _Ladder((0, 0, -1, 0, 0, 1), lambda n, k, p: n - k + p.a,
-        lambda n, k, p, x, y, z, u, ux, uy:
-        (p.a + x * k / (1 - x)) * u + x * ux - (x * y / (1 - x)) * uy, True),
-    ("x", 6, True): _Ladder((0, 0, 1, 0, 0, -1), lambda n, k, p: n + k + p.t - p.a + 1,
-        lambda n, k, p, x, y, z, u, ux, uy: (k + p.b + p.c + p.d + 1) * u - (1 - x) * ux + y * uy),
+    (axis, s, dagger): rule(_JACOBI_LADDERS[s, dagger != (s == flip)])
+    for axis, rule, flip in (("y", _y_rule, 6), ("x", _x_rule, 5))
+    for s in range(1, 7)
+    for dagger in (False, True)
 }
 
 
@@ -165,13 +149,15 @@ def _step(lid, n, k, params):
 def _pointwise(lid, n, k, params, x, y, u, ux, uy):
     """Apply one operator to jet data; n, k ints or columns broadcasting against u."""
     op = _entry(lid)
-    if op.singular and np.any(1.0 - x == 0.0):
+    w = 1.0 - x
+    if op.singular and np.any(w == 0.0):
         raise ValueError(f"operator {lid.label} divides by 1 - x and cannot be evaluated at x = 1")
-    return op.pointwise(n, k, params, x, y, 1.0 - x - y, u, ux, uy)
+    return op.pointwise(n, k, params, x, y, w - y, w, u, ux, uy)
 
 
 def ladder_factor(lid, idx, params):
     """Scalar factor multiplying the target element for one ladder application."""
+    idx.validate()
     return float(_entry(lid).factor(idx.n, idx.k, params))
 
 
@@ -193,8 +179,7 @@ def ladder_pointwise(lid, jet, pt, idx, params):
     Operators whose coefficients contain 1/(1-x) raise on the line x = 1;
     everything else is polynomial in (x, y) and evaluates anywhere.
     """
-    _check_degree(idx.n)
-    _check_degree(idx.k)
+    idx.validate()
     x = np.asarray(pt.x, dtype=float)
     y = np.asarray(pt.y, dtype=float)
     return _pointwise(lid, idx.n, idx.k, params, x, y, jet.u, jet.ux, jet.uy)

@@ -14,7 +14,6 @@ from math import exp, gamma, inf, isfinite, lgamma
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from ._text import rows_text
 from .jacobi import _shifted_table
@@ -101,6 +100,7 @@ def gauss_jacobi_rule(m, alpha, beta):
         mu0 = exp(sum(logs)) if sum(map(abs, logs)) * 2.2e-16 <= 1e-8 else 0.0
     if not (np.isfinite(diag).all() and np.isfinite(off).all() and 0.0 < mu0 < inf):
         raise overflow
+    from scipy.linalg import eigh_tridiagonal  # on first use: commands that build no rule skip its cost
     nodes, vecs = eigh_tridiagonal(diag, off)
     weights = mu0 * vecs[0, :] ** 2
     return (1 + nodes) / 2, weights

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import trikoorn as tk
+from trikoorn import ladders
 
 
 def _rng(tag):
@@ -127,6 +128,21 @@ def test_collapsed_edge_evaluation_policy(key):
             tk.ladder_pointwise(lid, jet, pt, idx, q)
     else:
         assert np.isfinite(tk.ladder_pointwise(lid, jet, pt, idx, q))
+
+
+def test_singular_flags_match_catalog():
+    # the flags are derived from the one-variable table; pin them as a set
+    assert {key for key, row in ladders._LADDERS.items() if row.singular} == _SINGULAR
+
+
+@pytest.mark.parametrize("idx", [tk.TriIndex(2, 5), tk.TriIndex(2.5, 1), tk.TriIndex(-2, -5)], ids=str)
+@pytest.mark.parametrize("call", ["ladder_factor", "ladder_step", "ladder_pointwise"])
+def test_public_functions_reject_invalid_indices(call, idx):
+    lid, q = tk.LadderId("y", 1, True), tk.TriParams(0.5, 0.5, 0.5, 0.5)
+    pt, jet = tk.TriPoint(0.3, 0.3), tk.Jet2(1.0, 0.5, -0.2)
+    args = (lid, jet, pt, idx, q) if call == "ladder_pointwise" else (lid, idx, q)
+    with pytest.raises(ValueError):
+        getattr(tk, call)(*args)
 
 
 def test_lowering_annihilates_bottom_mode():

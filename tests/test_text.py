@@ -129,9 +129,13 @@ def test_matrix_market_text_peak_stays_under_three_texts():
 
 
 def test_cli_import_loads_neither_fractions_nor_decimal():
-    # the power-of-ten table is built from Python ints on first use
+    # the power-of-ten table is built from Python ints on first use, and scipy
+    # is imported where a command first composes or builds a quadrature rule
     src = os.path.dirname(os.path.dirname(tk.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys; import trikoorn.cli; print('fractions' in sys.modules, 'decimal' in sys.modules)"
+    code = (
+        "import sys; import trikoorn.cli; "
+        "print('fractions' in sys.modules, 'decimal' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
