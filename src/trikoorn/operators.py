@@ -9,13 +9,14 @@ range.
 Every banded operator is one entry of a stencil table: column (n, k) maps
 to at most four rows (n+dn, k+dk), each with a rational coefficient in
 (n, k, a, b, c).  One evaluator applies a table entry to all columns at
-once with numpy; composition is a scipy.sparse product.  Explicit zeros
-are never stored.
+once with numpy; mult_same_* sums two entries' products path by path, equal
+bit for bit to `compose`, a scipy.sparse product and the package's only scipy
+use.  Explicit zeros are never stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -109,23 +110,24 @@ class SparseOp:
     def from_triplets(cls, domain, range, rows, cols, vals, name=""):
         """Operator from parallel (rows, cols, vals) arrays in any order.
 
-        Indices are checked against the basis sizes and the entries are
-        sorted into (column, row) order; a repeated (row, column) pair is
-        an error.  Zero values are kept as given.
+        Indices are checked against the basis sizes and unsorted entries are
+        sorted into (column, row) order; a repeated (row, column) pair is an
+        error.  Zero values are kept as given, in contiguous copies.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=float)
+        rows = np.array(rows, dtype=np.int64)
+        cols = np.array(cols, dtype=np.int64)
+        vals = np.array(vals, dtype=float)
         if rows.size:
             if rows.min() < 0 or rows.max() >= range.size:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= domain.size:
                 raise ValueError("column index out of range")
-            order = np.lexsort((rows, cols))
-            rows, cols, vals = rows[order], cols[order], vals[order]
             key = cols * (range.size + 1) + rows
-            if np.any(np.diff(key) == 0):
-                raise ValueError("duplicate (row, col) entry")
+            if not np.all(np.diff(key) > 0):
+                order = np.argsort(key, kind="stable")
+                rows, cols, vals, key = rows[order], cols[order], vals[order], key[order]
+                if np.any(np.diff(key) == 0):
+                    raise ValueError("duplicate (row, col) entry")
         return cls(domain, range, rows, cols, vals, name)
 
     @property
@@ -141,15 +143,11 @@ class SparseOp:
         return np.bincount(self.cols, minlength=self.domain.size)
 
 
-def _csc(op):
-    # imported on first use: commands that never compose or densify skip its import cost
-    import scipy.sparse as sp
-
-    return sp.csc_array((op.vals, (op.rows, op.cols)), shape=op.shape)
-
-
 def to_dense(op):
-    return _csc(op).toarray()
+    """Dense (range size, domain size) array of the operator; exact, as no entry repeats."""
+    out = np.zeros(op.shape)
+    out[op.rows, op.cols] = op.vals
+    return out
 
 
 def apply_op(op, vec):
@@ -173,7 +171,10 @@ def compose(f, g):
     """
     if f.domain != g.range:
         raise ValueError("inner bases do not match: f.domain != g.range")
-    prod = (_csc(f) @ _csc(g)).tocoo()
+    import scipy.sparse as sp  # on first call: no other path of the package imports scipy
+
+    fc, gc = (sp.csc_array((op.vals, (op.rows, op.cols)), shape=op.shape) for op in (f, g))
+    prod = (fc @ gc).tocoo()
     prod.eliminate_zeros()
     name = f"{f.name}*{g.name}" if f.name and g.name else ""
     return SparseOp.from_triplets(g.domain, f.range, prod.row, prod.col, prod.data, name)
@@ -279,11 +280,11 @@ _STENCILS = {
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _build(name, N, params):
-    """Evaluate the stencil of `name` over every column of the degree-N basis.
+def _stencil_terms(name, N, params):
+    """Domain and range tags of `name` at degree N, and {(dn, dk): (rows, vals, keep)} over every column.
 
-    Targets outside the range basis and exact zeros are dropped; a
-    non-finite entry or denominator raises ValueError.
+    keep drops targets outside the range basis and exact zeros; a vanishing
+    denominator or a kept entry that is not finite raises ValueError.
     """
     st = _STENCILS[name]
     if not isinstance(N, (int, np.integer)) or N < 0:
@@ -302,7 +303,6 @@ def _build(name, N, params):
     maxdeg = max(N + max(dn for dn, _, _ in st.terms), 0)
     ran = BasisTag(TriParams(*shifted, 0.0), st.weighted, maxdeg)
     n, k = _graded_indices(N)
-    cols = np.arange(n.size)
     den = 1.0
     for label, fn in st.dens:
         value = fn(n, k, *abc)
@@ -314,18 +314,56 @@ def _build(name, N, params):
             )
         den = den * value
     overflow = ~np.isfinite(np.broadcast_to(den, n.shape))
-    entries = []
+    terms = {}
     for dn, dk, num in st.terms:
         nr, kr = n + dn, k + dk
         v = num(n, k, *abc) / den
         keep = (kr >= 0) & (kr <= nr) & (nr <= maxdeg) & (v != 0.0)
         overflow |= keep & ~np.isfinite(v)
-        entries.append(((nr * (nr + 1) // 2 + kr)[keep], cols[keep], v[keep]))
+        terms[dn, dk] = (nr * (nr + 1) // 2 + kr, v, keep)
     if overflow.any():
         j = int(np.argmax(overflow))
         raise ValueError(f"{name} overflows float64 at (n, k) = ({n[j]}, {k[j]}) for (a, b, c) = {abc}")
-    rows, cols, vals = (np.concatenate(e) for e in zip(*entries))
-    return SparseOp.from_triplets(dom, ran, rows, cols, vals, name)
+    return dom, ran, terms
+
+
+def _sorted_op(dom, ran, terms, name):
+    """Operator from {(dn, dk): (rows, vals, keep)}; stacked in ascending (dn, dk), each column's rows ascend."""
+    rows, vals, keep = (np.stack(e, axis=1) for e in zip(*(terms[o] for o in sorted(terms))))
+    at = np.flatnonzero(keep)
+    return SparseOp.from_triplets(dom, ran, rows.ravel()[at], at // len(terms), vals.ravel()[at], name)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _build(name, N, params):
+    """Evaluate the stencil of `name` over every column of the degree-N basis; a mult_same_*
+    product sums each output offset from exact 0 over its paths in ascending middle index,
+    as a CSC product does, and drops exact zeros, so it equals `compose` bit for bit."""
+    if name not in _PRODUCTS:
+        return _sorted_op(*_stencil_terms(name, N, params), name)
+    conv, mult = _PRODUCTS[name][:2]
+    dom, mid, inner = _stencil_terms(mult, N, params)
+    _, ran, outer = _stencil_terms(conv, N + 1, mid.params)
+    sums = {}
+    for (dn1, dk1), (l, v1, keep1) in sorted(inner.items()):  # ascending middle index per column
+        l = np.where(keep1, l, 0)
+        for (dn2, dk2), (_, v2, keep2) in outer.items():
+            key = (dn1 + dn2, dk1 + dk2)
+            sums[key] = sums.get(key, 0.0) + np.where(keep1 & keep2[l], v1 * v2[l], 0.0)
+    n, k = _graded_indices(N)
+    terms = {(dn, dk): ((n + dn) * (n + dn + 1) // 2 + k + dk, v, v != 0) for (dn, dk), v in sums.items()}
+    return _sorted_op(dom, ran, terms, name)
+
+
+# the same-basis multiplications: (conversion, multiplication, doc)
+_PRODUCTS = {
+    "mult_same_x": ("conv_a", "mult_x", "Multiplication by x staying in the same basis, conv_a after mult_x;\n"
+                    "at most 3 entries per column."),
+    "mult_same_y": ("conv_b", "mult_y", "Multiplication by y staying in the same basis, conv_b after mult_y;\n"
+                    "at most 9 entries per column, the 3 x 3 index block {n-1, n, n+1} x {k-1, k, k+1}."),
+    "mult_same_z": ("conv_c", "mult_z", "Multiplication by z staying in the same basis, conv_c after mult_z;\n"
+                    "at most 9 entries per column."),
+}
 
 
 def _builder(name):
@@ -333,7 +371,7 @@ def _builder(name):
         return _build(name, N, params)
 
     build.__name__ = build.__qualname__ = f"build_{name}"
-    build.__doc__ = _STENCILS[name].doc
+    build.__doc__ = _PRODUCTS[name][2] if name in _PRODUCTS else _STENCILS[name].doc
     return build
 
 
@@ -349,34 +387,11 @@ build_conv_c = _builder("conv_c")
 build_mult_x = _builder("mult_x")
 build_mult_y = _builder("mult_y")
 build_mult_z = _builder("mult_z")
+build_mult_same_x = _builder("mult_same_x")
+build_mult_same_y = _builder("mult_same_y")
+build_mult_same_z = _builder("mult_same_z")
 build_eigen_k = _builder("eigen_k")
 build_eigen_n = _builder("eigen_n")
-
-
-def build_mult_same_x(N, params):
-    """Multiplication by x staying in the same basis (via conversion back).
-
-    Composes the conversion from (a-1, b, c) with x-multiplication; at most
-    3 entries per column.
-    """
-    mult = build_mult_x(N, params)
-    return replace(compose(build_conv_a(N + 1, mult.range.params), mult), name="mult_same_x")
-
-
-def build_mult_same_y(N, params):
-    """Multiplication by y staying in the same basis; at most 9 entries per column.
-
-    The composed stencil fills the full 3 x 3 index block
-    {n-1, n, n+1} x {k-1, k, k+1}.
-    """
-    mult = build_mult_y(N, params)
-    return replace(compose(build_conv_b(N + 1, mult.range.params), mult), name="mult_same_y")
-
-
-def build_mult_same_z(N, params):
-    """Multiplication by z staying in the same basis; at most 9 entries per column."""
-    mult = build_mult_z(N, params)
-    return replace(compose(build_conv_c(N + 1, mult.range.params), mult), name="mult_same_z")
 
 
 OP_BUILDERS = {

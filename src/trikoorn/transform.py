@@ -23,7 +23,6 @@ from .koornwinder import (
     _first_factor_param,
     _first_factors,
     _graded_indices,
-    _tri_tables,
     linear_to_index,
     point_rows,
     weight_eval,
@@ -60,50 +59,62 @@ class QuadRule:
     strength: int
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def gauss_jacobi_rule(m, alpha, beta):
     """Gauss rule with m nodes on (0, 1) for the weight x^beta (1-x)^alpha.
 
-    Built from the symmetric tridiagonal recurrence matrix; weights come
-    from the squared first components of the eigenvectors scaled by the
-    zeroth moment, so they are positive by construction.  Exact for
-    polynomials of degree <= 2m - 1; weights sum to B(beta+1, alpha+1).
+    Golub-Welsch in numpy: the nodes are the eigenvalues of the symmetric
+    tridiagonal recurrence matrix, each polished by one Newton step on the
+    orthonormal three-term recurrence p_j of that matrix; the weights are the
+    Christoffel numbers mu0 / sum_{j<m} p_j(x)^2 from the same recurrence,
+    positive by construction (mu0 itself at m = 1).  Exact for polynomials of
+    degree <= 2m - 1; weights sum to B(beta+1, alpha+1).  Equal-length
+    sequences of exponents give one rule per pair, as (pairs, m) arrays.
     Raises ValueError where float64 cannot hold the recurrence or that sum.
     """
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise ValueError(f"node count must be a positive integer, got {m!r}")
-    if alpha <= -1 or beta <= -1:
-        raise ValueError(f"weight exponents must exceed -1, got ({alpha}, {beta})")
-    a, b = float(alpha), float(beta)
-    diag, off = np.empty(m), np.empty(max(m - 1, 0))
-    overflow = ValueError(f"the {m}-node Gauss-Jacobi rule for exponents ({a}, {b}) is out of float64 range")
-    try:
-        diag[0] = (b - a) / (a + b + 2)
-        for i in range(1, m):
-            diag[i] = (b * b - a * a) / ((2 * i + a + b) * (2 * i + a + b + 2))
+    pairs = list(zip(np.atleast_1d(alpha), np.atleast_1d(beta)))
+    i = np.arange(m)
+    # off[:, m - 1] = 1 stays as padding, so the recurrence's last step yields p_m
+    diag, off, mu0 = np.empty((len(pairs), m)), np.ones((len(pairs), m)), np.empty((len(pairs), 1))
+    for r, (ea, eb) in enumerate(pairs):
+        if ea <= -1 or eb <= -1:
+            raise ValueError(f"weight exponents must exceed -1, got ({ea}, {eb})")
+        a, b = float(ea), float(eb)
+        s = 2 * i + a + b
+        diag[r] = (b * b - a * a) / (s * (s + 2))
+        diag[r, 0] = (b - a) / (a + b + 2)
+        off[r, : m - 1] = np.sqrt(4 * i * (i + a) * (i + b) * (i + a + b) / (s**2 * (s + 1) * (s - 1)))[1:]
         if m > 1:
             # the generic subdiagonal formula is 0/0 at i = 1 when a + b = -1
-            off[0] = np.sqrt(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b)))
-            for i in range(2, m):
-                num = 4 * i * (i + a) * (i + b) * (i + a + b)
-                den = (2 * i + a + b) ** 2 * (2 * i + a + b + 1) * (2 * i + a + b - 1)
-                off[i - 1] = np.sqrt(num / den)
-    except OverflowError:
-        raise overflow from None
-    try:
-        mu0 = gamma(a + 1) * gamma(b + 1) / gamma(a + b + 2)
-    except OverflowError:
-        mu0 = inf
-    if not isfinite(mu0):
-        # the gammas overflow where their ratio B(a+1, b+1) need not; the log
-        # form loses about 2.2e-16 * |log| of relative accuracy to cancellation
-        logs = (lgamma(a + 1), lgamma(b + 1), -lgamma(a + b + 2))
-        mu0 = exp(sum(logs)) if sum(map(abs, logs)) * 2.2e-16 <= 1e-8 else 0.0
-    if not (np.isfinite(diag).all() and np.isfinite(off).all() and 0.0 < mu0 < inf):
-        raise overflow
-    from scipy.linalg import eigh_tridiagonal  # on first use: commands that build no rule skip its cost
-    nodes, vecs = eigh_tridiagonal(diag, off)
-    weights = mu0 * vecs[0, :] ** 2
-    return (1 + nodes) / 2, weights
+            off[r, 0] = np.sqrt(4 * (1 + a) * (1 + b) / (s[1] ** 2 * (s[1] + 1)))
+        try:
+            mu0[r] = gamma(a + 1) * gamma(b + 1) / gamma(a + b + 2)
+        except OverflowError:
+            mu0[r] = inf
+        if not isfinite(mu0[r, 0]):
+            # the gammas overflow where their ratio B(a+1, b+1) need not; the log
+            # form loses about 2.2e-16 * |log| of relative accuracy to cancellation
+            logs = (lgamma(a + 1), lgamma(b + 1), -lgamma(a + b + 2))
+            mu0[r] = exp(sum(logs)) if sum(map(abs, logs)) * 2.2e-16 <= 1e-8 else 0.0
+        if not (np.isfinite(diag[r]).all() and np.isfinite(off[r]).all() and 0.0 < mu0[r, 0] < inf):
+            raise ValueError(f"the {m}-node Gauss-Jacobi rule for exponents ({a}, {b}) is out of float64 range")
+    J = np.zeros((len(pairs), m, m))
+    J[:, i, i], J[:, i[1:], i[:-1]] = diag, off[:, :-1]
+    x = np.linalg.eigvalsh(J).ravel()
+    # o_j p_{j+1} = (x - d_j) p_j - o_{j-1} p_{j-1} and its derivative, one flat row of
+    # coefficients per step j; K and D sum p_j^2 and p_j p_j' over j < m
+    d, inv, back = (np.repeat(c.T, m, axis=1) for c in (diag, 1 / off, np.roll(off, 1, axis=1) / off))
+    p, dp, pp, dpp, K, D = np.ones(x.size), *np.zeros((5, x.size))
+    for t, v, c in zip((x - d) * inv, inv, back):
+        K, D = K + p * p, D + p * dp
+        p, pp, dp, dpp = t * p - c * pp, p, t * dp - c * dpp + v * p, dp
+    # one Newton step x - p_m / p_m', with the sum moved along it to first order
+    dx = np.nan_to_num(-p / dp, nan=0.0, posinf=0.0, neginf=0.0)
+    K = (K + 2 * dx * D).reshape(mu0.size, m)
+    nodes, weights = (1 + (x + dx)).reshape(K.shape) / 2, mu0 / np.where(np.isnan(K), inf, K)
+    return (nodes, weights) if np.ndim(alpha) else (nodes[0], weights[0])
 
 
 def _duffy_factors(m, params):
@@ -113,8 +124,8 @@ def _duffy_factors(m, params):
         raise ValueError(
             f"s-direction exponent b+c+d+1 must exceed -1, got {params.b + params.c + params.d + 1}"
         )
-    return (*gauss_jacobi_rule(m, params.b + params.c + params.d + 1, params.a),
-            *gauss_jacobi_rule(m, params.c, params.b))
+    (s, t), (ws, wt) = gauss_jacobi_rule(m, [params.b + params.c + params.d + 1, params.c], [params.a, params.b])
+    return s, ws, t, wt
 
 
 def _duffy_points(s, t):
@@ -141,11 +152,14 @@ def _edge_tables(N, params, s, ws, t, wt):
 
     There P_{n,k}(s, (1-s) t) = E_r(s) Q_k(t): E_r(s) = P_{n,k}(s, 1-s) on the edge
     z = 0, Q_k = P~_k / P~_k(1).  den_r = (sum_i ws E_r^2)(sum_j wt Q_k^2) is the norm.
+    E_r = F_r(s) (1-s)^k P~_k(1) takes P~_k(1) from the row that normalizes Q, so
+    its roundoff cancels in den_r and in `analyze`'s numerator.
     """
     P = _shifted_table(N, params.c, params.b, np.append(t, 1.0))[0]
     Q = P[:, :-1] / P[:, -1:]
     k = _graded_indices(N)[1]
-    E = _tri_tables(N, params, s, 1 - s)[0]
+    F = _first_factors(N, _first_factor_param(np.arange(N + 1), params), params.a, s)[0]
+    E = F * (P[:, -1:] * (1 - s) ** np.arange(N + 1)[:, None])[k]
     den = np.einsum("ri,ri,i->r", E, E, ws) * ((Q * Q) @ wt)[k]
     return E, Q, k, den
 

@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +33,26 @@ def _read_coeffs(path):
 
 
 # --------------------------------------------------------------- exit codes
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--name", "runge", "--N", "20"],
+    ["solve", "--lambda", "2.5", "--rhs", "runge", "--N", "10"],
+    ["build-op", "--name", "mult_same_y", "--N", "10", "--a", "0.5", "--b", "1.5", "--c", "2.5"],
+    ["verify", "--suite", "operators"],
+    ["verify", "--suite", "eigen"],
+], ids=["expand", "solve", "build-op", "verify-operators", "verify-eigen"])
+def test_commands_import_no_scipy(argv, tmp_path):
+    # each command in a fresh process, as a user runs it
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import json, sys; from trikoorn import cli; rc = cli.main(json.loads(sys.argv[1])); "
+        "print(rc, sorted({m for m in sys.modules if m.split('.')[0] == 'scipy'}))"
+    )
+    argv = json.dumps(argv + ["--out", str(tmp_path / "out")])
+    out = subprocess.run([sys.executable, "-c", code, argv], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0 []"
 
 
 def test_info_exits_zero(capsys):

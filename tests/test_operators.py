@@ -1,5 +1,7 @@
 """Tests for the sparse coefficient-space operator builders."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,12 @@ def _fd_y(vec, pts, h=2e-3):
 
 
 _PSETS = [(0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 1.5, 2.5)]
+# the sets the Matrix Market byte-identity checks ran on; some builders refuse
+# (0, 0, 0) and (-0.5, 0.25, 3)
+_TEXT_PSETS = [
+    (0.25, 0.5, 0.75), (2.0, 2.0, 2.0), (1.5, 0.5, 2.5), (3.0, 0.1, 0.2),
+    (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (0.5, 1.5, 2.5), (-0.5, 0.25, 3.0),
+]
 
 
 # --------------------------------------------------------------- structure
@@ -186,6 +194,54 @@ def test_apply_rejects_mismatched_basis():
     )
     with pytest.raises(ValueError):
         tk.apply_op(op, wrong)
+
+
+def test_from_triplets_sorts_only_unsorted_input_and_owns_its_arrays():
+    tag = tk.BasisTag(tk.TriParams(0, 0, 0, 0), False, 2)
+    entry = np.dtype([("r", np.int64), ("c", np.int64), ("v", float)])
+    entries = np.array([(0, 0, 1.0), (2, 0, 2.0), (1, 3, 3.0), (5, 5, 4.0)], dtype=entry)
+    op = tk.SparseOp.from_triplets(tag, tag, entries["r"], entries["c"], entries["v"])
+    # a strided view of sorted input is copied, not kept
+    assert op.vals.flags.c_contiguous and not np.shares_memory(op.vals, entries)
+    shuffled = entries[[2, 0, 3, 1]]
+    again = tk.SparseOp.from_triplets(tag, tag, shuffled["r"], shuffled["c"], shuffled["v"])
+    for got, want in ((again.rows, op.rows), (again.cols, op.cols), (again.vals, op.vals)):
+        assert np.array_equal(got, want)
+    assert list(op.rows) == [0, 2, 1, 5] and list(op.cols) == [0, 0, 3, 5]
+    for rows in ([0, 0], [1, 0, 1]):
+        with pytest.raises(ValueError, match="duplicate"):
+            tk.SparseOp.from_triplets(tag, tag, rows, [4] * len(rows), np.ones(len(rows)))
+    with pytest.raises(ValueError, match="row index out of range"):
+        tk.SparseOp.from_triplets(tag, tag, [6], [0], [1.0])
+
+
+def test_to_dense_scatters_every_entry():
+    op = tk.build_mult_same_y(5, tk.TriParams(0.5, 1.5, 2.5, 0.0))
+    dense = tk.to_dense(op)
+    assert dense.shape == op.shape and np.count_nonzero(dense) == op.nnz
+    assert np.array_equal(dense[op.rows, op.cols], op.vals)
+
+
+@pytest.mark.parametrize("name, conv, mult", [
+    ("mult_same_x", "conv_a", "mult_x"), ("mult_same_y", "conv_b", "mult_y"), ("mult_same_z", "conv_c", "mult_z"),
+])
+def test_same_basis_multiplications_equal_the_composed_product(name, conv, mult):
+    # the stencil product against the scipy.sparse one, text and refusals alike
+    def text(op):
+        return ops.matrix_market_text(op) + ops.descriptor_text(op)
+
+    for pset in _TEXT_PSETS:
+        q = tk.TriParams(*pset, 0.0)
+        for N in (0, 1, 5, 40):
+            try:
+                inner = tk.OP_BUILDERS[mult](N, q)
+                want = text(replace(tk.compose(tk.OP_BUILDERS[conv](N + 1, inner.range.params), inner), name=name))
+            except ValueError as exc:
+                with pytest.raises(type(exc)) as got:
+                    tk.OP_BUILDERS[name](N, q)
+                assert str(got.value) == str(exc)
+            else:
+                assert text(tk.OP_BUILDERS[name](N, q)) == want, (pset, N)
 
 
 def test_compose_matches_dense_product():

@@ -1,7 +1,11 @@
 """Tests for quadrature rules, transforms, norms, and CSV storage."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +81,70 @@ def test_segment_rule_matches_reference_roots():
     order = np.argsort(xr)
     assert np.allclose(pts, (xr[order] + 1.0) / 2.0, atol=1e-12)
     assert np.allclose(w, wr[order] * 2.0 ** (-a - b - 1.0), atol=1e-13)
+
+
+# the Duffy factors' exponent pairs at the eight parameter sets of the Matrix
+# Market byte-identity checks, the pairs above, and (200, 0), whose gammas overflow
+_RULE_PAIRS = sorted(
+    {p for a, b, c in [(0.25, 0.5, 0.75), (2, 2, 2), (1.5, 0.5, 2.5), (3, 0.1, 0.2), (0, 0, 0), (1, 1, 1),
+                       (0.5, 1.5, 2.5), (-0.5, 0.25, 3)] for p in ((b + c + 1.0, float(a)), (float(c), float(b)))}
+    | {(1.5, 0.5), (1.0, 0.0), (0.0, 2.0), (200.0, 0.0)}
+)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 21, 34, 61, 101, 150, 201])
+def test_segment_rule_matches_reference_roots_up_to_201_nodes(m):
+    # The bounds are the eigenvector rule's own agreement with roots_jacobi on
+    # these pairs, when scipy.linalg built the rule: 4.4e-16 in the nodes, and in
+    # the weights 2.9e-13 relative up to m = 21 and 1.7e-8 up to m = 201.  At
+    # (200, 0) that rule lost its small weights (7e-3 relative at m = 21), and
+    # roots_jacobi's own weights there are about 1.6e-13 off.
+    for a, b in _RULE_PAIRS:
+        pts, w = tk.gauss_jacobi_rule(m, a, b)
+        xr, wr = roots_jacobi(m, a, b)
+        order = np.argsort(xr)
+        xr, wr = (xr[order] + 1.0) / 2.0, wr[order] * 2.0 ** (-a - b - 1.0)
+        wtol = (2.8e-13 if a < 200 else 1e-12) if m <= 21 else 1e-9
+        assert np.max(np.abs(pts - xr)) <= 2.0**-51, (a, b)
+        assert np.max(np.abs(w - wr) / wr) <= wtol, (a, b)
+
+
+def test_stacked_segment_rules_equal_the_single_ones():
+    for m in (1, 2, 7, 40):
+        pts, w = tk.gauss_jacobi_rule(m, [1.5, -0.5, 200.0], [0.25, 3.0, 0.0])
+        assert pts.shape == w.shape == (3, m)
+        for r, (a, b) in enumerate([(1.5, 0.25), (-0.5, 3.0), (200.0, 0.0)]):
+            one = tk.gauss_jacobi_rule(m, a, b)
+            assert np.array_equal(pts[r], one[0]) and np.array_equal(w[r], one[1])
+
+
+def test_segment_rules_do_not_depend_on_the_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    code = (
+        "import hashlib, trikoorn as tk; h = hashlib.sha256()\n"
+        "for m in (1, 2, 21, 101, 201, 401):\n"
+        "    for a, b in ((0.0, 0.0), (5.0, 0.5), (-0.9, -0.9), (2.5, 1.5), (200.0, 0.0)):\n"
+        "        for v in tk.gauss_jacobi_rule(m, a, b): h.update(v.tobytes())\n"
+        "print(h.hexdigest())"
+    )
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
+
+
+def test_segment_rule_warns_at_no_edge_of_float64():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1, 4, 101, 401):
+            _, w = tk.gauss_jacobi_rule(m, 200.0, 0.0)
+            assert abs(w.sum() - 1.0 / 201.0) < 1e-13 / 201.0
+        for m, a, b in [(3, 1.0, 1e300), (1, 1.0, 1e300), (2, 1e7, 0.0), (3, 1e150, 1e150)]:
+            with pytest.raises(ValueError, match="out of float64 range"):
+                tk.gauss_jacobi_rule(m, a, b)
 
 
 def test_segment_rule_rejects_bad_arguments():
