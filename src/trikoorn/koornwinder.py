@@ -238,15 +238,17 @@ def _first_factors(N, A, b, x, nderiv=0):
     return tabs.reshape((nderiv + 1,) + A.shape[:-1] + (basis_size(N), x.shape[-1]))
 
 
-def _tri_tables(N, params, x, y, partials=False):
+def _tri_tables(N, params, x, y, partials=False, second=None):
     """Tables of all basis elements of degree <= N at raw coordinate arrays.
 
     params is one TriParams, or a list of them: one kernel call then builds
     the first factors of every family and one the second factors, and x and
     y may then be (len(params), npts), one point row per family.  Returns
     (U, UX, UY), each of shape (basis_size(N), npts), with a leading family
-    axis for a list; the partial tables are None unless requested.  No
-    parameter validation (used on ladder-target families too).
+    axis for a list; the partial tables are None unless requested.  second,
+    if given, is an (N + 1, npts) table by k that every family takes in place
+    of its second factors H_k(y, 1 - x), without partials.  No parameter
+    validation (used on ladder-target families too).
     """
     fams = [params] if isinstance(params, TriParams) else params
     xf, yf = (np.asarray(v, dtype=float) for v in (x, y))
@@ -257,7 +259,10 @@ def _tri_tables(N, params, x, y, partials=False):
     tabs = _first_factors(N, A, cols.a[:, 0], xf, 1 if partials else 0)
     U, UX = tabs[0], (tabs[1] if partials else None)
     UY = np.empty_like(U) if partials else None
-    H, Hy, Hs = _homog_table(N, cols.c[:, 0], cols.b[:, 0], yf, 1.0 - xf, partials=partials)
+    if second is None:
+        H, Hy, Hs = _homog_table(N, cols.c[:, 0], cols.b[:, 0], yf, 1.0 - xf, partials=partials)
+    else:
+        H = second[None]
     # degree block n holds k = 0..n, so it meets H[:, :n + 1] row by row
     for n in range(N + 1):
         blk = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)

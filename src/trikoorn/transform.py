@@ -23,6 +23,7 @@ from .koornwinder import (
     _first_factor_param,
     _first_factors,
     _graded_indices,
+    _tri_tables,
     linear_to_index,
     point_rows,
     weight_eval,
@@ -153,13 +154,13 @@ def _edge_tables(N, params, s, ws, t, wt):
     There P_{n,k}(s, (1-s) t) = E_r(s) Q_k(t): E_r(s) = P_{n,k}(s, 1-s) on the edge
     z = 0, Q_k = P~_k / P~_k(1).  den_r = (sum_i ws E_r^2)(sum_j wt Q_k^2) is the norm.
     E_r = F_r(s) (1-s)^k P~_k(1) takes P~_k(1) from the row that normalizes Q, so
-    its roundoff cancels in den_r and in `analyze`'s numerator.
+    its roundoff cancels in den_r and in `analyze`'s numerator; the homogenized
+    second factor at y = 1 - s carries up to 2e-15 of it.
     """
     P = _shifted_table(N, params.c, params.b, np.append(t, 1.0))[0]
     Q = P[:, :-1] / P[:, -1:]
     k = _graded_indices(N)[1]
-    F = _first_factors(N, _first_factor_param(np.arange(N + 1), params), params.a, s)[0]
-    E = F * (P[:, -1:] * (1 - s) ** np.arange(N + 1)[:, None])[k]
+    E = _tri_tables(N, params, s, 1 - s, second=P[:, -1:] * (1 - s) ** np.arange(N + 1)[:, None])[0]
     den = np.einsum("ri,ri,i->r", E, E, ws) * ((Q * Q) @ wt)[k]
     return E, Q, k, den
 
