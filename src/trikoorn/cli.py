@@ -37,6 +37,8 @@ from .ladders import (
     _composition,
     _composition_families,
     _pointwise,
+    _second_order_k,
+    _second_order_n,
     _step,
     all_ladder_ids,
 )
@@ -546,25 +548,6 @@ def _hessian_jets(N, params, x, y):
     uyy = fy * qy_y
     uxx = (fx * qx_x - (n - 1) * ux + y * uxy) / (1.0 - x)
     return u, ux, uy, uxx, uxy, uyy
-
-
-def _second_order_k(params, x, y, jets):
-    u, ux, uy, uxx, uxy, uyy = jets
-    b, c = params.b, params.c
-    return (1.0 - x - y) * y * uyy + ((1.0 + b) * (1.0 - x) - (2.0 + b + c) * y) * uy
-
-
-def _second_order_n(params, x, y, jets):
-    u, ux, uy, uxx, uxy, uyy = jets
-    a, b, c = params.a, params.b, params.c
-    t = a + b + c + 3.0
-    return (
-        x * (1.0 - x) * uxx
-        - 2.0 * x * y * uxy
-        + y * (1.0 - y) * uyy
-        + (a + 1.0 - t * x) * ux
-        + (b + 1.0 - t * y) * uy
-    )
 
 
 def _times(factor):
@@ -1096,7 +1079,7 @@ def main(argv=None):
         return int(code)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

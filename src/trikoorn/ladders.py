@@ -11,7 +11,11 @@ columns, and one call covers all index pairs.  The composed identities
 recover derivative, conversion, multiplication, and eigenvalue relations
 from chains of at most two ladder applications; `_composition` evaluates
 them over index columns as well, and the public functions are its
-single-index case.
+single-index case.  The chains are the one source of the banded stencils of
+operators.py and of the gradient expansion `_ladder_gradient`: a chain
+term's coefficient is the product of its ladder factors.  The two
+second-order (eigen) operators are written here once, for the ladder
+identities and the operator sweeps of cli.py.
 """
 
 from __future__ import annotations
@@ -235,25 +239,36 @@ def _x(s, dagger=False):
     return LadderId("x", s, dagger)
 
 
+def _chain_move(outer, inner):
+    """Net move (dn, dk, da, db, dc, dd) of the chain term outer(inner(.)); inner None is outer alone."""
+    return tuple(sum(d) for d in zip(*(_entry(lid).move for lid in (outer, inner) if lid is not None)))
+
+
+def _chain_factor(outer, inner, n, k, params):
+    """Factor of the chain term outer(inner(P_{n,k})): the product of its ladder factors."""
+    if inner is None:
+        return _entry(outer).factor(n, k, params)
+    f, n, k, params = _step(inner, n, k, params)
+    return f * _entry(outer).factor(n, k, params)
+
+
 def _ladder_gradient(n, k, params):
     """Gradient of P_{n,k} as ladder-step data: lists of (coef, n', k', params').
 
-    Uses the d = 0 differentiation expansions; the x-expansion divides by
-    2k + b + c + 1.  Also returns the mask of (n, k) where that divisor
-    vanishes; coefficients there are finite filler.  The targets are shifts
-    of params, so params may hold arrays.
+    u_x is the DX_IDENTITY chain divided by 2k + b + c + 1, u_y the y1 ladder
+    (d = 0).  Also returns the mask of (n, k) where that divisor vanishes;
+    coefficients there are finite filler.  The targets are shifts of params,
+    so params may hold arrays.
     """
-    a, b, c = params.a, params.b, params.c
-    den = 2 * k + b + c + 1
+    den = 2 * k + params.b + params.c + 1
     degenerate = np.abs(den) < 1e-9
     den = np.where(degenerate, 1.0, den)
-    px = params.shifted(1, 0, 1, 0)
-    gx = [
-        ((n + k + a + b + c + 2) * (k + b + c + 1) / den, n - 1, k, px),
-        ((k + b) * (n + k + b + c + 1) / den, n - 1, k - 1, px),
-    ]
-    gy = [(k + b + c + 1, n - 1, k - 1, params.shifted(0, 1, 1, 0))]
-    return gx, gy, degenerate
+    gx = []
+    for sign, outer, inner in _CHAINS[CompositionId.DX_IDENTITY]:
+        dn, dk, *shift = _chain_move(outer, inner)
+        f = _chain_factor(outer, inner, n, k, params)
+        gx.append((sign * f / den, n + dn, k + dk, params.shifted(*shift)))
+    return gx, [_step(_y(1), n, k, params)], degenerate
 
 
 # Ladder side of the chain identities: (sign, outer, inner) terms summed in
@@ -317,19 +332,38 @@ def _chain_sum(terms, n, k, params, x, y, ev, jet):
     return left
 
 
+def _second_order_k(params, x, y, jets):
+    """The y-eigen operator on the jets (u, ux, uy, uxx, uxy, uyy); it reads uy and uyy."""
+    _, _, uy, _, _, uyy = jets
+    b, c = params.b, params.c
+    return (1.0 - x - y) * y * uyy + ((1.0 + b) * (1.0 - x) - (2.0 + b + c) * y) * uy
+
+
+def _second_order_n(params, x, y, jets):
+    """The degree-eigen operator on the jets (u, ux, uy, uxx, uxy, uyy)."""
+    _, ux, uy, uxx, uxy, uyy = jets
+    a, b, c = params.a, params.b, params.c
+    t = a + b + c + 3.0
+    return (
+        x * (1.0 - x) * uxx
+        - 2.0 * x * y * uxy
+        + y * (1.0 - y) * uyy
+        + (a + 1.0 - t * x) * ux
+        + (b + 1.0 - t * y) * uy
+    )
+
+
 def _eig_k_left(n, k, params, x, y, ev):
     """y-eigen operator applied through two y1 ladder steps."""
-    b, c = params.b, params.c
     f1, n1, k1, p1 = _step(_y(1), n, k, params)
     f2, n2, k2, p2 = _step(_y(1), n1, k1, p1)
     duy = f1 * ev(n1, k1, p1, False)[0]
     duyy = f1 * f2 * ev(n2, k2, p2, False)[0]
-    return (1.0 - x - y) * y * duyy + ((1 + b) * (1 - x) - (2 + b + c) * y) * duy
+    return _second_order_k(params, x, y, (None, None, duy, None, None, duyy))
 
 
 def _eig_n_left(n, k, params, x, y, ev):
     """Degree-eigen operator applied through the gradient expansions, plus the degenerate mask."""
-    a, b, c = params.a, params.b, params.c
     gx, gy, degenerate = _ladder_gradient(n, k, params)
     dux = sum(cf * ev(n1, k1, p1, False)[0] for cf, n1, k1, p1 in gx)
     duy = sum(cf * ev(n1, k1, p1, False)[0] for cf, n1, k1, p1 in gy)
@@ -343,14 +377,7 @@ def _eig_n_left(n, k, params, x, y, ev):
         _, g2y, deg = _ladder_gradient(n1, k1, p1)
         degenerate = degenerate | deg & _in_range(n1, k1)
         duyy += cf * sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2y)
-    left = (
-        x * (1 - x) * duxx
-        - 2 * x * y * duxy
-        + y * (1 - y) * duyy
-        + (a + 1 - (a + b + c + 3) * x) * dux
-        + (b + 1 - (a + b + c + 3) * y) * duy
-    )
-    return left, degenerate
+    return _second_order_n(params, x, y, (None, dux, duy, duxx, duxy, duyy)), degenerate
 
 
 def _composition_families(cid, params):

@@ -8,10 +8,13 @@ range.
 
 Every banded operator is one entry of a stencil table: column (n, k) maps
 to at most four rows (n+dn, k+dk), each with a rational coefficient in
-(n, k, a, b, c).  One evaluator applies a table entry to all columns at
-once with numpy; mult_same_* sums two entries' products path by path, equal
-bit for bit to `compose`, a scipy.sparse product and the package's only scipy
-use.  Explicit zeros are never stored.
+(n, k, a, b, c).  The entries are derived from the ladder chains of
+ladders.py: a term's numerator is the product of its chain's ladder factors
+and its denominator the closed form's scale; only the two diagonal
+eigenvalue operators are written out.  One evaluator applies a table entry
+to all columns at once with numpy; mult_same_* sums two entries' products
+path by path, equal bit for bit to `compose`, a scipy.sparse product and the
+package's only scipy use.  Explicit zeros are never stored.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from ._text import rows_text
 from .koornwinder import TriParams, _graded_indices, basis_size
-from .ladders import DegenerateParameterError
+from .ladders import _CHAINS, CompositionId, DegenerateParameterError, LadderId, _chain_factor, _chain_move
 
 __all__ = [
     "BasisTag",
@@ -199,75 +202,57 @@ class _Stencil(NamedTuple):
 _DN = ("2n+a+b+c+2", lambda n, k, a, b, c: 2 * n + a + b + c + 2)
 _DK = ("2k+b+c+1", lambda n, k, a, b, c: 2 * k + b + c + 1)
 
-# The coefficients are written exactly as the closed forms evaluate them:
-# reordering a product or sum would change the stored values at roundoff.
+
+def _chain_numerator(sign, outer, inner):
+    """numerator(n, k, a, b, c): sign times the factor of the chain term outer(inner(P_{n,k}))."""
+
+    def numerator(n, k, a, b, c):
+        f = _chain_factor(outer, inner, n, k, TriParams(a, b, c))
+        return f if sign > 0 else -f
+
+    return numerator
+
+
+def _chain_stencil(doc, weighted, chain, sign, dens):
+    """Stencil of the operator whose closed form, sign times the product of
+    dens times it, equals the ladder chain: one term per chain term, at the
+    term's net move of (n, k), and the exponent shift the net move they share."""
+    terms, shifts = [], set()
+    for s, outer, inner in chain:
+        dn, dk, da, db, dc, _ = _chain_move(outer, inner)
+        terms.append((dn, dk, _chain_numerator(s * sign, outer, inner)))
+        shifts.add((da, db, dc))
+    (shift,) = shifts
+    return _Stencil(doc, shift, weighted, dens, tuple(terms))
+
+
+# Every banded stencil but the diagonal two is a ladder chain of the composed
+# identities over its closed form's scale, sign times the product of dens.
 _STENCILS = {
-    "diff_x": _Stencil("d/dx as a map into the (a+1, b, c+1) basis, degrees N -> N-1.",
-        (1, 0, 1), False, (_DK,), (
-            (-1, 0, lambda n, k, a, b, c: (n + k + a + b + c + 2) * (k + b + c + 1)),
-            (-1, -1, lambda n, k, a, b, c: (k + b) * (n + k + b + c + 1)),
-        )),
-    "diff_y": _Stencil("d/dy as a map into the (a, b+1, c+1) basis, degrees N -> N-1.",
-        (0, 1, 1), False, (), (
-            (-1, -1, lambda n, k, a, b, c: k + b + c + 1),
-        )),
-    "diff_z": _Stencil("Third-direction derivative (uy - ux) into the (a+1, b+1, c) basis.",
-        (1, 1, 0), False, (_DK,), (
-            (-1, 0, lambda n, k, a, b, c: -(n + k + a + b + c + 2) * (k + b + c + 1)),
-            (-1, -1, lambda n, k, a, b, c: (k + c) * (n + k + b + c + 1)),
-        )),
-    "weighted_diff_x": _Stencil("d/dx on the weighted basis, into the weighted (a-1, b, c-1) basis.",
-        (-1, 0, -1), True, (_DK,), (
-            (1, 0, lambda n, k, a, b, c: -(k + c) * (n - k + 1)),
-            (1, 1, lambda n, k, a, b, c: -(k + 1) * (n - k + a)),
-        )),
-    "weighted_diff_y": _Stencil("d/dy on the weighted basis, into the weighted (a, b-1, c-1) basis.",
-        (0, -1, -1), True, (), (
-            (1, 1, lambda n, k, a, b, c: -(k + 1.0)),
-        )),
-    "weighted_diff_z": _Stencil("Third-direction derivative on the weighted basis, into weighted (a-1, b-1, c).",
-        (-1, -1, 0), True, (_DK,), (
-            (1, 0, lambda n, k, a, b, c: (k + b) * (n - k + 1)),
-            (1, 1, lambda n, k, a, b, c: -(k + 1) * (n - k + a)),
-        )),
-    "conv_a": _Stencil("Identity map re-expanded in the (a+1, b, c) basis.",
-        (1, 0, 0), False, (_DN,), (
-            (0, 0, lambda n, k, a, b, c: n + k + a + b + c + 2),
-            (-1, 0, lambda n, k, a, b, c: n + k + b + c + 1),
-        )),
-    "conv_b": _Stencil("Identity map re-expanded in the (a, b+1, c) basis.",
-        (0, 1, 0), False, (_DN, _DK), (
-            (0, 0, lambda n, k, a, b, c: (n + k + a + b + c + 2) * (k + b + c + 1)),
-            (-1, 0, lambda n, k, a, b, c: -(n - k + a) * (k + b + c + 1)),
-            (-1, -1, lambda n, k, a, b, c: (k + c) * (n + k + b + c + 1)),
-            (0, -1, lambda n, k, a, b, c: -(k + c) * (n - k + 1)),
-        )),
-    "conv_c": _Stencil("Identity map re-expanded in the (a, b, c+1) basis.",
-        (0, 0, 1), False, (_DN, _DK), (
-            (0, 0, lambda n, k, a, b, c: (n + k + a + b + c + 2) * (k + b + c + 1)),
-            (-1, 0, lambda n, k, a, b, c: -(n - k + a) * (k + b + c + 1)),
-            (-1, -1, lambda n, k, a, b, c: -(k + b) * (n + k + b + c + 1)),
-            (0, -1, lambda n, k, a, b, c: (k + b) * (n - k + 1)),
-        )),
-    "mult_x": _Stencil("Multiplication by x into the (a-1, b, c) basis; requires a > 0.",
-        (-1, 0, 0), False, (_DN,), (
-            (0, 0, lambda n, k, a, b, c: n - k + a),
-            (1, 0, lambda n, k, a, b, c: n - k + 1),
-        )),
-    "mult_y": _Stencil("Multiplication by y into the (a, b-1, c) basis; requires b > 0.",
-        (0, -1, 0), False, (_DN, _DK), (
-            (0, 0, lambda n, k, a, b, c: (k + b) * (n + k + b + c + 1)),
-            (0, 1, lambda n, k, a, b, c: -(k + 1) * (n - k + a)),
-            (1, 0, lambda n, k, a, b, c: -(k + b) * (n - k + 1)),
-            (1, 1, lambda n, k, a, b, c: (k + 1) * (n + k + a + b + c + 2)),
-        )),
-    "mult_z": _Stencil("Multiplication by z into the (a, b, c-1) basis; requires c > 0.",
-        (0, 0, -1), False, (_DN, _DK), (
-            (0, 0, lambda n, k, a, b, c: (k + c) * (n + k + b + c + 1)),
-            (0, 1, lambda n, k, a, b, c: (k + 1) * (n - k + a)),
-            (1, 0, lambda n, k, a, b, c: -(k + c) * (n - k + 1)),
-            (1, 1, lambda n, k, a, b, c: -(k + 1) * (n + k + a + b + c + 2)),
-        )),
+    "diff_x": _chain_stencil("d/dx as a map into the (a+1, b, c+1) basis, degrees N -> N-1.",
+        False, _CHAINS[CompositionId.DX_IDENTITY], 1, (_DK,)),
+    "diff_y": _chain_stencil("d/dy as a map into the (a, b+1, c+1) basis, degrees N -> N-1.",
+        False, ((1, LadderId("y", 1), None),), 1, ()),
+    "diff_z": _chain_stencil("Third-direction derivative (uy - ux) into the (a+1, b+1, c) basis.",
+        False, _CHAINS[CompositionId.DZ_IDENTITY], -1, (_DK,)),
+    "weighted_diff_x": _chain_stencil("d/dx on the weighted basis, into the weighted (a-1, b, c-1) basis.",
+        True, _CHAINS[CompositionId.WDX_IDENTITY], -1, (_DK,)),
+    "weighted_diff_y": _chain_stencil("d/dy on the weighted basis, into the weighted (a, b-1, c-1) basis.",
+        True, _CHAINS[CompositionId.WDY_IDENTITY], -1, ()),
+    "weighted_diff_z": _chain_stencil("Third-direction derivative on the weighted basis, into weighted (a-1, b-1, c).",
+        True, _CHAINS[CompositionId.WDZ_IDENTITY], 1, (_DK,)),
+    "conv_a": _chain_stencil("Identity map re-expanded in the (a+1, b, c) basis.",
+        False, _CHAINS[CompositionId.CONV_A], 1, (_DN,)),
+    "conv_b": _chain_stencil("Identity map re-expanded in the (a, b+1, c) basis.",
+        False, _CHAINS[CompositionId.CONV_B], 1, (_DN, _DK)),
+    "conv_c": _chain_stencil("Identity map re-expanded in the (a, b, c+1) basis.",
+        False, _CHAINS[CompositionId.CONV_C], 1, (_DN, _DK)),
+    "mult_x": _chain_stencil("Multiplication by x into the (a-1, b, c) basis; requires a > 0.",
+        False, _CHAINS[CompositionId.MULT_X], 1, (_DN,)),
+    "mult_y": _chain_stencil("Multiplication by y into the (a, b-1, c) basis; requires b > 0.",
+        False, _CHAINS[CompositionId.MULT_Y], 1, (_DN, _DK)),
+    "mult_z": _chain_stencil("Multiplication by z into the (a, b, c-1) basis; requires c > 0.",
+        False, _CHAINS[CompositionId.MULT_Z], 1, (_DN, _DK)),
     "eigen_k": _Stencil("Diagonal operator with entries -k(k+b+c+1) (the k-degree eigenvalues).",
         (0, 0, 0), False, (), (
             (0, 0, lambda n, k, a, b, c: -k * (k + b + c + 1)),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import trikoorn as tk
-from trikoorn import cli, operators
+from trikoorn import cli, ladders, operators
 from trikoorn.cli import main
 from trikoorn.ladders import _NEEDS_D0
 
@@ -113,6 +113,23 @@ def test_bad_tolerance_scale_is_usage_error(scale, monkeypatch, capsys):
 def test_bad_numeric_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert "argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-op", "--name", "diff_x", "--N", "3"],
+        ["expand", "--name", "one", "--N", "3"],
+        ["solve", "--lambda", "1", "--rhs", "one", "--N", "3"],
+        ["verify", "--suite", "eigen"],
+    ],
+)
+def test_an_unwritable_out_path_is_usage_error(argv, tmp_path, capsys):
+    # verify passes every suite here, so exit 1 would misreport a failure
+    out = tmp_path / "missing" / "r"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
 
 
 def test_finite_parameters_outside_the_domain_exit_three(capsys):
@@ -389,6 +406,20 @@ def test_verify_operators_fails_on_a_small_stencil_defect(name, term, factor, bl
         assert main(["verify", "--suite", "operators", "--seed", str(seed), "--out", str(out)]) == 1
         worst = json.loads((tmp_path / "r.txt.json").read_text())["suites"][0]["worst_case"]
         assert (worst["block"], worst["id"]) == (block, name)
+
+
+def test_verify_operators_fails_on_a_small_ladder_defect(monkeypatch, tmp_path):
+    # conv_a's stencil is the x3 chain of the ladder table, so a relative 1e-10
+    # defect in that one ladder factor moves the partition of unity to 2.6e-9
+    key = ("x", 3, False)
+    op = ladders._LADDERS[key]
+    defect = op._replace(factor=lambda n, k, p: op.factor(n, k, p) * (1 + 1e-10))
+    monkeypatch.setitem(ladders._LADDERS, key, defect)
+    out = tmp_path / "r.txt"
+    for seed in (0, 1, 14):
+        assert main(["verify", "--suite", "operators", "--seed", str(seed), "--out", str(out)]) == 1
+        worst = json.loads((tmp_path / "r.txt.json").read_text())["suites"][0]["worst_case"]
+        assert (worst["block"], worst["id"]) == ("structure", "partition_of_unity")
 
 
 def test_verify_operators_passes_on_a_seed_that_defeated_finite_differences(tmp_path):
