@@ -23,6 +23,8 @@ from .koornwinder import (
     TriParams,
     TriIndex,
     TriPoint,
+    _Factors,
+    _move,
     _first_factors,
     _first_factor_param,
     _graded_indices,
@@ -97,13 +99,17 @@ _JAC_FAMILIES = (
     ("shifted", 0.0, lambda x: x, False),
 )
 _TRI_GRID = (-0.5, 0.0, 0.5, 1.5)
-# parameter sets per chunk of the ladders sweep, the 8 that share (a, b): a
-# chunk holds about 0.35 MB per set at its peak, which adds to verify's peak
-# RSS, and the time saved levels off past about 8
+# parameter sets per chunk of the ladders sweep, the 8 that share (a, b).
+# Memory bounds the chunk, not time: a chunk holds about 0.27 MB per set at
+# its peak, which sets verify's peak RSS, while a chunk of 16 still takes
+# about 15% less time than one of 8
 _LADDER_CHUNK = 8
+# sets with d = 0 per run of the d = 0 identities, which read 11 families
+# with partials or for values: 4 of them peak below a chunk of 8
+_D0_BATCH = 4
 # parameter sets per chunk of the appendix sweep: a chunk holds about 0.09 MB
-# per set at its peak, so 16 sets hold half the ladders sweep's peak (1.5 MB
-# against 2.9 MB), which sets verify's peak RSS
+# per set at its peak, so 16 sets hold less than the ladders sweep's peak (1.5
+# MB against 2.4 MB), which sets verify's peak RSS
 _LINK_CHUNK = 16
 
 _OPERATOR_PARAM_SETS = (
@@ -238,65 +244,6 @@ def _rows(tabs, e, n, k):
     return rows
 
 
-def _set_values(q, S):
-    """(S, 4) parameters of a TriParams whose fields are scalars or hold one value per set on their first axis."""
-    out = np.empty((S, 4))
-    for i, v in enumerate((q.a, q.b, q.c, q.d)):
-        out[:, i] = np.reshape(v, (S, -1))[:, 0] if np.ndim(v) else v
-    return out
-
-
-def _families(reads, S):
-    """The distinct families among (q, need) pairs over S parameter sets.
-
-    Returns their parameters in each set, (C, S, 4), the sets that read
-    each, (C, S), the union over its pairs, and each pair's family.
-    """
-    V = np.stack([_set_values(q, S) for q, _ in reads])
-    keys = [v.tobytes() for v in V]
-    distinct = list(dict.fromkeys(keys))
-    of = np.array([distinct.index(key) for key in keys])
-    need = np.zeros((len(distinct), S), bool)
-    np.logical_or.at(need, of, np.stack([np.broadcast_to(want, S) for _, want in reads]))
-    return V[[keys.index(key) for key in distinct]], need, of
-
-
-def _set_tables(N, x, y, *kinds):
-    """The tables of the families that a chunk of S parameter sets reads, and their lookup.
-
-    Each kind (V, need, partials) holds the parameters (C, S, 4) of C
-    families in each set and the sets that read them, (C, S); one kernel
-    call builds their tables, each at its set's points x[s], y[s] of shape
-    (S, npts), with partials or for values only.  Returns
-    ev(n, k, q, partials=True): the rows (u, ux, uy), or (u,), of the
-    elements at index columns n, k of family q, one per set, shape
-    (S, m, npts), zero rows out of range.
-    """
-    tables = {}
-    for V, need, partials in kinds:
-        c, s = need.nonzero()
-        tabs = _tri_tables(N, [TriParams(*v) for v in V[c, s]], x[s], y[s], partials) if c.size else None
-        tables[partials] = np.where(need[..., None], V, np.nan), np.cumsum(need).reshape(need.shape) - 1, tabs
-    found = {}
-
-    def ev(n, k, q, partials=True):
-        key = (partials,) + tuple(np.asarray(v).tobytes() for v in (q.a, q.b, q.c, q.d))
-        if key not in found:  # each set's entry of q, and the sets that have it
-            V, slot, tabs = tables[partials]
-            hit = (V == _set_values(q, V.shape[1])).all(-1)
-            found[key] = slot[hit.argmax(0), np.arange(V.shape[1])], hit.any(0), tabs
-        e, has, tabs = found[key]
-        n, k = n[..., 0], k[..., 0]
-        live = ((k >= 0) & (k <= n)).any(-1)
-        if not live.any():
-            return tuple(np.zeros((e.size, n.shape[-1], x.shape[-1])) for _ in range(3 if partials else 1))
-        if (live & ~has).any():
-            raise ValueError("a family read by the sweep was not built")
-        return _rows(tabs[: 3 if partials else 1], e[:, None], n, k)
-
-    return ev
-
-
 def _at_minus_one(q):
     return (q.a == -1.0) | (q.b == -1.0) | (q.c == -1.0) | (q.d == -1.0)
 
@@ -366,13 +313,17 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
     """All triangle ladder relations and their compositions on a 4-value grid.
 
     The parameter sets run in chunks of _LADDER_CHUNK consecutive sets, on a
-    leading set axis, each at its own points, and each operator and each
-    identity is evaluated once per chunk, over every set and every (n, k)
-    with n <= nmax.  A chunk's tables come from a few
-    kernel calls over all its sets, and each kind is dropped before the next
-    is built: the families that the identities read, those that the d = 0
-    identities read (on the sets with d = 0), then the ladder targets, seven
-    families at a time.  Rows are reduced in (set, operator, n, k) order, so
+    leading set axis, each at its own points, and each operator and identity
+    is evaluated once per chunk, over every set and every (n, k) with n <=
+    nmax.  Every family is read from factor tables that families share
+    (koornwinder._Factors): each y-ladder target reads the params' first
+    factors, each x-ladder target their second factors.  A chunk builds, one
+    kernel call per kind, the first factors that keep a, with x-derivatives,
+    and all second factors, which serve the identities and the ladders onto
+    them; then the first factors with a + 1, then with a - 1, each dropping
+    the last.  The d = 0 identities run apart, on _D0_BATCH sets with d = 0
+    at a time, just before the first chunk that holds them, and their rows
+    join that chunk's.  Rows are reduced in (set, operator, n, k) order, so
     the reports equal those of a case-by-case loop.
     """
     rng = np.random.default_rng([seed, 20])
@@ -382,43 +333,65 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
     n, k = (v[:, None] for v in _graded_indices(nmax))
     grid = list(itertools.product(_TRI_GRID, repeat=4))
     pts = np.stack(_interior_points(rng, len(grid) * npts)).reshape(2, len(grid), 1, npts)
-    # every family read, in every set: the d = 0 identities hold on the sets
-    # with d = 0 only, and ladder targets with a parameter of exactly -1 are
-    # skipped, so not built
-    P = TriParams(*np.array(grid).T)
-    phases = []
-    for d0 in (False, True):
-        cids = [cid for cid in CompositionId if (cid in _NEEDS_D0) == d0]
-        on = P.d == 0.0 if d0 else np.ones(len(grid), bool)
-        fams = [_composition_families(cid, P) for cid in cids]
-        reads = ([(q, on) for f in fams for q in f[i]] for i in (0, 1))
-        phases.append((cids, on, [(*_families(r, len(grid))[:2], i == 0) for i, r in enumerate(reads) if r]))
-    reads = [(q, ~_at_minus_one(q)) for q in (_step(lid, 0, 0, P)[3] for lid in ids)]
-    targets, need, target = _families(reads, len(grid))
-    cids = phases[0][0] + phases[1][0]
-    del P, fams, reads
+    P = TriParams(*np.array(grid).T[:, :, None, None])
+    every, d0 = np.ones(len(grid), bool), P.d[:, 0, 0] == 0.0
+    cids = [[cid for cid in CompositionId if (cid in _NEEDS_D0) == on] for on in (False, True)]
+    # every family read, in every set, with partials or not: the d = 0
+    # identities hold on the sets with d = 0 only, and ladder targets with a
+    # parameter of exactly -1 are skipped, so not built
+    targets = [_step(lid, 0, 0, P)[3] for lid in ids]
+    reads = [
+        [(q, on, i == 0) for cid in cs for i, fams in enumerate(_composition_families(cid, P)) for q in fams]
+        for cs, on in zip(cids, (every, d0))
+    ]
+    reads[0] += [(q, ~_at_minus_one(q).ravel(), False) for q in targets]
+    plans = [_Factors.plan(r, P) for r in reads]
+    a_move = [_move(q, P)[0] for q in targets]
+    d0sets, pending = np.flatnonzero(d0), {}
+    del targets, reads
 
-    def identities(c0, cids, on, kinds):
-        """Both sides of identities c0, c0 + 1, ... on the chunk's sets that
-        hold them, into r, j and keep; returns the jets of params there."""
-        sel = np.flatnonzero(on[lo : lo + len(sets)])
-        if not sel.size:
-            return None
-        sub = TriParams(*(v[sel] for v in (params.a, params.b, params.c, params.d)))
-        ev = _set_tables(nmax + 1, x[sel, 0], y[sel, 0], *[(V[:, lo + sel], w[:, lo + sel], p) for V, w, p in kinds])
-        jet = ev(n, k, sub)
-        for c, cid in enumerate(cids, c0):
-            L, R, degenerate = _composition(cid, n, k, sub, x[sel], y[sel], ev, jet)
-            r[sel, c], j[sel, c] = _scaled_residual(L, R)
-            keep[sel, c] = ~degenerate[..., 0]
+    def tables(sel, first, second):
+        """The tables of the plans first and second at the sets sel, and the sets' params and points."""
+        params = TriParams(*(v[sel] for v in (P.a, P.b, P.c, P.d)))
+        x, y = pts[:, sel]
+        tabs = _Factors(nmax + 1, params, x[:, 0], y[:, 0])
+        tabs.build(*({key: (w[sel], p) for key, (w, p) in plan.items()} for plan in (first, second)))
+        return tabs, params, x, y
+
+    def identities(cids, tabs, params, x, y):
+        """Residual maxima r at points j of identities cids, (set, identity, row), the rows kept, and the params' jets."""
+        jet = tabs(n, k, params)
+        shape = (len(x), len(cids), n.size)
+        r, j, keep = np.zeros(shape), np.zeros(shape, int), np.zeros(shape, bool)
+        for c, cid in enumerate(cids):
+            L, R, degenerate = _composition(cid, n, k, params, x, y, tabs, jet)
+            r[:, c], j[:, c] = _scaled_residual(L, R)
+            keep[:, c] = ~degenerate[..., 0]
             accB.skip(degenerate[..., 0].sum())
-        return jet
+        return r, j, keep, jet
 
-    def ladders(jet):
-        """Both sides of every ladder relation on all the chunk's sets, into r, j and keep."""
-        for g in range(0, len(targets), 7):
-            ev = _set_tables(nmax + 1, x[:, 0], y[:, 0], (targets[g : g + 7, part], need[g : g + 7, part], False))
-            for i in np.flatnonzero((g <= target) & (target < g + 7)):
+    def chunk(sel):
+        """The identities, then the ladders, on the consecutive sets sel, reduced into accB and accA."""
+        sets = grid[sel[0] : sel[-1] + 1]
+        shape = (sel.size, len(cids[1]), n.size)
+        held = np.zeros(shape), np.zeros(shape, int), np.zeros(shape, bool)
+        for s in sel[d0[sel]]:
+            if s not in pending:  # the d = 0 identities on the next _D0_BATCH sets with d = 0, from s on
+                batch = d0sets[np.searchsorted(d0sets, s) :][:_D0_BATCH]
+                pending.update(zip(batch.tolist(), zip(*identities(cids[1], *tables(batch, *plans[1]))[:3])))
+            for out, v in zip(held, pending.pop(s)):
+                out[s - sel[0]] = v
+        first, second = plans[0]
+        tabs, params, x, y = tables(sel, {key: v for key, v in first.items() if key[0] == 0}, second)
+        *rows, jet = identities(cids[0], tabs, params, x, y)
+        rows = (np.concatenate(v, 1) for v in zip(rows, held))
+        _reduce(accB, *rows, [cid.name for cid in cids[0] + cids[1]], sets, n, k, x, y)
+        shape = (sel.size, len(ids), n.size)
+        r, j, keep = np.zeros(shape), np.zeros(shape, int), np.zeros(shape, bool)
+        for da in (0, 1, -1):  # the ladders onto first factors of each move of a in turn
+            if da:
+                tabs.build({key: (w[sel], p) for key, (w, p) in first.items() if key[0] == da})
+            for i in (i for i in range(len(ids)) if a_move[i] == da):
                 f, n1, k1, q = _step(ids[i], n, k, params)
                 lhs = _pointwise(ids[i], n, k, params, x, y, *jet)
                 # at a parameter of exactly -1 the target normalization degenerates;
@@ -426,27 +399,14 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
                 # polynomial in the parameters, so the relation is asserted even
                 # outside the integrable family
                 skip = (f != 0.0) & _at_minus_one(q)
-                (v,) = ev(np.where((f != 0.0) & ~skip, n1, -1), k1, q, partials=False)
+                (v,) = tabs(np.where((f != 0.0) & ~skip, n1, -1), k1, q, partials=False)
                 r[:, i], j[:, i] = _scaled_residual(lhs, f * v)
                 keep[:, i] = ~skip[..., 0]
-            del ev  # the next group's tables are built without these
-
-    for lo in range(0, len(grid), _LADDER_CHUNK):
-        sets = grid[lo : lo + _LADDER_CHUNK]
-        part = slice(lo, lo + len(sets))
-        x, y = pts[:, part]
-        params = TriParams(*np.array(sets).T[:, :, None, None])
-        shape = (len(sets), len(cids), n.size)
-        r, j, keep = np.zeros(shape), np.zeros(shape, int), np.zeros(shape, bool)
-        jet = identities(0, *phases[0])
-        identities(len(phases[0][0]), *phases[1])
-        _reduce(accB, r, j, keep, [cid.name for cid in cids], sets, n, k, x, y)
-        shape = (len(sets), len(ids), n.size)
-        r, j, keep = np.zeros(shape), np.zeros(shape, int), np.zeros(shape, bool)
-        ladders(jet)
         accA.skip(keep.size - np.count_nonzero(keep))
         _reduce(accA, r, j, keep, [lid.label for lid in ids], sets, n, k, x, y)
-        del jet  # the next chunk's tables are built without these
+
+    for lo in range(0, len(grid), _LADDER_CHUNK):
+        chunk(np.arange(lo, min(lo + _LADDER_CHUNK, len(grid))))
     return [
         accA.block("triangle_ladders", "exact"),
         accB.block("composition_identities", "exact"),
@@ -1081,6 +1041,9 @@ def main(argv=None):
         return args.func(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a degree or grid too large for this machine
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -155,6 +155,11 @@ def _recurrence(nmax, a, b, y, s, nderiv=0):
         yield cur
 
 
+# values per block of lifted rows: the rows of a block and their points take a
+# few arrays of this size at once, beside the table and the (a + 1, b + 1) rows
+_LIFT_BLOCK = 1 << 13
+
+
 def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0, rows=None):
     """H_n(x, s) = s^n P~_n(x/s), n <= nmax, then its x- and s-partials up to nderiv.
 
@@ -185,7 +190,7 @@ def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0, rows=None):
     grid = (nmax.size, nmax.max(initial=-1) + 1) if rows is None else None
     rows = np.arange(grid[0] * grid[1]).reshape(grid) if grid else rows
     T = np.empty((nderiv + 1, rows.max(initial=-1) + 1, x.shape[-1]))
-    # one recurrence for the safe entries, in order of falling degree, and one lift for the rest
+    # one recurrence for the safe entries, in order of falling degree, and lift steps for the rest
     safe = _recurrence_safe(nmax, a, b)
     order, cut = np.lexsort((-nmax, ~safe)), np.count_nonzero(safe)
     run, lift = order[:cut], order[cut:]
@@ -194,17 +199,20 @@ def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0, rows=None):
         at = dest[j, 0] if len(out[0]) == 1 else dest[j, : len(out[0])]  # a lone row by plain index, which writes faster
         for d, row in enumerate(out):
             T[d, at] = row
-    if lift.size:  # all rows (entry i, degree n >= 1) of the unsafe entries at once
+    if lift.size:  # all rows (entry i, degree n >= 1) of the unsafe entries, _LIFT_BLOCK values at a time
         m = nmax[lift]
         i, n = np.nonzero(np.arange(m.max()) < m[:, None])
         at = np.zeros((m.size, m.max()), int)
         at[i, n] = np.arange(i.size)  # G's rows are the (i, n) pairs in turn
         xl, sl = pts(lift)
         g = _shifted_table(m - 1, a[lift] + 1, b[lift] + 1, xl, max(nderiv, 1), sl, rows=at)
-        al, bl, dest, z = a[lift[i], None], b[lift[i], None], rows[lift[i], n + 1], rows[lift, 0]
+        z = rows[lift, 0]
         T[:, z], T[0, z] = 0.0, 1.0
-        for d, row in enumerate(_lift(g, al, bl, n[:, None] + 1, *pts(lift[i]), nderiv)):
-            T[d, dest] = row
+        step = max(1, _LIFT_BLOCK // max(x.shape[-1], 1))
+        for lo in range(0, i.size, step):
+            e, d1 = lift[i[lo : lo + step]], n[lo : lo + step, None] + 1
+            for d, row in enumerate(_lift(g[:, lo : lo + step], a[e, None], b[e, None], d1, *pts(e), nderiv)):
+                T[d, rows[e, d1[:, 0]]] = row
     return T if lone or not grid else T.reshape((nderiv + 1,) + grid + (x.shape[-1],))
 
 
@@ -212,13 +220,21 @@ def _lift(G, a, b, n, x, s, nderiv):
     """Degree-n rows of the (a, b) table and its partials up to nderiv from the
     degree-(n-1) rows G of the (a+1, b+1) table, two steps further from the
     singular sums, by the homogenized shifted ladders: 1T gives H, 1F its
-    x-partial, and 4T composed with 3T its s-partial.  Only n divides."""
-    rows = [(((a + 1) * x - (b + 1) * (s - x)) * G[0] - x * (s - x) * G[1]) / n]
+    x-partial, and 4T composed with 3T its s-partial.  Only n divides.  Yields
+    the rows in turn, the first formed in place, so that each may be stored
+    before the next is formed."""
+    w = s - x
+    h = (a + 1) * x
+    h -= (b + 1) * w
+    h *= G[0]
+    h -= x * w * G[1]
+    h /= n
+    del w
+    yield h
     if nderiv >= 1:
-        rows.append((n + a + b + 1) * G[0])
+        yield (n + a + b + 1) * G[0]
     if nderiv == 2:
-        rows.append(-(b + 1) * G[0] - x * (G[1] + G[2]))
-    return rows
+        yield -(b + 1) * G[0] - x * (G[1] + G[2])
 
 
 def _homog_table(kmax, a, b, y, s, partials=False):

@@ -276,6 +276,125 @@ def _tri_tables(N, params, x, y, partials=False, second=None):
     return out if fams is params else tuple(T if T is None else T[0] for T in out)
 
 
+def _move(q, p):
+    """The integer shift (da, db, dc, dd) from parameters p to q, fields of arrays, read off their first entry."""
+    return tuple(round(u.item(0) - v.item(0)) for u, v in zip((q.a, q.b, q.c, q.d), (p.a, p.b, p.c, p.d)))
+
+
+class _Factors:
+    """Tables of the families params.shifted(*move) that S parameter sets read, held as their factors.
+
+    params holds the sets' parameters, each field (S, 1, 1), and x and y
+    their points, (S, npts).  A family's first factors F^{(A_k, a)}, A_k =
+    2k + b + c + d + 1, are fixed by its moves of a and of A, da and sigma =
+    db + dc + dd; its second factors H^{(c, b)} by (db, dc).  A move with da
+    = 0 and even sigma, as each y-ladder's, keeps the params' own first
+    factors, sigma / 2 columns over.  Families that share factors read them
+    bit for bit where the shifted sums are exact, as they are on a grid of
+    multiples of 1/2, and where the params' first factors take the
+    recurrence at any degree, as with all parameters >= -1/2.  Calling the
+    object as ev(n, k, q, partials=True) returns the rows (u, ux, uy), or
+    (u,), of the elements at index columns n, k of family q, one per set,
+    shape (S, m, npts), zero rows out of range: the products of their factor
+    rows, formed as _tri_tables forms them.
+    """
+
+    def __init__(self, N, params, x, y):
+        self.N, self.params, self.x, self.y = N, params, x, y
+        self.first, self.second, self.found = {}, {}, {}
+
+    @staticmethod
+    def plan(reads, params):
+        """The tables that reads need: ({(da, sigma): (sets, nderiv)}, {(db, dc): (sets, partials)}).
+
+        Each read (q, sets, partials) names a family over the parameter sets
+        params, the sets that read it, and whether its partials are read.
+        """
+        plans = {}, {}
+        for q, need, partials in reads:
+            for plan, key in zip(plans, _Factors.keys(_move(q, params))[::2]):
+                was, p = plan.get(key, (False, False))
+                plan[key] = (was | need, int(p or partials))
+        return plans
+
+    @staticmethod
+    def keys(move):
+        """(first-factor key, column offset, second-factor key) of the family params.shifted(*move)."""
+        da, db, dc, dd = move
+        sigma = db + dc + dd
+        if da == 0 and sigma % 2 == 0:
+            return (0, 0), sigma // 2, (db, dc)
+        return (da, sigma), 0, (db, dc)
+
+    def build(self, first, second=None):
+        """Replace the first-factor tables by those of the plan first, and, given second, the second-factor ones.
+
+        One kernel call per nderiv, and per partials, builds the tables of a
+        plan at the sets that read them.
+        """
+        p, x, y, N = self.params, self.x, self.y, self.N
+        self.first, self.found = {}, {}  # dropped before the new ones are built
+        self.first = _built(first, lambda s, da, sigma, nderiv: _first_factors(
+            N, _first_factor_param(np.arange(N + 1), TriParams(0, p.b[s, 0], p.c[s, 0], p.d[s, 0] + sigma[:, None])),
+            p.a[s, 0, 0] + da, x[s], nderiv))
+        if second is not None:
+            self.second = _built(second, lambda s, db, dc, partials: _homog_table(
+                N, p.c[s, 0, 0] + dc, p.b[s, 0, 0] + db, y[s], 1.0 - x[s], partials=partials))
+
+    def __call__(self, n, k, q, partials=True):
+        n, k = n[..., 0], k[..., 0]
+        dead = (k < 0) | (k > n)
+        if dead.all():
+            return tuple(np.zeros((len(self.x), n.shape[-1], self.x.shape[-1])) for _ in range(3 if partials else 1))
+        move = _move(q, self.params)
+        fkey, off, hkey = self.keys(move)
+        if fkey not in self.first or hkey not in self.second:
+            raise ValueError("a family read was not built")
+        if move not in self.found:  # the tables by row, and the first row of each set's entry
+            (F, eF), (H, eH) = self.first[fkey], self.second[hkey]
+            F, H = ([T.reshape(-1, T.shape[-1]) for T in tabs if T is not None] for tabs in (F, H))
+            self.found[move] = F, eF[:, None] * basis_size(self.N), H, eH[:, None] * (self.N + 1), (eF >= 0) & (eH >= 0)
+        F, eF, H, eH, has = self.found[move]
+        if (~dead.all(-1) & ~has).any():
+            raise ValueError("a family read was not built")
+        j, k = (np.where(dead, 0, n - k), np.where(dead, 0, k)) if dead.any() else (n - k, k)
+        c = k + off
+        row, k = eF + (j + c) * (j + c + 1) // 2 + c, eH + k
+        f, h = F[0].take(row, 0), H[0].take(k, 0)
+        rows = (h,)
+        if partials:  # u_x = F' H - F H_s and u_y = F H_y, each row formed before the next is taken
+            ux = F[1].take(row, 0)
+            ux *= h
+            hs = H[2].take(k, 0)
+            hs *= f
+            ux -= hs
+            del hs
+            uy = H[1].take(k, 0)
+            uy *= f
+            rows += (ux, uy)
+        h *= f  # u = F H, in place, once u_x has read H
+        if dead.any():
+            for v in rows:
+                np.copyto(v, 0.0, where=dead[..., None])
+        return rows
+
+
+def _built(plan, make):
+    """{key: (tables, entry of each set, -1 where unbuilt)} for the plan {key: (sets, kind)}:
+    one make(sets, *key columns, kind) call per kind that some set reads, over the (key, set)
+    entries in turn."""
+    out = {}
+    for kind in sorted({d for _, d in plan.values()}):
+        keys = [key for key, (_, d) in plan.items() if d == kind]
+        c, s = np.array([plan[key][0] for key in keys]).nonzero()
+        if c.size:
+            slot = np.full((len(keys), len(plan[keys[0]][0])), -1)
+            slot[c, s] = np.arange(c.size)
+            tables = make(s, *np.array(keys).T[:, c], kind)
+            out.update((key, (tables, slot[i])) for i, key in enumerate(keys))
+    return out
+
+
 def basis_eval_all(N, params, pts):
     """Evaluate every basis element of degree at most N at a batch of points.
 

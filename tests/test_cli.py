@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import trikoorn as tk
-from trikoorn import cli, ladders, operators
+from trikoorn import cli, koornwinder, ladders, operators
 from trikoorn.cli import main
 from trikoorn.ladders import _NEEDS_D0
 
@@ -130,6 +130,28 @@ def test_an_unwritable_out_path_is_usage_error(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["solve", "--lambda", "1", "--rhs", "one", "--N", "3", "--grid", "300000"], "_grid_points"),
+        (["expand", "--name", "one", "--N", "100000"], "analyze"),
+    ],
+)
+def test_running_out_of_memory_is_usage_error(argv, where, monkeypatch, capsys):
+    # a raised MemoryError stands in for the allocation, which overcommit
+    # settings let through or refuse depending on the machine; exit 1 would
+    # misreport a verification failure
+    numpy_message = "Unable to allocate 671. GiB for an array with shape (45000450001, 2) and data type float64"
+    for exc, want in ((MemoryError(numpy_message), f": {numpy_message}"), (MemoryError(), "")):
+
+        def alloc(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, where, alloc)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: out of memory{want}\n"
 
 
 def test_finite_parameters_outside_the_domain_exit_three(capsys):
@@ -610,40 +632,58 @@ def test_vectorized_ladder_sweep_equals_a_per_case_loop(monkeypatch):
 
 
 def test_ladder_sweep_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    # 81 sets, 27 of them with d = 0: d = 0 batches that straddle chunks,
+    # end in a part batch, or cover all 27 at once
     monkeypatch.setattr(cli, "_TRI_GRID", (-0.5, 0.0, 1.5))
     want = cli.sweep_triangle_ladders(1, nmax=3, npts=6)
-    for chunk in (1, 3, 16):
+    for chunk, batch in ((1, 1), (3, 2), (16, 5), (8, 27)):
         monkeypatch.setattr(cli, "_LADDER_CHUNK", chunk)
+        monkeypatch.setattr(cli, "_D0_BATCH", batch)
         assert cli.sweep_triangle_ladders(1, nmax=3, npts=6) == want
 
 
 def test_ladder_sweep_builds_each_table_once_per_chunk_of_sets(monkeypatch):
-    # per chunk of 8 sets: the identities' families with partials and for
-    # values over all 8, the d = 0 identities' over the 2 sets with d = 0,
-    # and the ladder targets in three groups over all 8; no family is built
-    # twice for a set in one call, and none on demand
+    # per chunk of 8 sets: first, for a set with d = 0 not yet run, the d = 0
+    # identities' tables on the next 4 such sets (first factors for values
+    # and with x-derivatives, second factors for values and with partials);
+    # then over all 8 the first factors that keep a, with x-derivatives, and
+    # every second factor, for values and with partials; then the first
+    # factors with a + 1, and those with a - 1 on the sets with a != 0 (at
+    # a = 0 every such target has a = -1 and is skipped).  No (family, set)
+    # entry is built twice in one call, and none on demand
     npts, chunk = 20, cli._LADDER_CHUNK
     grid = list(itertools.product(cli._TRI_GRID, repeat=4))
-    xs, _ = cli._interior_points(np.random.default_rng([0, 20]), len(grid) * npts)
-    set_of = {row.tobytes(): i for i, row in enumerate(xs.reshape(len(grid), npts))}
+    xs, ys = cli._interior_points(np.random.default_rng([0, 20]), len(grid) * npts)
+    set_of = {row.tobytes(): i for pts in (xs, ys) for i, row in enumerate(pts.reshape(len(grid), npts))}
     calls = []
+    first_factors, homog_table = koornwinder._first_factors, koornwinder._homog_table
 
-    def counted(N, params, x, y, partials=False):
+    def counted_first(N, A, a, x, nderiv=0):
         sets = [set_of[row.tobytes()] for row in x]
-        assert len({(q.a, q.b, q.c, q.d, s) for q, s in zip(params, sets)}) == len(params)
-        calls.append((sorted(set(sets)), partials))
-        return tri_tables(N, params, x, y, partials)
+        assert len(set(zip(A[:, 0], a, sets))) == len(sets)
+        calls.append(("first", nderiv, sorted(set(sets))))
+        return first_factors(N, A, a, x, nderiv)
 
-    tri_tables = cli._tri_tables
-    monkeypatch.setattr(cli, "_tri_tables", counted)
+    def counted_second(N, c, b, y, s, partials=False):
+        sets = [set_of[row.tobytes()] for row in y]
+        assert len(set(zip(c, b, sets))) == len(sets)
+        calls.append(("second", int(partials), sorted(set(sets))))
+        return homog_table(N, c, b, y, s, partials)
+
+    monkeypatch.setattr(koornwinder, "_first_factors", counted_first)
+    monkeypatch.setattr(koornwinder, "_homog_table", counted_second)
     cli.sweep_triangle_ladders(0, nmax=3, npts=npts)
-    want = []
+    want, d0, done = [], [s for s, p in enumerate(grid) if p[3] == 0.0], set()
     for lo in range(0, len(grid), chunk):
         every = list(range(lo, lo + chunk))
-        d0 = [s for s in every if grid[s][3] == 0.0]
-        want += [(every, True), (every, False), (d0, True), (d0, False)] + [(every, False)] * 3
+        for s in (s for s in every if s in d0 and s not in done):
+            batch = d0[d0.index(s) :][: cli._D0_BATCH]
+            done.update(batch)
+            want += [(kind, d, batch) for kind in ("first", "second") for d in (0, 1)]
+        want += [("first", 1, every), ("second", 0, every), ("second", 1, every), ("first", 0, every)]
+        moved = [s for s in every if grid[s][0] != 0.0]
+        want += [("first", 0, moved)] if moved else []
     assert calls == want
-    assert all(len(sets) > 1 for sets, _ in calls)
 
 
 def test_stacked_ladder_sweep_breaks_ties_as_the_per_set_loop(monkeypatch):
@@ -696,6 +736,26 @@ def test_ladder_sweep_keeps_its_numpy_peak_small(monkeypatch):
             tracemalloc.stop()
     assert blocks[0].cases > 0 and blocks[1].cases > 0
     assert peak < 8e6
+
+
+def test_ladders_suite_keeps_its_numpy_peak_under_3_mb():
+    # the whole suite at seed 0: its 256 sets in chunks of 8, its 64 sets with
+    # d = 0 in batches of 4; its peak sets verify's peak RSS.  A small run
+    # first makes the one-time allocations of a first call (lazy imports,
+    # free lists), and the peak is taken over what was traced before
+    cli.sweep_triangle_ladders(0, nmax=2, npts=3)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        blocks = cli.sweep_triangle_ladders(0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert [(b.cases, b.skipped) for b in blocks] == [(329568, 75936), (156244, 44)]
+    assert peak <= 3.0e6
 
 
 def test_vectorized_eigen_sweep_equals_a_per_case_loop():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import eval_jacobi
 
 import trikoorn as tk
+from trikoorn import jacobi
 from trikoorn.jacobi import _homog_table, _recurrence_safe, _shifted_table
 
 
@@ -407,6 +408,27 @@ def test_shifted_table_point_rows_equal_one_call_per_entry(nderiv):
     for i in range(deg.size):
         for got, want in zip(H, _homog_table(9, a[i : i + 1], b[i : i + 1], x[i : i + 1], s[i : i + 1], partials=True)):
             assert np.array_equal(got[i], want[0])
+
+
+@pytest.mark.parametrize("nderiv", [0, 1, 2])
+def test_shifted_table_lifts_equal_rows_in_any_block_size(nderiv, monkeypatch):
+    # the lifted (entry, degree) rows go _LIFT_BLOCK values at a time: blocks
+    # of one row, blocks that split an entry's degrees, and one block for all
+    # give equal tables, at each entry's own points and at shared ones
+    deg = np.array([12, 0, 5, 12, 3, 1, 8, 15, 9])
+    a = np.array([0.5, -1.5, -1.0, -0.9, -2.5, 0.3, 1.42, -1.5, -0.9])
+    b = np.array([1.5, 0.5, -1.0, -0.95, 2.0, -3.5, -2.42, -1.5, -0.9])
+    rng = _rng(13)
+    x = rng.uniform(0.0, 1.0, (deg.size, 6))
+    s = x + rng.uniform(0.0, 1.0, x.shape)
+    calls = [(x, s), (x, 1.0), (x[0], s[0])]
+    want = [_shifted_table(deg, a, b, xs, nderiv, ss) for xs, ss in calls]
+    for block in (1, 13, 10**9):
+        monkeypatch.setattr(jacobi, "_LIFT_BLOCK", block)
+        for (xs, ss), w in zip(calls, want):
+            got = _shifted_table(deg, a, b, xs, nderiv, ss)
+            for i in range(deg.size):  # the rows each entry reaches; the rest are unset
+                assert np.array_equal(got[:, i, : deg[i] + 1], w[:, i, : deg[i] + 1])
 
 
 @pytest.mark.parametrize("nderiv", [0, 1, 2])
