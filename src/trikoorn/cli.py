@@ -28,7 +28,6 @@ from .koornwinder import (
     _first_factors,
     _first_factor_param,
     _graded_indices,
-    _tri_tables,
     tri_eval,
     weight_eval,
 )
@@ -228,22 +227,6 @@ def _scaled_residual(lhs, rhs):
     return r, j
 
 
-def _rows(tabs, e, n, k):
-    """Rows (n, k) of entry e of each stacked table in tabs, zero rows where k < 0 or k > n.
-
-    e is an entry index, or an array of them, that broadcasts against the
-    index arrays n and k; the rows take a last, point axis.
-    """
-    dead = (k < 0) | (k > n)
-    if not dead.any():
-        return tuple(T[e, n * (n + 1) // 2 + k] for T in tabs)
-    rows = tuple(T[e, np.where(dead, 0, n * (n + 1) // 2 + k)] for T in tabs)
-    dead = np.broadcast_to(dead, rows[0].shape[:-1])
-    for row in rows:
-        row[dead] = 0.0
-    return rows
-
-
 def _at_minus_one(q):
     return (q.a == -1.0) | (q.b == -1.0) | (q.c == -1.0) | (q.d == -1.0)
 
@@ -419,8 +402,9 @@ def sweep_product_links(seed, nmax=10, npts=10):
     These are the two routes of jjp_residual and jpj_residual, with their
     expressions, over every (n, k) with n <= nmax at once.  The parameter
     sets run in chunks of _LINK_CHUNK consecutive sets, on a leading set
-    axis, each at its own points.  Per chunk the right routes read one jet
-    table; the left routes read, built independently of it, the first
+    axis, each at its own points.  Per chunk the right routes read the jets
+    of the params from their factor tables (koornwinder._Factors); the left
+    routes read, built independently of them, the first
     factors at (A_k, a) and (A_k + 1, a + 1) and the second factors at
     (c, b) and (c + 1, b + 1) at tau = y/(1-x), one kernel call each.  Rows
     are reduced in (set, n, k, link) order, so the report equals that of a
@@ -441,7 +425,10 @@ def sweep_product_links(seed, nmax=10, npts=10):
         sets = grid[lo : lo + _LINK_CHUNK]
         x, y = pts[:, lo : lo + len(sets)]
         pa, pb, pc, pd = np.array(sets).T[:, :, None]
-        u, ux, uy = _tri_tables(nmax, [TriParams(*q) for q in sets], x, y, partials=True)
+        P = TriParams(pa[..., None], pb[..., None], pc[..., None], pd[..., None])
+        tabs = _Factors(nmax, P, x, y)
+        tabs.build(*_Factors.plan([(P, np.ones(len(sets), bool), True)], P))
+        u, ux, uy = tabs(n, k, P)
         s = 1.0 - x
         tau = y / s
         A = _first_factor_param(np.arange(nmax + 1), TriParams(pa, pb, pc, pd))
@@ -496,18 +483,27 @@ def _hessian_jets(N, params, x, y):
     are u_xy and u_yy.  x5 maps n u + (1-x) u_x - y u_y to g P_{n-1,k} at
     (a+1, b, c, d); its x-partial, solved for u_xx, divides by 1 - x, so the
     points must lie off the line x = 1.
+
+    The three families are read from one koornwinder._Factors: y1's image
+    takes the params' first factors a column over, and x5's their second
+    factors.  On parameters that are multiples of 1/2, as every CLI path
+    uses, the jets are bit for bit those of three separate tables; elsewhere
+    the shared read can move u_xy and u_yy in the last bits (about 2e-14
+    relative at (0.3, 0.1, 0.2, 0)).
     """
     n, k = (v[:, None] for v in _graded_indices(N))
-    fy, ny, ky, qy = _step(LadderId("y", 1), n, k, params)
-    fx, nx, kx, qx = _step(LadderId("x", 5), n, k, params)
-    tabs = _tri_tables(N, [params, qy, qx], x, y, partials=True)
-    u, ux, uy = (T[0] for T in tabs)
-    _, qy_x, qy_y = _rows(tabs, 1, ny[:, 0], ky[:, 0])
-    _, qx_x, _ = _rows(tabs, 2, nx[:, 0], kx[:, 0])
+    P = TriParams(*np.array([params.a, params.b, params.c, params.d], float).reshape(4, 1, 1, 1))
+    fy, ny, ky, qy = _step(LadderId("y", 1), n, k, P)
+    fx, nx, kx, qx = _step(LadderId("x", 5), n, k, P)
+    tabs = _Factors(N, P, x[None], y[None])
+    tabs.build(*_Factors.plan([(q, np.ones(1, bool), True) for q in (P, qy, qx)], P))
+    u, ux, uy = tabs(n, k, P)
+    _, qy_x, qy_y = tabs(ny, ky, qy)
+    _, qx_x, _ = tabs(nx, kx, qx)
     uxy = fy * qy_x
     uyy = fy * qy_y
     uxx = (fx * qx_x - (n - 1) * ux + y * uxy) / (1.0 - x)
-    return u, ux, uy, uxx, uxy, uyy
+    return tuple(v[0] for v in (u, ux, uy, uxx, uxy, uyy))
 
 
 def _times(factor):

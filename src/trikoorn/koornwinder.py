@@ -173,12 +173,9 @@ def _tri_core(n, k, params, x, y, partials=False):
     xx, yy = np.broadcast_arrays(np.atleast_1d(x), np.atleast_1d(y))
     out = np.zeros((3 if partials else 1, xx.size))
     if 0 <= k <= n:
-        Ftab = _shifted_table(n - k, _first_factor_param(k, params), params.a, xx.ravel(), 1 if partials else 0)
-        H, Hy, Hs = _homog_table(k, params.c, params.b, yy.ravel(), 1.0 - xx.ravel(), partials=partials)
-        F = Ftab[0, n - k]
-        out[0] = F * H[k]
-        if partials:
-            out[1:] = Ftab[1, n - k] * H[k] - F * Hs[k], F * Hy[k]
+        F = _shifted_table(n - k, _first_factor_param(k, params), params.a, xx.ravel(), 1 if partials else 0)[:, n - k]
+        H = _homog_table(k, params.c, params.b, yy.ravel(), 1.0 - xx.ravel(), partials=partials)
+        out[:] = _jet_rows(F, [T[k] for T in H[: 3 if partials else 1]])
     if x.ndim == 0 and y.ndim == 0:
         return tuple(float(v[0]) for v in out) if partials else float(out[0, 0])
     out = out.reshape((-1,) + xx.shape)
@@ -238,42 +235,49 @@ def _first_factors(N, A, b, x, nderiv=0):
     return tabs.reshape((nderiv + 1,) + A.shape[:-1] + (basis_size(N), x.shape[-1]))
 
 
-def _tri_tables(N, params, x, y, partials=False, second=None):
-    """Tables of all basis elements of degree <= N at raw coordinate arrays.
+def _jet_rows(F, H):
+    """The rows (u, u_x, u_y) of elements from their factor rows (F, F') and (H, H_y, H_s), or (u,) from (F,) and (H,).
 
-    params is one TriParams, or a list of them: one kernel call then builds
-    the first factors of every family and one the second factors, and x and
-    y may then be (len(params), npts), one point row per family.  Returns
-    (U, UX, UY), each of shape (basis_size(N), npts), with a leading family
-    axis for a list; the partial tables are None unless requested.  second,
-    if given, is an (N + 1, npts) table by k that every family takes in place
-    of its second factors H_k(y, 1 - x), without partials.  No parameter
-    validation (used on ladder-target families too).
+    F are first-factor rows and F' their x-derivatives, H second-factor rows
+    and H_y, H_s their y- and s-partials: u = F H, u_x = F' H - F H_s and
+    u_y = F H_y.  Every basis row is formed here, in place: u on the rows F,
+    u_x on F' and u_y on H_y, and H_s is overwritten; H is left as it is.
     """
-    fams = [params] if isinstance(params, TriParams) else params
-    xf, yf = (np.asarray(v, dtype=float) for v in (x, y))
-    if fams is not params or xf.ndim != 2:
-        xf, yf = xf.ravel(), yf.ravel()
-    cols = TriParams(*np.array([(q.a, q.b, q.c, q.d) for q in fams]).T[:, :, None])
-    A = _first_factor_param(np.arange(N + 1), cols)
-    tabs = _first_factors(N, A, cols.a[:, 0], xf, 1 if partials else 0)
-    U, UX = tabs[0], (tabs[1] if partials else None)
-    UY = np.empty_like(U) if partials else None
-    if second is None:
-        H, Hy, Hs = _homog_table(N, cols.c[:, 0], cols.b[:, 0], yf, 1.0 - xf, partials=partials)
-    else:
-        H = second[None]
-    # degree block n holds k = 0..n, so it meets H[:, :n + 1] row by row
+    f, h = F[0], H[0]
+    if len(F) == 1:
+        f *= h
+        return (f,)
+    df, (_, uy, hs) = F[1], H
+    hs *= f
+    df *= h
+    df -= hs
+    uy *= f
+    f *= h
+    return f, df, uy
+
+
+def _tri_tables(N, params, x, y, partials=False, second=None):
+    """Tables of all basis elements of degree <= N of one family at raw coordinate arrays.
+
+    Returns (U, UX, UY), each of shape (basis_size(N), npts) at the raveled
+    points, the partial tables None unless requested; the rows are formed in
+    place, degree block by degree block.  second, if given, is an (N + 1,
+    npts) table by k taken in place of the second factors H_k(y, 1 - x),
+    without partials.  No parameter validation (used on ladder-target
+    families too).  Reads of several families go through _Factors.
+    """
+    x, y = (np.asarray(v, dtype=float).ravel() for v in (x, y))
+    F = _first_factors(N, _first_factor_param(np.arange(N + 1), params), params.a, x, 1 if partials else 0)
+    H = _homog_table(N, params.c, params.b, y, 1.0 - x, partials)[: 3 if partials else 1] if second is None else (second,)
+    UY = np.empty_like(F[0]) if partials else None
+    # degree block n holds k = 0..n, so it meets the second factors' rows k <= n
+    # row by row; it takes copies of the partial rows, which _jet_rows overwrites
     for n in range(N + 1):
         blk = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
-        F = U[:, blk]
+        rows = _jet_rows(F[:, blk], [H[0][: n + 1], *(T[: n + 1].copy() for T in H[1:])])
         if partials:
-            UY[:, blk] = F * Hy[:, : n + 1]
-            UX[:, blk] *= H[:, : n + 1]
-            UX[:, blk] -= F * Hs[:, : n + 1]
-        F *= H[:, : n + 1]
-    out = (U, UX, UY)
-    return out if fams is params else tuple(T if T is None else T[0] for T in out)
+            UY[blk] = rows[2]
+    return F[0], (F[1] if partials else None), UY
 
 
 def _move(q, p):
@@ -284,19 +288,22 @@ def _move(q, p):
 class _Factors:
     """Tables of the families params.shifted(*move) that S parameter sets read, held as their factors.
 
-    params holds the sets' parameters, each field (S, 1, 1), and x and y
-    their points, (S, npts).  A family's first factors F^{(A_k, a)}, A_k =
-    2k + b + c + d + 1, are fixed by its moves of a and of A, da and sigma =
-    db + dc + dd; its second factors H^{(c, b)} by (db, dc).  A move with da
-    = 0 and even sigma, as each y-ladder's, keeps the params' own first
-    factors, sigma / 2 columns over.  Families that share factors read them
-    bit for bit where the shifted sums are exact, as they are on a grid of
-    multiples of 1/2, and where the params' first factors take the
-    recurrence at any degree, as with all parameters >= -1/2.  Calling the
-    object as ev(n, k, q, partials=True) returns the rows (u, ux, uy), or
-    (u,), of the elements at index columns n, k of family q, one per set,
-    shape (S, m, npts), zero rows out of range: the products of their factor
-    rows, formed as _tri_tables forms them.
+    Every read of several families, or of one family over several sets,
+    goes through here; _tri_tables builds one family's table.  params holds
+    the sets' parameters, each field (S, 1, 1), and x and y their points,
+    (S, npts).  A family's first factors F^{(A_k, a)}, A_k = 2k + b + c + d
+    + 1, are fixed by its moves of a and of A, da and sigma = db + dc + dd;
+    its second factors H^{(c, b)} by (db, dc).  A move with da = 0 and even
+    sigma, as each y-ladder's, keeps the params' own first factors, sigma /
+    2 columns over.  Families that share factors read them bit for bit where
+    the shifted sums are exact, as they are on a grid of multiples of 1/2,
+    and where the params' first factors take the recurrence at any degree,
+    as with all parameters >= -1/2.  Calling the object as ev(n, k, q,
+    partials=True) returns the rows (u, ux, uy), or (u,), of the elements at
+    index columns n, k of family q, one per set, shape (S, m, npts), zero
+    rows out of range: the products of their factor rows, formed by
+    _jet_rows as _tri_tables forms them, so a zero move reads each set's
+    _tri_tables rows bit for bit.
     """
 
     def __init__(self, N, params, x, y):
@@ -360,19 +367,8 @@ class _Factors:
         j, k = (np.where(dead, 0, n - k), np.where(dead, 0, k)) if dead.any() else (n - k, k)
         c = k + off
         row, k = eF + (j + c) * (j + c + 1) // 2 + c, eH + k
-        f, h = F[0].take(row, 0), H[0].take(k, 0)
-        rows = (h,)
-        if partials:  # u_x = F' H - F H_s and u_y = F H_y, each row formed before the next is taken
-            ux = F[1].take(row, 0)
-            ux *= h
-            hs = H[2].take(k, 0)
-            hs *= f
-            ux -= hs
-            del hs
-            uy = H[1].take(k, 0)
-            uy *= f
-            rows += (ux, uy)
-        h *= f  # u = F H, in place, once u_x has read H
+        nf, nh = (2, 3) if partials else (1, 1)
+        rows = _jet_rows([T.take(row, 0) for T in F[:nf]], [T.take(k, 0) for T in H[:nh]])
         if dead.any():
             for v in rows:
                 np.copyto(v, 0.0, where=dead[..., None])

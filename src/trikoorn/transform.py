@@ -157,11 +157,12 @@ def _edge_tables(N, params, s, ws, t, wt):
     its roundoff cancels in den_r and in `analyze`'s numerator; the homogenized
     second factor at y = 1 - s carries up to 2e-15 of it.
     """
-    P = _shifted_table(N, params.c, params.b, np.append(t, 1.0))[0]
-    Q = P[:, :-1] / P[:, -1:]
-    k = _graded_indices(N)[1]
-    E = _tri_tables(N, params, s, 1 - s, second=P[:, -1:] * (1 - s) ** np.arange(N + 1)[:, None])[0]
-    den = np.einsum("ri,ri,i->r", E, E, ws) * ((Q * Q) @ wt)[k]
+    with np.errstate(over="ignore", invalid="ignore"):  # callers name the first (n, k) out of range
+        P = _shifted_table(N, params.c, params.b, np.append(t, 1.0))[0]
+        Q = P[:, :-1] / P[:, -1:]
+        k = _graded_indices(N)[1]
+        E = _tri_tables(N, params, s, 1 - s, second=P[:, -1:] * (1 - s) ** np.arange(N + 1)[:, None])[0]
+        den = np.einsum("ri,ri,i->r", E, E, ws) * ((Q * Q) @ wt)[k]
     return E, Q, k, den
 
 

@@ -35,6 +35,12 @@ def _read_coeffs(path):
 # --------------------------------------------------------------- exit codes
 
 
+def _fresh_env():
+    # the environment of a fresh process that imports this checkout's package
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "--name", "runge", "--N", "20"],
     ["solve", "--lambda", "2.5", "--rhs", "runge", "--N", "10"],
@@ -44,15 +50,24 @@ def _read_coeffs(path):
 ], ids=["expand", "solve", "build-op", "verify-operators", "verify-eigen"])
 def test_commands_import_no_scipy(argv, tmp_path):
     # each command in a fresh process, as a user runs it
-    src = os.path.dirname(os.path.dirname(tk.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
         "import json, sys; from trikoorn import cli; rc = cli.main(json.loads(sys.argv[1])); "
         "print(rc, sorted({m for m in sys.modules if m.split('.')[0] == 'scipy'}))"
     )
     argv = json.dumps(argv + ["--out", str(tmp_path / "out")])
-    out = subprocess.run([sys.executable, "-c", code, argv], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", code, argv], env=_fresh_env(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0 []"
+
+
+def test_expand_past_the_float64_wall_prints_its_error_line_only(tmp_path):
+    # at b = c = 300 the degree-200 edge tables overflow: the run exits 3
+    # naming the first (n, k) out of range, and numpy's overflow and
+    # invalid-value warnings stay off stderr
+    argv = ["expand", "--name", "runge", "--N", "200", "--b", "300", "--c", "300", "--out", str(tmp_path / "c.csv")]
+    out = subprocess.run([sys.executable, "-m", "trikoorn.cli", *argv], env=_fresh_env(), capture_output=True, text=True)
+    assert out.returncode == 3
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("error: ") and "out of float64 range, the first at (n, k) = " in line
 
 
 def test_info_exits_zero(capsys):
@@ -581,7 +596,7 @@ def _per_set_ladder_sweep(seed, nmax, npts):
         def jets(q):
             key = (q.a, q.b, q.c, q.d)
             if key not in tables:
-                tables[key] = cli._tri_tables(nmax + 1, q, x, y, partials=True)
+                tables[key] = koornwinder._tri_tables(nmax + 1, q, x, y, partials=True)
             return tables[key]
 
         def ev(n, k, q, partials=True):
@@ -802,16 +817,60 @@ def test_hessian_jets_match_a_fourth_order_difference(params):
     N, h = 8, 1e-3
     x, y = cli._interior_points(np.random.default_rng(7), 12)
     u, ux, uy, uxx, uxy, uyy = cli._hessian_jets(N, params, x, y)
-    for got, want in zip((u, ux, uy), cli._tri_tables(N, params, x, y, partials=True)):
+    for got, want in zip((u, ux, uy), koornwinder._tri_tables(N, params, x, y, partials=True)):
         assert np.array_equal(got, want)
 
     def diff4(which, dx, dy):
         # fourth-order central difference of an exact first-partial table
-        at = [cli._tri_tables(N, params, x + s * dx, y + s * dy, partials=True)[which] for s in (-2, -1, 1, 2)]
+        at = [koornwinder._tri_tables(N, params, x + s * dx, y + s * dy, partials=True)[which] for s in (-2, -1, 1, 2)]
         return (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * h)
 
     for got, want in ((uxx, diff4(1, h, 0.0)), (uxy, diff4(2, h, 0.0)), (uyy, diff4(2, 0.0, h))):
         assert np.max(cli._scaled_residual(got, want)[0]) < 1e-4
+
+
+def _hessian_jets_by_tables(N, params, x, y):
+    """The second partials from one whole _tri_tables table per family: the
+    params, y1's image (a, b+1, c+1, d) and x5's (a+1, b, c, d)."""
+    n, k = (v[:, None] for v in koornwinder._graded_indices(N))
+    fy, ny, ky, qy = ladders._step(tk.LadderId("y", 1), n, k, params)
+    fx, nx, kx, qx = ladders._step(tk.LadderId("x", 5), n, k, params)
+
+    def rows(q, n, k):
+        dead = (k < 0) | (k > n)
+        at = np.where(dead, 0, n * (n + 1) // 2 + k)[:, 0]
+        return [np.where(dead, 0.0, T[at]) for T in koornwinder._tri_tables(N, q, x, y, partials=True)]
+
+    u, ux, uy = koornwinder._tri_tables(N, params, x, y, partials=True)
+    _, qy_x, qy_y = rows(qy, ny, ky)
+    _, qx_x, _ = rows(qx, nx, kx)
+    uxy = fy * qy_x
+    uyy = fy * qy_y
+    uxx = (fx * qx_x - (n - 1) * ux + y * uxy) / (1.0 - x)
+    return u, ux, uy, uxx, uxy, uyy
+
+
+@pytest.mark.parametrize("params", cli._OPERATOR_PARAM_SETS)
+@pytest.mark.parametrize("N", [0, 1, 8])
+def test_hessian_jets_equal_the_per_family_tables_on_the_operator_sets(params, N):
+    x, y = cli._interior_points(np.random.default_rng(8), 15)
+    got = cli._hessian_jets(N, params, x, y)
+    for g, w in zip(got, _hessian_jets_by_tables(N, params, x, y), strict=True):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("params", [tk.TriParams(0.3, 0.1, 0.2, 0.0), tk.TriParams(0.0, -0.9, -0.9, 0.0)])
+def test_hessian_jets_off_the_half_grid_move_only_the_last_bits(params):
+    # y1's image reads the params' first factors at 2k + b + c + d + 1, where
+    # its own table sums 2(k - 1) + (b + 1) + (c + 1) + d + 1; u_xx takes u_xy
+    N = 8
+    x, y = cli._interior_points(np.random.default_rng(9), 15)
+    got = cli._hessian_jets(N, params, x, y)
+    want = _hessian_jets_by_tables(N, params, x, y)
+    for g, w in zip(got[:3], want[:3]):
+        assert np.array_equal(g, w)
+    for g, w in zip(got[3:], want[3:]):
+        assert np.max(cli._scaled_residual(g, w)[0]) < 1e-13
 
 
 def test_vectorized_jacobi_sweep_equals_a_per_case_loop():
@@ -970,16 +1029,17 @@ def test_stacked_product_links_break_ties_as_the_per_set_loop(monkeypatch):
     grid = list(itertools.product(cli._TRI_GRID, repeat=4))
     first_factors, shifted_table = cli._first_factors, cli._shifted_table
 
-    def tri_tables(N, params, x, y, partials=False):
-        u, ux, uy = (np.zeros((len(params), tk.basis_size(N), npts)) for _ in range(3))
-        for i, q in enumerate(params):
-            if (q.a, q.b, q.c, q.d) == grid[1]:
-                ux[i, 1] = uy[i, 3] = 1e3
-            elif (q.a, q.b, q.c, q.d) == grid[2]:
-                uy[i, 0] = 1e3
-        return u, ux, uy
+    class Factors(koornwinder._Factors):
+        def __call__(self, n, k, q, partials=True):
+            u, ux, uy = (np.zeros((len(self.x), n.size, npts)) for _ in range(3))
+            for i, key in enumerate(zip(*(v[:, 0, 0] for v in (q.a, q.b, q.c, q.d)))):
+                if key == grid[1]:
+                    ux[i, 1] = uy[i, 3] = 1e3
+                elif key == grid[2]:
+                    uy[i, 0] = 1e3
+            return u, ux, uy
 
-    monkeypatch.setattr(cli, "_tri_tables", tri_tables)
+    monkeypatch.setattr(cli, "_Factors", Factors)
     monkeypatch.setattr(cli, "_first_factors", lambda *args: 0.0 * first_factors(*args))
     monkeypatch.setattr(cli, "_shifted_table", lambda *args: 0.0 * shifted_table(*args))
     for chunk in (16, 1):

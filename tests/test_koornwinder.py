@@ -6,7 +6,7 @@ from scipy.special import eval_jacobi
 
 import trikoorn as tk
 from trikoorn.jacobi import _homog_table, _shifted_table
-from trikoorn.koornwinder import _first_factors, _tri_tables
+from trikoorn.koornwinder import _Factors, _first_factor_param, _first_factors, _graded_indices, _tri_tables
 
 
 def _rng(tag):
@@ -260,6 +260,15 @@ _LIFTED_FAMILIES = [
 ]
 
 
+def _zero_move_reads(N, fams, x, y, partials):
+    # each family one parameter set of a _Factors, read at its own params
+    P = tk.TriParams(*np.array([(q.a, q.b, q.c, q.d) for q in fams]).T[:, :, None, None])
+    tabs = _Factors(N, P, x, y)
+    tabs.build(*_Factors.plan([(P, np.ones(len(fams), bool), partials)], P))
+    n, k = (v[:, None] for v in _graded_indices(N))
+    return tabs(n, k, P, partials=partials)
+
+
 @pytest.mark.parametrize("partials", [False, True])
 @pytest.mark.parametrize("N", [0, 1, 11])
 def test_multi_family_tables_equal_the_per_family_ones(N, partials):
@@ -267,10 +276,11 @@ def test_multi_family_tables_equal_the_per_family_ones(N, partials):
     x = np.concatenate([rng.uniform(0.0, 1.0, 7), [0.0, 1.0, 0.5]])
     y = np.concatenate([rng.uniform(0.0, 1.0, 7) * (1.0 - x[:7]), [0.0, 0.0, 0.5]])
     fams = [tk.TriParams(*p) for p in _LIFTED_FAMILIES]
-    got = _tri_tables(N, fams, x, y, partials=partials)
+    got = _zero_move_reads(N, fams, np.tile(x, (len(fams), 1)), np.tile(y, (len(fams), 1)), partials)
+    assert len(got) == (3 if partials else 1)
     for f, q in enumerate(fams):
         for g, w in zip(got, _tri_tables(N, q, x, y, partials=partials)):
-            assert (g is None and w is None) or np.array_equal(g[f], w)
+            assert np.array_equal(g[f], w)
 
 
 @pytest.mark.parametrize("partials", [False, True])
@@ -282,10 +292,26 @@ def test_multi_family_tables_at_point_rows_equal_one_call_per_family(N, partials
     fams = [tk.TriParams(*p) for p in _LIFTED_FAMILIES + [(1.42, -2.42, 0.5, 0.0), (0.5, 1.5, 2.5, 0.0)]]
     x = rng.uniform(0.0, 1.0, (len(fams), 9))
     y = rng.uniform(0.0, 1.0, x.shape) * (1.0 - x)
-    got = _tri_tables(N, fams, x, y, partials=partials)
+    got = _zero_move_reads(N, fams, x, y, partials)
+    assert len(got) == (3 if partials else 1)
     for f, q in enumerate(fams):
         for g, w in zip(got, _tri_tables(N, q, x[f], y[f], partials=partials)):
-            assert (g is None and w is None) or np.array_equal(g[f], w)
+            assert np.array_equal(g[f], w)
+
+
+@pytest.mark.parametrize("N", [0, 1, 11])
+@pytest.mark.parametrize("pset", [(0.5, 1.5, 2.5, 0.0), (1.0, -0.9, -0.9, 0.5)])
+def test_a_supplied_second_factor_table_multiplies_the_first_factors(pset, N):
+    # transform._edge_tables' edge table: each first-factor row times the
+    # supplied row of its k
+    rng = _rng(14)
+    q = tk.TriParams(*pset)
+    x = rng.uniform(0.0, 1.0, 9)
+    T = rng.standard_normal((N + 1, x.size))
+    (F,) = _first_factors(N, _first_factor_param(np.arange(N + 1), q), q.a, x)
+    U, UX, UY = _tri_tables(N, q, x, 1.0 - x, second=T)
+    assert UX is None and UY is None
+    assert np.array_equal(U, F * T[_graded_indices(N)[1]])
 
 
 @pytest.mark.parametrize("nderiv", [0, 1])

@@ -92,12 +92,16 @@ def test_step_moves_match_catalog(key):
 @pytest.mark.parametrize("key", sorted(_MOVES))
 def test_pointwise_identity_on_valid_targets(key):
     # operator applied to an exact jet of P_{n,k} reproduces the stepped
-    # element times the catalog factor
+    # element times the catalog factor, on the first 30 draws whose target
+    # family is valid (a quarter of the draws for y1 dagger, which needs b
+    # and c > 0)
     axis, s, dagger = key
     (lid,) = [l for l in tk.all_ladder_ids() if (l.axis, l.s, l.dagger) == key]
-    rng = _rng(hash(key) % 2**31)
-    checked = 0
-    for _ in range(100):
+    rng = _rng(200 + sorted(_MOVES).index(key))
+    checked = draws = 0
+    while checked < 30:
+        draws += 1
+        assert draws <= 1000, f"{checked} valid targets in 1000 draws"
         n = int(rng.integers(0, 9))
         k = int(rng.integers(0, n + 1))
         q = tk.TriParams(*rng.choice(_GRID, 4))
@@ -112,7 +116,6 @@ def test_pointwise_identity_on_valid_targets(key):
         rhs = st.factor * tk.tri_eval(st.index, st.params, pt)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs), abs(rhs))
         checked += 1
-    assert checked > 12
 
 
 @pytest.mark.parametrize("key", sorted(_MOVES))
