@@ -426,9 +426,7 @@ def sweep_product_links(seed, nmax=10, npts=10):
         x, y = pts[:, lo : lo + len(sets)]
         pa, pb, pc, pd = np.array(sets).T[:, :, None]
         P = TriParams(pa[..., None], pb[..., None], pc[..., None], pd[..., None])
-        tabs = _Factors(nmax, P, x, y)
-        tabs.build(*_Factors.plan([(P, np.ones(len(sets), bool), True)], P))
-        u, ux, uy = tabs(n, k, P)
+        u, ux, uy = _Factors.over(nmax, P, x, y, [P])(n, k, P)
         s = 1.0 - x
         tau = y / s
         A = _first_factor_param(np.arange(nmax + 1), TriParams(pa, pb, pc, pd))
@@ -495,8 +493,7 @@ def _hessian_jets(N, params, x, y):
     P = TriParams(*np.array([params.a, params.b, params.c, params.d], float).reshape(4, 1, 1, 1))
     fy, ny, ky, qy = _step(LadderId("y", 1), n, k, P)
     fx, nx, kx, qx = _step(LadderId("x", 5), n, k, P)
-    tabs = _Factors(N, P, x[None], y[None])
-    tabs.build(*_Factors.plan([(q, np.ones(1, bool), True) for q in (P, qy, qx)], P))
+    tabs = _Factors.over(N, P, x[None], y[None], (P, qy, qx))
     u, ux, uy = tabs(n, k, P)
     _, qy_x, qy_y = tabs(ny, ky, qy)
     _, qx_x, _ = tabs(nx, kx, qx)

@@ -175,7 +175,7 @@ def _tri_core(n, k, params, x, y, partials=False):
     if 0 <= k <= n:
         F = _shifted_table(n - k, _first_factor_param(k, params), params.a, xx.ravel(), 1 if partials else 0)[:, n - k]
         H = _homog_table(k, params.c, params.b, yy.ravel(), 1.0 - xx.ravel(), partials=partials)
-        out[:] = _jet_rows(F, [T[k] for T in H[: 3 if partials else 1]])
+        out[:] = _jet_rows(F, H[0][k], (H[2][k], H[1][k]) if partials else ())
     if x.ndim == 0 and y.ndim == 0:
         return tuple(float(v[0]) for v in out) if partials else float(out[0, 0])
     out = out.reshape((-1,) + xx.shape)
@@ -235,22 +235,25 @@ def _first_factors(N, A, b, x, nderiv=0):
     return tabs.reshape((nderiv + 1,) + A.shape[:-1] + (basis_size(N), x.shape[-1]))
 
 
-def _jet_rows(F, H):
-    """The rows (u, u_x, u_y) of elements from their factor rows (F, F') and (H, H_y, H_s), or (u,) from (F,) and (H,).
+def _jet_rows(F, h, parts=()):
+    """The rows (u, u_x, u_y) of elements from factor rows F = (F, F'), h and parts, or (u,) from (F,) and h.
 
-    F are first-factor rows and F' their x-derivatives, H second-factor rows
-    and H_y, H_s their y- and s-partials: u = F H, u_x = F' H - F H_s and
-    u_y = F H_y.  Every basis row is formed here, in place: u on the rows F,
-    u_x on F' and u_y on H_y, and H_s is overwritten; H is left as it is.
+    parts yields H_s, then H_y, the s- and y-partials of h: u = F h, u_x = F' h
+    - F H_s and u_y = F H_y, formed in place on F, F' and H_y (H_s overwritten).
+    Each partial row is drawn once the rows before it are formed, H_s dropped
+    first, so a caller that gathers them lazily holds four row arrays at most.
     """
-    f, h = F[0], H[0]
+    f = F[0]
     if len(F) == 1:
         f *= h
         return (f,)
-    df, (_, uy, hs) = F[1], H
-    hs *= f
+    df, parts = F[1], iter(parts)
     df *= h
+    hs = next(parts)
+    hs *= f
     df -= hs
+    del hs
+    uy = next(parts)
     uy *= f
     f *= h
     return f, df, uy
@@ -270,11 +273,11 @@ def _tri_tables(N, params, x, y, partials=False, second=None):
     F = _first_factors(N, _first_factor_param(np.arange(N + 1), params), params.a, x, 1 if partials else 0)
     H = _homog_table(N, params.c, params.b, y, 1.0 - x, partials)[: 3 if partials else 1] if second is None else (second,)
     UY = np.empty_like(F[0]) if partials else None
-    # degree block n holds k = 0..n, so it meets the second factors' rows k <= n
-    # row by row; it takes copies of the partial rows, which _jet_rows overwrites
+    # degree block n (k = 0..n) meets the second factors' rows k <= n row by row,
+    # and the copies of their partial rows that _jet_rows overwrites
     for n in range(N + 1):
         blk = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
-        rows = _jet_rows(F[:, blk], [H[0][: n + 1], *(T[: n + 1].copy() for T in H[1:])])
+        rows = _jet_rows(F[:, blk], H[0][: n + 1], (T[: n + 1].copy() for T in H[:0:-1]))
         if partials:
             UY[blk] = rows[2]
     return F[0], (F[1] if partials else None), UY
@@ -309,6 +312,13 @@ class _Factors:
     def __init__(self, N, params, x, y):
         self.N, self.params, self.x, self.y = N, params, x, y
         self.first, self.second, self.found = {}, {}, {}
+
+    @classmethod
+    def over(cls, N, params, x, y, fams, partials=True):
+        """The tables of every family of fams, each read by every set, built."""
+        tabs = cls(N, params, x, y)
+        tabs.build(*cls.plan([(q, np.ones(len(x), bool), partials) for q in fams], params))
+        return tabs
 
     @staticmethod
     def plan(reads, params):
@@ -367,8 +377,8 @@ class _Factors:
         j, k = (np.where(dead, 0, n - k), np.where(dead, 0, k)) if dead.any() else (n - k, k)
         c = k + off
         row, k = eF + (j + c) * (j + c + 1) // 2 + c, eH + k
-        nf, nh = (2, 3) if partials else (1, 1)
-        rows = _jet_rows([T.take(row, 0) for T in F[:nf]], [T.take(k, 0) for T in H[:nh]])
+        parts = (T.take(k, 0) for T in (H[2], H[1])) if partials else ()
+        rows = _jet_rows([T.take(row, 0) for T in F[: 2 if partials else 1]], H[0].take(k, 0), parts)
         if dead.any():
             for v in rows:
                 np.copyto(v, 0.0, where=dead[..., None])

@@ -1,12 +1,14 @@
 """Tests for the triangle basis: evaluation, jets, indexing, weight."""
 
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import eval_jacobi
 
 import trikoorn as tk
 from trikoorn.jacobi import _homog_table, _shifted_table
-from trikoorn.koornwinder import _Factors, _first_factor_param, _first_factors, _graded_indices, _tri_tables
+from trikoorn.koornwinder import _Factors, _first_factor_param, _first_factors, _graded_indices, _jet_rows, _tri_tables
 
 
 def _rng(tag):
@@ -263,10 +265,8 @@ _LIFTED_FAMILIES = [
 def _zero_move_reads(N, fams, x, y, partials):
     # each family one parameter set of a _Factors, read at its own params
     P = tk.TriParams(*np.array([(q.a, q.b, q.c, q.d) for q in fams]).T[:, :, None, None])
-    tabs = _Factors(N, P, x, y)
-    tabs.build(*_Factors.plan([(P, np.ones(len(fams), bool), partials)], P))
     n, k = (v[:, None] for v in _graded_indices(N))
-    return tabs(n, k, P, partials=partials)
+    return _Factors.over(N, P, x, y, [P], partials)(n, k, P, partials=partials)
 
 
 @pytest.mark.parametrize("partials", [False, True])
@@ -312,6 +312,26 @@ def test_a_supplied_second_factor_table_multiplies_the_first_factors(pset, N):
     U, UX, UY = _tri_tables(N, q, x, 1.0 - x, second=T)
     assert UX is None and UY is None
     assert np.array_equal(U, F * T[_graded_indices(N)[1]])
+
+
+def test_jet_rows_draw_the_y_partials_once_the_s_partials_are_dropped():
+    # a gathering caller's H_s row is freed before its H_y row is drawn, so at
+    # most four row arrays are alive at once
+    freed = []
+
+    def parts():
+        hs = np.full((2, 3), 7.0)
+        ref = weakref.ref(hs)
+        yield hs
+        del hs
+        freed.append(ref() is None)
+        yield np.full((2, 3), 11.0)
+
+    f, df, h = (np.full((2, 3), v) for v in (2.0, 3.0, 5.0))
+    u, ux, uy = _jet_rows([f, df], h, parts())
+    assert freed == [True]
+    assert (u == 10.0).all() and (ux == 1.0).all() and (uy == 22.0).all()
+    assert u is f and ux is df and (h == 5.0).all()
 
 
 @pytest.mark.parametrize("nderiv", [0, 1])
