@@ -49,8 +49,6 @@ from .operators import (
     OP_BUILDERS,
     apply_op,
     build_diff_y,
-    build_eigen_k,
-    build_eigen_n,
     build_mult_same_x,
     build_mult_same_y,
     build_mult_same_z,
@@ -791,23 +789,23 @@ def render_json(reports, blocks_by_suite, seed, scale):
 # ---------------------------------------------------------------------------
 
 
+# built-in functions f(x, y) by id, in listing order; resolve_builtin parses poly:<n,k>
+_BUILTINS = {
+    "one": lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
+    "x": lambda x, y: np.asarray(x, dtype=float).copy(),
+    "y": lambda x, y: np.asarray(y, dtype=float).copy(),
+    "z": lambda x, y: 1.0 - np.asarray(x, dtype=float) - np.asarray(y, dtype=float),
+    "poly:<n,k>": None,
+    "runge": lambda x, y: 1.0 / (
+        1.0 + 25.0 * ((np.asarray(x, dtype=float) - 1.0 / 3.0) ** 2 + (np.asarray(y, dtype=float) - 1.0 / 3.0) ** 2)
+    ),
+}
+
+
 def resolve_builtin(name, params):
     """Map a built-in function id to a callable f(x, y) on coordinate arrays."""
-    if name == "one":
-        return lambda x, y: np.ones_like(np.asarray(x, dtype=float))
-    if name == "x":
-        return lambda x, y: np.asarray(x, dtype=float).copy()
-    if name == "y":
-        return lambda x, y: np.asarray(y, dtype=float).copy()
-    if name == "z":
-        return lambda x, y: 1.0 - np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    if name == "runge":
-        return lambda x, y: 1.0 / (
-            1.0 + 25.0 * ((np.asarray(x, dtype=float) - 1.0 / 3.0) ** 2 + (np.asarray(y, dtype=float) - 1.0 / 3.0) ** 2)
-        )
     if name.startswith("poly:"):
-        body = name[len("poly:") :]
-        parts = body.split(",")
+        parts = name[len("poly:") :].split(",")
         if len(parts) != 2:
             raise UsageError(f"poly id must look like poly:<n,k>, got {name!r}")
         try:
@@ -817,12 +815,10 @@ def resolve_builtin(name, params):
         if not 0 <= k <= n:
             raise UsageError(f"poly id needs 0 <= k <= n, got ({n}, {k})")
         idx = TriIndex(n, k)
-        return lambda x, y: tri_eval(
-            idx, params, TriPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        )
-    raise UsageError(
-        f"unknown function id {name!r}; available: one, x, y, z, poly:<n,k>, runge"
-    )
+        return lambda x, y: tri_eval(idx, params, TriPoint(np.asarray(x, dtype=float), np.asarray(y, dtype=float)))
+    if name not in _BUILTINS:
+        raise UsageError(f"unknown function id {name!r}; available: {', '.join(_BUILTINS)}")
+    return _BUILTINS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +936,7 @@ def cmd_info(args):
         "suites: " + " ".join(SUITE_NAMES) + " all",
         "operators: " + " ".join(OP_BUILDERS),
         "compositions: " + " ".join(cid.name for cid in CompositionId),
-        "builtins: one x y z poly:<n,k> runge",
+        "builtins: " + " ".join(_BUILTINS),
         "tolerances: " + " ".join(f"{k}={v!r}" for k, v in TOLERANCES.items()),
         f"tolerance_scale={scale!r}",
         "exit_codes: 0=pass 1=verification-failure 2=usage-error 3=degeneracy",

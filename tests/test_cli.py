@@ -59,6 +59,17 @@ def test_commands_import_no_scipy(argv, tmp_path):
     assert out.stdout.strip() == "0 []"
 
 
+def test_compose_imports_no_scipy():
+    # the operator product is numpy alone, in a fresh process
+    code = (
+        "import sys, trikoorn as tk; g = tk.build_mult_y(10, tk.TriParams(0.5, 1.5, 2.5, 0.0)); "
+        "h = tk.compose(tk.build_conv_b(11, g.range.params), g); "
+        "print(h.nnz > 0, sorted({m for m in sys.modules if m.split('.')[0] == 'scipy'}))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "True []"
+
+
 def test_expand_past_the_float64_wall_prints_its_error_line_only(tmp_path):
     # at b = c = 300 the degree-200 edge tables overflow: the run exits 3
     # naming the first (n, k) out of range, and numpy's overflow and

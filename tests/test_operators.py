@@ -226,7 +226,7 @@ def test_to_dense_scatters_every_entry():
     ("mult_same_x", "conv_a", "mult_x"), ("mult_same_y", "conv_b", "mult_y"), ("mult_same_z", "conv_c", "mult_z"),
 ])
 def test_same_basis_multiplications_equal_the_composed_product(name, conv, mult):
-    # the stencil product against the scipy.sparse one, text and refusals alike
+    # the offset-keyed stencil product against compose's sorted one, text and refusals alike
     def text(op):
         return ops.matrix_market_text(op) + ops.descriptor_text(op)
 
@@ -242,6 +242,56 @@ def test_same_basis_multiplications_equal_the_composed_product(name, conv, mult)
                 assert str(got.value) == str(exc)
             else:
                 assert text(tk.OP_BUILDERS[name](N, q)) == want, (pset, N)
+
+
+def _scipy_product(f, g):
+    # the oracle: scipy's CSC product, exact zeros eliminated, through from_triplets
+    import scipy.sparse as sp
+
+    fc, gc = (sp.csc_array((op.vals, (op.rows, op.cols)), shape=op.shape) for op in (f, g))
+    prod = (fc @ gc).tocoo()
+    prod.eliminate_zeros()
+    name = f"{f.name}*{g.name}" if f.name and g.name else ""
+    return tk.SparseOp.from_triplets(g.domain, f.range, prod.row, prod.col, prod.data, name)
+
+
+def _assert_same_op(got, want):
+    assert (got.domain, got.range, got.name) == (want.domain, want.range, want.name)
+    for x, y in ((got.rows, want.rows), (got.cols, want.cols), (got.vals, want.vals)):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _every_build(N, q):
+    built = []
+    for build in tk.OP_BUILDERS.values():
+        try:
+            built.append(build(N, q))
+        except ValueError:
+            pass
+    return built
+
+
+def test_compose_equals_the_scipy_csc_product():
+    # every ordered pair of builders whose bases chain: f is built at g's range
+    pairs = 0
+    for pset in _TEXT_PSETS:
+        for N in (0, 1, 5, 40):
+            for g in _every_build(N, tk.TriParams(*pset, 0.0)):
+                for f in _every_build(g.range.maxdeg, g.range.params):
+                    if f.domain == g.range:
+                        _assert_same_op(tk.compose(f, g), _scipy_product(f, g))
+                        pairs += 1
+    assert pairs == 5628
+    # a three-fold chain, then mult_same_y after it: its entries sum runs of more than four paths
+    for N in (5, 40):
+        h = tk.build_conv_a(N, tk.TriParams(0.5, 1.5, 2.5, 0.0))
+        for build in (tk.build_conv_b, tk.build_conv_c, tk.build_mult_same_y):
+            f = build(h.range.maxdeg, h.range.params)
+            got = tk.compose(f, h)
+            _assert_same_op(got, _scipy_product(f, h))
+            paths = (tk.to_dense(f) != 0).astype(float) @ (tk.to_dense(h) != 0)
+            h = got
+        assert paths.max() > 4
 
 
 def test_compose_matches_dense_product():

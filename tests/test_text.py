@@ -129,8 +129,8 @@ def test_matrix_market_text_peak_stays_under_three_texts():
 
 
 def test_cli_import_loads_neither_fractions_nor_decimal():
-    # the power-of-ten table is built from Python ints on first use, and only
-    # operators.compose imports scipy, on its first call
+    # the power-of-ten table is built from Python ints on first use, and no
+    # module of the package imports scipy
     src = os.path.dirname(os.path.dirname(tk.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = (
