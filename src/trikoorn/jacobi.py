@@ -10,7 +10,9 @@ it is unsafe, because a denominator nears zero or a parameter is below -1
 (a+1, b+1) one by the homogenized shifted ladders 1T, 1F, and 4T composed
 with 3T, all unsafe entries of a column at once.  The lift divides by
 nothing but the degree, so the corner s = 0 is an ordinary point, and it
-recurses until the recurrence is safe.
+recurses until the recurrence is safe.  One entry's rows also stream from
+the same recurrence and lift, degree by degree, for sums and single-degree
+evaluations that need no table.
 
 The twelve ladder operators are the rows of one table in shifted form.  The
 (-1, 1) family is derived from it by x = (X + 1)/2 and a power-of-two scale,
@@ -237,6 +239,25 @@ def _lift(G, a, b, n, x, s, nderiv):
         yield -(b + 1) * G[0] - x * (G[1] + G[2])
 
 
+def _rows(n, a, b, x, s=1.0, nderiv=0):
+    """One entry's rows of _shifted_table, H_j(x, s) and its partials up to nderiv, for j = 0..n in turn.
+
+    x is one point row, and s a Python float or a row of x's shape.  The
+    rows come from _recurrence where it is safe, and otherwise each by _lift
+    from the (a+1, b+1) entry's rows of the degree before, so they equal
+    the table's bit for bit without a table: a lifted entry holds one
+    generator per lift level.  Each yield is a list of nderiv + 1 rows,
+    read-only and overwritten two steps later; none for n < 0.
+    """
+    if _recurrence_safe(n, a, b):
+        for rows in _recurrence(np.array([n]), np.array([[a]], float), np.array([[b]], float), x, s, nderiv):
+            yield [row[0] for row in rows]
+        return
+    yield [np.ones(x.shape)] + [np.zeros(x.shape) for _ in range(nderiv)]
+    for j, G in enumerate(_rows(n - 1, a + 1, b + 1, x, s, max(nderiv, 1)), 1):
+        yield list(_lift(G, a, b, j, x, s, nderiv))
+
+
 def _homog_table(kmax, a, b, y, s, partials=False):
     """Second-factor tables (H, Hy, Hs) of H_k(y, s), k <= kmax, per entry of a, b; partials None unless requested.
 
@@ -247,10 +268,17 @@ def _homog_table(kmax, a, b, y, s, partials=False):
 
 
 def _eval_core(n, a, b, x, s=1.0):
-    # H_n(x, s) for any real parameters, shaped as x and s broadcast; negative degree is zero
-    shape = np.broadcast_shapes(np.shape(x), np.shape(s))
-    out = _shifted_table(n, a, b, x, 0, s)[0, n].reshape(shape) if n >= 0 else np.zeros(shape)
-    return float(out) if not shape else out
+    """H_n(x, s) for any real parameters, shaped as x and s broadcast; negative degree is zero.
+
+    The last row that _rows yields, equal to _shifted_table's row n, in
+    O(points) memory: the rows below it are dropped as the next are formed.
+    """
+    x, s = np.asarray(x, dtype=float), np.asarray(s, dtype=float)
+    x, s = np.broadcast_arrays(x, s) if s.ndim else (x, float(s))
+    out = np.zeros(x.size)
+    for out, *_ in _rows(n, a, b, x.ravel(), s if isinstance(s, float) else s.ravel()):
+        pass
+    return float(out[0]) if not x.shape else out.reshape(x.shape)
 
 
 def jacobi_eval(n, p, x):

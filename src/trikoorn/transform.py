@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._text import rows_text
-from .jacobi import _shifted_table
+from .jacobi import _rows, _shifted_table
 from .koornwinder import (
     TriParams,
     TriPoint,
@@ -241,10 +241,13 @@ def analyze(f, N, params, m=None):
 def synthesize(vec, pts):
     """Evaluate a coefficient vector at points (TriPoint list or (npts, 2) array).
 
-    Weighted bases multiply the polynomial sum by x^a y^b z^c; negative
-    exponents then require interior points.  The first factors are summed
-    once per distinct x: G_k(x) = sum_n c_{n,k} F_{n-k}(x), then
-    u = sum_k H_k(y, 1-x) G_k(x).
+    Weighted bases multiply the polynomial sum by x^a y^b z^c; a
+    negative exponent then requires interior points, and a point where its
+    factor vanishes raises ValueError.  The first factors are summed once
+    per distinct x: G_k(x) = sum_n c_{n,k} F_{n-k}(x).  The second factors
+    H_k(y, 1-x) stream from the recurrence one degree at a time, each added
+    in turn to u = sum_k H_k(y, 1-x) G_k(x), k = 0..N, so that beside the
+    first-factor tables over distinct x only a few rows of points are held.
     """
     pts = point_rows(pts)
     N, q, c = vec.basis.maxdeg, vec.basis.params, vec.values
@@ -254,10 +257,20 @@ def synthesize(vec, pts):
     G = np.zeros((N + 1, xu.size))
     for n in range(N + 1):  # degree block n holds k = 0..n
         G[: n + 1] += F[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]
-    H = _shifted_table(N, q.c, q.b, pts[:, 1], 0, 1.0 - pts[:, 0])[0]
-    out = np.einsum("kp,kp->p", H, G[:, at])
+    out, g = np.zeros(len(pts)), np.empty(len(pts))
+    for k, (H,) in enumerate(_rows(N, q.c, q.b, pts[:, 1], 1.0 - pts[:, 0])):
+        G[k].take(at, out=g)
+        g *= H
+        out += g
     if vec.basis.weighted:
-        out = out * weight_eval(q, TriPoint(pts[:, 0], pts[:, 1]))
+        with np.errstate(divide="ignore", over="ignore"):
+            w = weight_eval(q, TriPoint(pts[:, 0], pts[:, 1]))
+        lost = np.flatnonzero(np.isinf(w))
+        if lost.size:
+            x, y = pts[lost[0]].tolist()
+            raise ValueError(f"the weight is infinite at {lost.size} of {len(pts)} points, the first at (x, y) = "
+                f"({x!r}, {y!r}): a negative exponent needs interior points")
+        out *= w
     return out
 
 

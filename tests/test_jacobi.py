@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.special import eval_jacobi
 
 import trikoorn as tk
 from trikoorn import jacobi
-from trikoorn.jacobi import _homog_table, _recurrence_safe, _shifted_table
+from trikoorn.jacobi import _homog_table, _recurrence_safe, _rows, _shifted_table
 
 
 def _rng(tag):
@@ -429,6 +430,48 @@ def test_shifted_table_lifts_equal_rows_in_any_block_size(nderiv, monkeypatch):
             got = _shifted_table(deg, a, b, xs, nderiv, ss)
             for i in range(deg.size):  # the rows each entry reaches; the rest are unset
                 assert np.array_equal(got[:, i, : deg[i] + 1], w[:, i, : deg[i] + 1])
+
+
+@pytest.mark.parametrize("nderiv", [0, 1, 2])
+def test_rows_equal_the_shifted_table_rows(nderiv):
+    # the generator's rows, degree by degree, are the one-entry table's rows
+    # bit for bit: safe entries, lifts, nested lifts, a = -1 exactly, s = 0
+    deg = [12, 0, 5, 12, 3, 1, 8, 15, 9]
+    a = [0.5, -1.5, -1.0, -0.9, -2.5, 0.3, 1.42, -1.5, -0.9]
+    b = [1.5, 0.5, -1.0, -0.95, 2.0, -3.5, -2.42, -1.5, -0.9]
+    rng = _rng(14)
+    x = np.append(rng.uniform(0.0, 1.0, 6), [0.0, 1.0])
+    s = np.append(x[:6] + rng.uniform(0.0, 1.0, 6), [0.0, 1.0])
+    for n, ai, bi in zip(deg, a, b):
+        for ss in (s, 1.0):
+            want = _shifted_table(n, ai, bi, x, nderiv, ss)
+            got = [[row.copy() for row in rows] for rows in _rows(n, ai, bi, x, ss, nderiv)]
+            assert len(got) == n + 1
+            for j, rows in enumerate(got):
+                assert len(rows) == nderiv + 1
+                for d, row in enumerate(rows):
+                    assert np.array_equal(row, want[d, j])
+    assert list(_rows(-1, 0.5, 1.5, x, 1.0, nderiv)) == []
+
+
+@pytest.mark.parametrize("pair", [(-0.9, -0.9), (0.5, 1.5)])
+def test_single_degree_evaluation_holds_rows_not_a_table(pair):
+    # the whole (n + 1) x points table would take 194 MB at (-0.9, -0.9),
+    # which lifts once, and 65 MB at (0.5, 1.5)
+    x = np.linspace(0.0, 1.0, 20000)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        got = tk.shifted_jacobi_eval(400, tk.JacobiParams(*pair), x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert got.shape == x.shape
+    assert np.array_equal(got[::1000], _shifted_table(400, *pair, x[::1000])[0, 400])
+    assert peak < 4e6
 
 
 @pytest.mark.parametrize("nderiv", [0, 1, 2])

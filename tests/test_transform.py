@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,8 @@ from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
 import trikoorn as tk
+from trikoorn.jacobi import _shifted_table
+from trikoorn.koornwinder import _first_factor_param, _first_factors
 from trikoorn.transform import _duffy_factors, _edge_tables
 
 
@@ -364,6 +367,85 @@ def test_factored_synthesize_matches_the_dense_sum(pset, weighted):
         assert np.all(np.abs(got - want) <= 1e-13 * terms)
     as_points = [tk.TriPoint(x, y) for x, y in scattered]
     assert np.array_equal(tk.synthesize(vec, as_points), tk.synthesize(vec, scattered))
+
+
+def _grid(g):
+    return np.array([(i / g, j / g) for i in range(g + 1) for j in range(g + 1 - i)])
+
+
+def _table_synthesize(vec, pts):
+    # the sum over the whole (N + 1) x points second-factor table, by einsum
+    N, q = vec.basis.maxdeg, vec.basis.params
+    xu, at = np.unique(pts[:, 0], return_inverse=True)
+    F = _first_factors(N, _first_factor_param(np.arange(N + 1), q), q.a, xu)[0] * vec.values[:, None]
+    G = np.zeros((N + 1, xu.size))
+    for n in range(N + 1):
+        G[: n + 1] += F[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2]
+    H = _shifted_table(N, q.c, q.b, pts[:, 1], 0, 1.0 - pts[:, 0])[0]
+    out = np.einsum("kp,kp->p", H, G[:, at])
+    return out * tk.weight_eval(q, tk.TriPoint(pts[:, 0], pts[:, 1])) if vec.basis.weighted else out
+
+
+@pytest.mark.parametrize(
+    "pset, weighted",
+    [
+        ((0.5, 1.5, 2.5, 0.0), False),
+        ((0.5, 1.5, 2.5, 0.0), True),
+        ((0.5, -0.9, -0.9, 0.0), False),  # the second factors lift
+        ((2.0, -0.99, -0.99, 0.0), False),
+    ],
+)
+def test_streamed_synthesize_equals_the_table_sum_bit_for_bit(pset, weighted):
+    rng = _rng(12)
+    q = tk.TriParams(*pset)
+    batches = [_grid(200), _interior(rng, 40), np.array([[1.0, 0.0], [0.4, 0.6], [1.0, 0.0], [0.0, 0.0]])]
+    for N in (0, 1, 9, 60):
+        vec = tk.CoeffVec(tk.BasisTag(q, weighted, N), rng.standard_normal(tk.basis_size(N)))
+        for pts in batches:
+            # 1 - x - y rounds below 0 at 40 hypotenuse points of the grid, where
+            # the weight's z^2.5, and so both forms, are NaN
+            with np.errstate(invalid="ignore"):
+                got, want = tk.synthesize(vec, pts), _table_synthesize(vec, pts)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "pset, pts, first",
+    [
+        ((-0.5, 0.5, 0.5, 0.0), [[0.0, 0.5]], "(0.0, 0.5)"),  # x = 0
+        ((0.5, -0.5, 0.5, 0.0), [[0.3, 0.2], [0.5, 0.0], [0.25, 0.0]], "(0.5, 0.0)"),  # y = 0
+        ((0.5, 0.5, -0.5, 0.0), [[0.3, 0.2], [0.4, 0.6]], "(0.4, 0.6)"),  # z = 0
+    ],
+)
+def test_weighted_synthesize_names_the_first_point_where_the_weight_is_infinite(pset, pts, first):
+    q = tk.TriParams(*pset)
+    vec = tk.CoeffVec(tk.BasisTag(q, True, 3), np.ones(tk.basis_size(3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the power on the way
+        with pytest.raises(ValueError, match=rf"the first at \(x, y\) = {re.escape(first)}"):
+            tk.synthesize(vec, np.array(pts))
+        # interior points keep their finite values
+        assert np.isfinite(tk.synthesize(vec, np.array([[0.3, 0.2]]))).all()
+
+
+def test_synthesize_at_degree_60_on_the_200_grid_keeps_its_numpy_peak_under_8_mb():
+    # the whole (N + 1) x points second-factor table and its gathered first
+    # factors would take 23.3 MB; the streamed sum holds a few rows of points
+    q = tk.TriParams(1.0, 0.5, 0.5, 0.0)
+    vec = tk.CoeffVec(tk.BasisTag(q, False, 60), _rng(13).standard_normal(tk.basis_size(60)))
+    pts = _grid(200)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        vals = tk.synthesize(vec, pts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert np.isfinite(vals).all()
+    assert peak < 8e6
 
 
 def test_analyze_at_degree_100_keeps_its_numpy_peak_small():
