@@ -54,7 +54,6 @@ from .operators import (
     build_mult_same_z,
     descriptor_text,
     matrix_market_text,
-    save_matrix_market,
     to_dense,
 )
 from .transform import (
@@ -63,8 +62,6 @@ from .transform import (
     duffy_rule,
     load_coeffs_csv,
     load_values_csv,
-    save_coeffs_csv,
-    save_values_csv,
     synthesize,
     values_csv_text,
 )
@@ -114,6 +111,11 @@ _OPERATOR_PARAM_SETS = (
     TriParams(1.0, 1.0, 1.0),
     TriParams(0.5, 1.5, 2.5),
 )
+# the operator sweep's degree bound, points per parameter set, and random
+# coefficient vectors per operator
+_OPERATOR_N = 8
+_OPERATOR_NPTS = 30
+_OPERATOR_TRIALS = 2
 
 
 def _tol_scale():
@@ -139,17 +141,6 @@ class SweepBlock:
     worst_case: dict
 
 
-@dataclass
-class VerificationReport:
-    suite: str
-    cases: int
-    skipped: int
-    max_residual: float
-    worst_case: dict
-    tolerance: float
-    passed: bool
-
-
 class _Worst:
     """Tracks the largest scaled residual and the case that produced it.
 
@@ -170,10 +161,6 @@ class _Worst:
         if r > self.value:
             self.value = r
             self.case = case
-
-    def update_rows(self, lhs, rhs, case_of):
-        """update() with each row of lhs against rhs in turn; case_of(i, j) names row i at point j."""
-        self.update_max(*_scaled_residual(lhs, rhs), case_of)
 
     def update_max(self, r, j, case_of):
         """update() with each row residual r[i], largest at point j[i], in turn."""
@@ -547,7 +534,7 @@ _OPERATOR_CHECKS = {
 }
 
 
-def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
+def sweep_operator_equivalence(seed):
     """Every coefficient-space builder against its pointwise meaning.
 
     Each builder's row of `_OPERATOR_CHECKS` names its block and its exact
@@ -560,8 +547,9 @@ def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
     rng = np.random.default_rng([seed, 30])
     accs = {name: _Worst() for name in ("exact_equivalence", "derivative_equivalence", "second_order_equivalence")}
     acc_struct = _Worst()
+    N = _OPERATOR_N
     for params in _OPERATOR_PARAM_SETS:
-        x, y = _interior_points(rng, npts)
+        x, y = _interior_points(rng, _OPERATOR_NPTS)
         pts = np.column_stack([x, y])
         pset = {"a": params.a, "b": params.b, "c": params.c}
         hessian = _hessian_jets(N, params, x, y)
@@ -576,7 +564,7 @@ def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
                 continue
             col_ok = op.nnz == 0 or int(np.max(op.column_nnz())) <= bound
             acc_struct.update(0.0 if col_ok else 1.0, {"id": name, "check": "column_bound", **pset})
-            for trial in range(ntrials):
+            for trial in range(_OPERATOR_TRIALS):
                 v = rng.standard_normal(op.domain.size)
                 vec = CoeffVec(op.domain, v)
                 rhs = synthesize(apply_op(op, vec), pts)
@@ -598,29 +586,24 @@ def sweep_operator_equivalence(seed, N=8, npts=30, ntrials=2):
 
 
 def _solve_coeffs(fc, lam):
-    """Divide coefficients by (lambda - mu_n), mode by mode.
+    """Divide coefficients by (lambda - mu_n), every mode at once.
 
-    A resonant mode (lambda within 1e-12 of its eigenvalue) raises unless the
-    right-hand side does not excite it, in which case its coefficients are
-    set to zero and the kernel-orthogonal particular solution is returned.
+    A resonant mode (lambda within 1e-12 of its eigenvalue) raises, naming
+    the first excited degree, unless the right-hand side does not excite it,
+    in which case its coefficients are set to zero and the kernel-orthogonal
+    particular solution is returned.
     """
-    params = fc.basis.params
-    N = fc.basis.maxdeg
-    a, b, c = params.a, params.b, params.c
-    out = np.empty_like(fc.values)
+    p = fc.basis.params
+    n = _graded_indices(fc.basis.maxdeg)[0]
+    mu = -n * (n + p.a + p.b + p.c + 2.0)
+    resonant = np.abs(lam - mu) < 1e-12 * max(1.0, abs(lam))
     negligible = 1e-12 * max(1.0, float(np.max(np.abs(fc.values))))
-    for n in range(N + 1):
-        mu = -n * (n + a + b + c + 2.0)
-        lo = n * (n + 1) // 2
-        hi = lo + n + 1
-        if abs(lam - mu) < 1e-12 * max(1.0, abs(lam)):
-            if np.max(np.abs(fc.values[lo:hi])) > negligible:
-                raise ResonanceError(
-                    f"lambda = {lam!r} is resonant with the eigenvalue {mu!r} at n = {n}"
-                )
-            out[lo:hi] = 0.0
-        else:
-            out[lo:hi] = fc.values[lo:hi] / (lam - mu)
+    excited = np.flatnonzero(resonant & (np.abs(fc.values) > negligible))
+    if excited.size:
+        i = excited[0]
+        raise ResonanceError(f"lambda = {lam!r} is resonant with the eigenvalue {float(mu[i])!r} at n = {n[i]}")
+    out = np.zeros_like(fc.values)
+    np.divide(fc.values, lam - mu, out=out, where=~resonant)
     return CoeffVec(fc.basis, out)
 
 
@@ -648,9 +631,8 @@ def sweep_eigen(seed, nmax=6, npts=20):
         R[0::2] = -k * (k + b + c + 1.0) * u
         L[1::2] = _second_order_n(params, x, y, jets)
         R[1::2] = -n * (n + a + b + c + 2.0) * u
-        acc_pt.update_rows(
-            L,
-            R,
+        acc_pt.update_max(
+            *_scaled_residual(L, R),
             lambda i, j: {
                 "id": ("eigen_k", "eigen_n")[i % 2],
                 "n": int(n[i // 2, 0]),
@@ -702,26 +684,38 @@ _SUITE_FUNCS = {
 
 
 def run_suite(name, seed, scale=1.0):
-    """Run one named suite and merge its blocks into a single report under `exact`.
+    """Run one named suite: its report entry, its blocks merged under `exact` and each block listed.
 
     A `structure` block is folded in with its residual scaled up by the class
     ratio, so the merged pass flag is equivalent to every block passing its
-    own class tolerance, each multiplied by scale.
+    own class tolerance, each multiplied by scale.  Of blocks with equal
+    scaled residuals, the first names the worst case.
     """
     blocks = _SUITE_FUNCS[name](seed)
+    scaled = [b.max_residual * (TOLERANCES["exact"] / TOLERANCES[b.tol_class]) for b in blocks]
+    worst = int(np.argmax(scaled))
     tol = TOLERANCES["exact"] * scale
-    cases = sum(b.cases for b in blocks)
-    skipped = sum(b.skipped for b in blocks)
-    best_val = -1.0
-    best_case = {}
-    for b in blocks:
-        norm = b.max_residual * (TOLERANCES["exact"] / TOLERANCES[b.tol_class])
-        if norm > best_val:
-            best_val = norm
-            best_case = {"block": b.name, **b.worst_case}
-    best_val = max(best_val, 0.0)
-    report = VerificationReport(name, cases, skipped, best_val, best_case, tol, best_val <= tol)
-    return report, blocks
+    return {
+        "suite": name,
+        "cases": sum(b.cases for b in blocks),
+        "skipped": sum(b.skipped for b in blocks),
+        "max_residual": scaled[worst],
+        "worst_case": {"block": blocks[worst].name, **blocks[worst].worst_case},
+        "tolerance": tol,
+        "pass": scaled[worst] <= tol,
+        "blocks": [
+            {
+                "name": b.name,
+                "tolerance_class": b.tol_class,
+                "tolerance": TOLERANCES[b.tol_class] * scale,
+                "cases": b.cases,
+                "skipped": b.skipped,
+                "max_residual": b.max_residual,
+                "worst_case": b.worst_case,
+            }
+            for b in blocks
+        ],
+    }
 
 
 def _fmt_value(v):
@@ -732,55 +726,26 @@ def _fmt_value(v):
     return str(v)
 
 
+def _overall(reports):
+    return "pass" if all(r["pass"] for r in reports) else "fail"
+
+
+# the lines of a suite's entry in the text report, in order
+_TEXT_FIELDS = ("suite", "seed", "cases", "skipped", "max_residual", "worst_case", "tolerance", "tolerance_scale", "pass")
+
+
 def render_text(reports, seed, scale):
     lines = []
     for rep in reports:
-        lines.append(f"suite={rep.suite}")
-        lines.append(f"seed={seed}")
-        lines.append(f"cases={rep.cases}")
-        lines.append(f"skipped={rep.skipped}")
-        lines.append(f"max_residual={rep.max_residual!r}")
-        wc = ";".join(f"{k}={_fmt_value(v)}" for k, v in rep.worst_case.items())
-        lines.append(f"worst_case={wc}")
-        lines.append(f"tolerance={rep.tolerance!r}")
-        lines.append(f"tolerance_scale={scale!r}")
-        lines.append(f"pass={'true' if rep.passed else 'false'}")
-        lines.append("")
-    overall = all(r.passed for r in reports)
-    lines.append(f"overall={'pass' if overall else 'fail'}")
+        wc = ";".join(f"{k}={_fmt_value(v)}" for k, v in rep["worst_case"].items())
+        rep = {**rep, "seed": seed, "worst_case": wc, "tolerance_scale": scale}
+        lines += [f"{key}={_fmt_value(rep[key])}" for key in _TEXT_FIELDS] + [""]
+    lines.append(f"overall={_overall(reports)}")
     return "\n".join(lines) + "\n"
 
 
-def render_json(reports, blocks_by_suite, seed, scale):
-    payload = {
-        "seed": seed,
-        "tolerance_scale": scale,
-        "overall": "pass" if all(r.passed for r in reports) else "fail",
-        "suites": [
-            {
-                "suite": r.suite,
-                "cases": r.cases,
-                "skipped": r.skipped,
-                "max_residual": r.max_residual,
-                "worst_case": r.worst_case,
-                "tolerance": r.tolerance,
-                "pass": r.passed,
-                "blocks": [
-                    {
-                        "name": b.name,
-                        "tolerance_class": b.tol_class,
-                        "tolerance": TOLERANCES[b.tol_class] * scale,
-                        "cases": b.cases,
-                        "skipped": b.skipped,
-                        "max_residual": b.max_residual,
-                        "worst_case": b.worst_case,
-                    }
-                    for b in blocks_by_suite[r.suite]
-                ],
-            }
-            for r in reports
-        ],
-    }
+def render_json(reports, seed, scale):
+    payload = {"seed": seed, "tolerance_scale": scale, "overall": _overall(reports), "suites": reports}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -826,26 +791,22 @@ def resolve_builtin(name, params):
 # ---------------------------------------------------------------------------
 
 
+def _emit(out, parts, sep=""):
+    """Write each (suffix, text) part to out + suffix, or, with no out, every text joined by sep to stdout."""
+    if not out:
+        sys.stdout.write(sep.join(text for _, text in parts))
+        return
+    for suffix, text in parts:
+        with open(out + suffix, "w") as fh:
+            fh.write(text)
+
+
 def cmd_verify(args):
     scale = _tol_scale()
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    reports = []
-    blocks_by_suite = {}
-    for name in names:
-        rep, blocks = run_suite(name, args.seed, scale)
-        reports.append(rep)
-        blocks_by_suite[name] = blocks
-    text = render_text(reports, args.seed, scale)
-    js = render_json(reports, blocks_by_suite, args.seed, scale)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        with open(args.out + ".json", "w") as fh:
-            fh.write(js)
-    else:
-        sys.stdout.write(text)
-        sys.stdout.write(js)
-    return 0 if all(r.passed for r in reports) else 1
+    reports = [run_suite(name, args.seed, scale) for name in names]
+    _emit(args.out, [("", render_text(reports, args.seed, scale)), (".json", render_json(reports, args.seed, scale))])
+    return 0 if _overall(reports) == "pass" else 1
 
 
 def cmd_build_op(args):
@@ -853,13 +814,8 @@ def cmd_build_op(args):
     if builder is None:
         known = " ".join(sorted(OP_BUILDERS))
         raise UsageError(f"unknown operator name {args.name!r}; available: {known}")
-    params = TriParams(args.a, args.b, args.c, 0.0)
-    op = builder(args.N, params)
-    if args.out:
-        save_matrix_market(op, args.out)
-    else:
-        sys.stdout.write(matrix_market_text(op))
-        sys.stdout.write(descriptor_text(op))
+    op = builder(args.N, TriParams(args.a, args.b, args.c, 0.0))
+    _emit(args.out, [("", matrix_market_text(op)), (".desc", descriptor_text(op))])
     return 0
 
 
@@ -870,12 +826,7 @@ def cmd_expand(args):
         raise UsageError(f"--m {m} is below N + 1 = {args.N + 1}, so the rule cannot resolve every element")
     if args.emit_nodes:
         rule = duffy_rule(m, params)
-        text = values_csv_text(rule.points, np.zeros(rule.points.shape[0]))
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(args.out, [("", values_csv_text(rule.points, np.zeros(rule.points.shape[0])))])
         return 0
     if args.values is not None:
         rule = duffy_rule(m, params)
@@ -891,11 +842,7 @@ def cmd_expand(args):
         data = vals
     else:
         data = resolve_builtin(args.name, params)
-    vec = analyze(data, args.N, params, m)
-    if args.out:
-        save_coeffs_csv(vec, args.out)
-    else:
-        sys.stdout.write(coeffs_csv_text(vec))
+    _emit(args.out, [("", coeffs_csv_text(analyze(data, args.N, params, m)))])
     return 0
 
 
@@ -916,16 +863,9 @@ def cmd_solve(args):
     else:
         f = resolve_builtin(args.rhs, params)
         fc = analyze(f, args.N, params)
-    u = _solve_coeffs(fc, getattr(args, "lam"))
+    u = _solve_coeffs(fc, args.lam)
     pts = _grid_points(args.grid)
-    vals = synthesize(u, pts)
-    if args.out:
-        save_coeffs_csv(u, args.out)
-        save_values_csv(pts, vals, args.out + ".grid.csv")
-    else:
-        sys.stdout.write(coeffs_csv_text(u))
-        sys.stdout.write("\n")
-        sys.stdout.write(values_csv_text(pts, vals))
+    _emit(args.out, [("", coeffs_csv_text(u)), (".grid.csv", values_csv_text(pts, synthesize(u, pts)))], sep="\n")
     return 0
 
 

@@ -138,10 +138,15 @@ def _graded_indices(N):
 
 
 def weight_eval(params, pt):
-    """Evaluate the weight x^a y^b z^c (1-x)^d at a point (interior for negative exponents)."""
+    """Evaluate the weight x^a y^b z^c (1-x)^d at a point (interior for negative exponents).
+
+    On the edge z = 0, 1 - x - y can round a few ulps below 0; such a z is
+    read as 0, so a fractional c gives 0 there, not NaN.
+    """
     x = np.asarray(pt.x, dtype=float)
     y = np.asarray(pt.y, dtype=float)
     z = 1.0 - x - y
+    z = np.where((z < 0.0) & (z > -4 * np.finfo(float).eps), 0.0, z)
     return x**params.a * y**params.b * z**params.c * (1.0 - x) ** params.d
 
 
@@ -314,10 +319,10 @@ class _Factors:
         self.first, self.second, self.found = {}, {}, {}
 
     @classmethod
-    def over(cls, N, params, x, y, fams, partials=True):
-        """The tables of every family of fams, each read by every set, built."""
+    def over(cls, N, params, x, y, fams):
+        """The tables of every family of fams, each read by every set with its partials, built."""
         tabs = cls(N, params, x, y)
-        tabs.build(*cls.plan([(q, np.ones(len(x), bool), partials) for q in fams], params))
+        tabs.build(*cls.plan([(q, np.ones(len(x), bool), True) for q in fams], params))
         return tabs
 
     @staticmethod

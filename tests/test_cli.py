@@ -516,22 +516,101 @@ def test_csv_outputs_equal_the_per_row_format(tmp_path, monkeypatch, argv):
     # solve writes 1891 coefficient and 20301 grid rows (the vectorized
     # writer), expand at N = 20 writes 231 rows (the per-row one)
     want = {}
+    out = str(tmp_path / "out.csv")
 
-    def coeffs(vec, path):
+    def coeffs(vec):
         n, k = tk.koornwinder._graded_indices(vec.basis.maxdeg)
-        want[path] = ["n,k,value"] + [f"{a},{b},{v:.17g}" for a, b, v in zip(n, k, vec.values)]
-        tk.save_coeffs_csv(vec, path)
+        want[out] = ["n,k,value"] + [f"{a},{b},{v:.17g}" for a, b, v in zip(n, k, vec.values)]
+        return tk.transform.coeffs_csv_text(vec)
 
-    def values(pts, vals, path):
-        want[path] = ["x,y,value"] + [f"{x:.17g},{y:.17g},{v:.17g}" for (x, y), v in zip(pts, vals)]
-        tk.save_values_csv(pts, vals, path)
+    def values(pts, vals):
+        want[out + ".grid.csv"] = ["x,y,value"] + [f"{x:.17g},{y:.17g},{v:.17g}" for (x, y), v in zip(pts, vals)]
+        return tk.transform.values_csv_text(pts, vals)
 
-    monkeypatch.setattr(cli, "save_coeffs_csv", coeffs)
-    monkeypatch.setattr(cli, "save_values_csv", values)
-    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    monkeypatch.setattr(cli, "coeffs_csv_text", coeffs)
+    monkeypatch.setattr(cli, "values_csv_text", values)
+    assert main([*argv, "--out", out]) == 0
     assert len(want) == (2 if argv[0] == "solve" else 1)
     for path, lines in want.items():
         assert open(path).read() == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, suffixes, sep",
+    [
+        (["verify", "--suite", "eigen", "--seed", "3"], ["", ".json"], ""),
+        (["build-op", "--name", "mult_same_y", "--N", "5", "--a", "0.5", "--b", "1.5", "--c", "2.5"], ["", ".desc"], ""),
+        (["expand", "--emit-nodes", "--N", "4"], [""], ""),
+        (["expand", "--name", "runge", "--N", "6", "--b", "-0.9", "--c", "-0.9"], [""], ""),
+        (["solve", "--lambda", "2.5", "--rhs", "runge", "--N", "6", "--grid", "5"], ["", ".grid.csv"], "\n"),
+    ],
+    ids=["verify", "build-op", "expand-nodes", "expand-name", "solve"],
+)
+def test_stdout_equals_the_out_files_joined(tmp_path, capsys, argv, suffixes, sep):
+    out = str(tmp_path / "out")
+    assert main([*argv, "--out", out]) == 0
+    assert sorted(os.listdir(tmp_path)) == sorted("out" + s for s in suffixes)
+    files = [open(out + s).read() for s in suffixes]
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == sep.join(files)
+
+
+def _solve_per_degree(fc, lam):
+    # the reference for cli._solve_coeffs: one division per degree block
+    p, N = fc.basis.params, fc.basis.maxdeg
+    out = np.empty_like(fc.values)
+    negligible = 1e-12 * max(1.0, float(np.max(np.abs(fc.values))))
+    for n in range(N + 1):
+        mu = -n * (n + p.a + p.b + p.c + 2.0)
+        lo, hi = n * (n + 1) // 2, (n + 1) * (n + 2) // 2
+        if abs(lam - mu) < 1e-12 * max(1.0, abs(lam)):
+            if np.max(np.abs(fc.values[lo:hi])) > negligible:
+                raise cli.ResonanceError(f"lambda = {lam!r} is resonant with the eigenvalue {mu!r} at n = {n}")
+            out[lo:hi] = 0.0
+        else:
+            out[lo:hi] = fc.values[lo:hi] / (lam - mu)
+    return out
+
+
+def _solve_outcome(solve, fc, lam):
+    try:
+        return solve(fc, lam)
+    except cli.ResonanceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("pset", [(0.0, 0.0, 0.0), (0.5, 1.5, 2.5), (1.0, -0.9, -0.9)])
+def test_solve_coeffs_equal_the_per_degree_division(pset):
+    rng = np.random.default_rng(21)
+    q = tk.TriParams(*pset)
+    N = 9
+    values = rng.standard_normal(tk.basis_size(N))
+    mu = [-n * (n + q.a + q.b + q.c + 2.0) for n in range(3)]
+    # a shift off every eigenvalue, and each of the first three eigenvalues,
+    # exactly and 1e-13 relative away; each against the right-hand side with
+    # no degree left unexcited, and with each of degrees 0, 1, 2 in turn
+    for lam in [2.5, -7.25, *mu, mu[2] * (1 + 1e-13)]:
+        for quiet in (None, 0, 1, 2):
+            vals = values.copy()
+            if quiet is not None:
+                vals[quiet * (quiet + 1) // 2 : (quiet + 1) * (quiet + 2) // 2] *= 1e-14
+            fc = tk.CoeffVec(tk.BasisTag(q, False, N), vals)
+            want = _solve_outcome(_solve_per_degree, fc, lam)
+            got = _solve_outcome(lambda fc, lam: cli._solve_coeffs(fc, lam).values, fc, lam)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+    # the resonant degree 2, left unexcited, is zeroed; excited, it is named
+    fc = tk.CoeffVec(tk.BasisTag(q, False, N), values)
+    vals = values.copy()
+    vals[3:6] *= 1e-14
+    got = cli._solve_coeffs(tk.CoeffVec(fc.basis, vals), mu[2]).values
+    assert np.all(got[3:6] == 0.0) and np.all(got[:3] != 0.0) and np.all(got[6:] != 0.0)
+    with pytest.raises(cli.ResonanceError) as exc:
+        cli._solve_coeffs(fc, mu[2])
+    assert str(exc.value) == f"lambda = {mu[2]!r} is resonant with the eigenvalue {mu[2]!r} at n = 2"
 
 
 def test_solve_rejects_a_repeated_coefficient_row(tmp_path, capsys):
@@ -564,7 +643,7 @@ def test_worst_records_a_nan_residual_as_inf():
     assert (acc.value, acc.case, acc.cases) == (float("inf"), {"id": "first"}, 2)
     rows = cli._Worst()
     lhs = np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 3.0], [0.0, 9.0, 0.0]])
-    rows.update_rows(lhs, np.zeros(3), lambda i, j: {"row": i, "point": j})
+    rows.update_max(*cli._scaled_residual(lhs, np.zeros(3)), lambda i, j: {"row": i, "point": j})
     assert (rows.value, rows.case, rows.cases) == (float("inf"), {"row": 1, "point": 1}, 3)
 
 

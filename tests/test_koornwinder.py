@@ -266,7 +266,9 @@ def _zero_move_reads(N, fams, x, y, partials):
     # each family one parameter set of a _Factors, read at its own params
     P = tk.TriParams(*np.array([(q.a, q.b, q.c, q.d) for q in fams]).T[:, :, None, None])
     n, k = (v[:, None] for v in _graded_indices(N))
-    return _Factors.over(N, P, x, y, [P], partials)(n, k, P, partials=partials)
+    tabs = _Factors(N, P, x, y)
+    tabs.build(*_Factors.plan([(P, np.ones(len(x), bool), partials)], P))
+    return tabs(n, k, P, partials=partials)
 
 
 @pytest.mark.parametrize("partials", [False, True])

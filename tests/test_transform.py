@@ -402,11 +402,29 @@ def test_streamed_synthesize_equals_the_table_sum_bit_for_bit(pset, weighted):
     for N in (0, 1, 9, 60):
         vec = tk.CoeffVec(tk.BasisTag(q, weighted, N), rng.standard_normal(tk.basis_size(N)))
         for pts in batches:
-            # 1 - x - y rounds below 0 at 40 hypotenuse points of the grid, where
-            # the weight's z^2.5, and so both forms, are NaN
-            with np.errstate(invalid="ignore"):
-                got, want = tk.synthesize(vec, pts), _table_synthesize(vec, pts)
-            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(tk.synthesize(vec, pts), _table_synthesize(vec, pts))
+
+
+def test_weighted_synthesize_is_finite_where_z_rounds_below_zero():
+    # 1 - x - y rounds to -1.1e-16 at 40 hypotenuse points of the 200-grid
+    # (the grid `solve` writes); the weight reads z = 0 there
+    pts = _grid(200)
+    z = 1.0 - pts[:, 0] - pts[:, 1]
+    edge = pts[z < 0.0]
+    assert len(edge) == 40 and z.min() > -2e-16
+    vec = tk.CoeffVec(tk.BasisTag(tk.TriParams(0.5, 1.5, 2.5), True, 9), _rng(15).standard_normal(tk.basis_size(9)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tk.synthesize(vec, pts)
+        assert np.isfinite(got).all()
+        assert np.array_equal(tk.synthesize(vec, edge), np.zeros(40))
+        # a negative c still makes the weight infinite at those points
+        neg = tk.CoeffVec(tk.BasisTag(tk.TriParams(0.5, 1.5, -0.5), True, 3), np.ones(tk.basis_size(3)))
+        with pytest.raises(ValueError, match="infinite at 40 of 40 points"):
+            tk.synthesize(neg, edge)
+    # a point further outside keeps the fractional power's NaN
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(tk.weight_eval(vec.basis.params, tk.TriPoint(0.5, 0.5 + 1e-12)))
 
 
 @pytest.mark.parametrize(
