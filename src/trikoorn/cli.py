@@ -93,10 +93,10 @@ _JAC_FAMILIES = (
     ("shifted", 0.0, lambda x: x, False),
 )
 _TRI_GRID = (-0.5, 0.0, 0.5, 1.5)
-# parameter sets per chunk of the ladders sweep, the 8 that share (a, b).
-# Memory bounds the chunk, not time: a chunk holds about 0.27 MB per set at
-# its peak, which sets verify's peak RSS, while a chunk of 16 still takes
-# about 15% less time than one of 8
+# parameter sets per chunk of the ladders sweep, half of the 16 consecutive
+# sets that share (a, b). Memory bounds the chunk, not time: a chunk holds
+# about 0.27 MB per set at its peak, which sets verify's peak RSS, while a
+# chunk of 16 still takes about 15% less time than one of 8
 _LADDER_CHUNK = 8
 # sets with d = 0 per run of the d = 0 identities, which read 11 families
 # with partials or for values: 4 of them peak below a chunk of 8
@@ -197,11 +197,11 @@ def _scaled_residual(lhs, rhs):
     Rows of 2-D input reduce separately.  A NaN residual counts as inf, so a
     finite residual elsewhere cannot hide it.
     """
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    den = np.atleast_1d(np.maximum(np.abs(lhs), np.abs(rhs)))
-    rvec = np.atleast_1d(lhs - rhs)
-    np.abs(rvec, out=rvec)
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    shape = np.broadcast(lhs, rhs).shape or (1,)  # at least 1-D
+    den, rvec = np.abs(lhs, out=np.empty(shape)), np.abs(rhs, out=np.empty(shape))
+    np.maximum(den, rvec, out=den)  # two full-size arrays: every pass after these is in place
+    np.abs(np.subtract(lhs, rhs, out=rvec), out=rvec)
     rvec /= np.maximum(den, 1.0, out=den)
     j = np.argmax(rvec, axis=-1)
     r = np.take_along_axis(rvec, j[..., None], -1)[..., 0]
@@ -904,6 +904,7 @@ def _checked(convert, ok, need):
 _NONNEGATIVE = _checked(int, lambda v: v >= 0, "must be a nonnegative integer")
 _COUNT = _checked(int, lambda v: v >= 1, "must be a positive integer")
 _FINITE = _checked(float, math.isfinite, "must be a finite number")
+_COMMANDS = ("verify", "build-op", "expand", "solve", "info")
 
 
 def _add_params(sp):
@@ -912,53 +913,62 @@ def _add_params(sp):
     sp.add_argument("--c", type=_FINITE, default=0.0)
 
 
-def build_parser():
+def build_parser(command=None):
+    """The full parser, or with a command's name one holding its subparser alone, whose texts read the same."""
     parser = argparse.ArgumentParser(
         prog="trikoorn",
         description="Orthogonal polynomial toolkit on the reference triangle.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a lone command's usage still lists all; the full parser's errors name argparse's default, "command"
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    sp = sub.add_parser("verify", help="run seeded verification sweeps")
-    sp.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
-    sp.add_argument("--seed", type=_NONNEGATIVE, default=0)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        sp = sub.add_parser("verify", help="run seeded verification sweeps")
+        sp.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+        sp.add_argument("--seed", type=_NONNEGATIVE, default=0)
+        sp.add_argument("--out", default=None)
+        sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("build-op", help="export a coefficient-space operator")
-    sp.add_argument("--name", required=True)
-    sp.add_argument("--N", type=_NONNEGATIVE, required=True)
-    _add_params(sp)
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_build_op)
+    if command in (None, "build-op"):
+        sp = sub.add_parser("build-op", help="export a coefficient-space operator")
+        sp.add_argument("--name", required=True)
+        sp.add_argument("--N", type=_NONNEGATIVE, required=True)
+        _add_params(sp)
+        sp.add_argument("--out", default=None)
+        sp.set_defaults(func=cmd_build_op)
 
-    sp = sub.add_parser("expand", help="expand a function in the basis")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--name", help="built-in function id")
-    group.add_argument("--values", help="CSV of values sampled at the rule nodes")
-    group.add_argument("--emit-nodes", action="store_true", help="write the rule nodes instead")
-    sp.add_argument("--N", type=_NONNEGATIVE, required=True)
-    _add_params(sp)
-    sp.add_argument("--m", type=_COUNT, default=None, help="nodes per direction, default N+1")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_expand)
+    if command in (None, "expand"):
+        sp = sub.add_parser("expand", help="expand a function in the basis")
+        group = sp.add_mutually_exclusive_group(required=True)
+        group.add_argument("--name", help="built-in function id")
+        group.add_argument("--values", help="CSV of values sampled at the rule nodes")
+        group.add_argument("--emit-nodes", action="store_true", help="write the rule nodes instead")
+        sp.add_argument("--N", type=_NONNEGATIVE, required=True)
+        _add_params(sp)
+        sp.add_argument("--m", type=_COUNT, default=None, help="nodes per direction, default N+1")
+        sp.add_argument("--out", default=None)
+        sp.set_defaults(func=cmd_expand)
 
-    sp = sub.add_parser("solve", help="diagonal shifted solve in coefficient space")
-    sp.add_argument("--lambda", dest="lam", type=_FINITE, required=True)
-    sp.add_argument("--rhs", required=True, help="built-in id or coefficient CSV path")
-    sp.add_argument("--N", type=_NONNEGATIVE, required=True)
-    _add_params(sp)
-    sp.add_argument("--grid", type=_COUNT, default=20, help="barycentric grid subdivisions")
-    sp.add_argument("--out", default=None)
-    sp.set_defaults(func=cmd_solve)
+    if command in (None, "solve"):
+        sp = sub.add_parser("solve", help="diagonal shifted solve in coefficient space")
+        sp.add_argument("--lambda", dest="lam", type=_FINITE, required=True)
+        sp.add_argument("--rhs", required=True, help="built-in id or coefficient CSV path")
+        sp.add_argument("--N", type=_NONNEGATIVE, required=True)
+        _add_params(sp)
+        sp.add_argument("--grid", type=_COUNT, default=20, help="barycentric grid subdivisions")
+        sp.add_argument("--out", default=None)
+        sp.set_defaults(func=cmd_solve)
 
-    sp = sub.add_parser("info", help="print version, names, and tolerances")
-    sp.set_defaults(func=cmd_info)
+    if command in (None, "info"):
+        sp = sub.add_parser("info", help="print version, names, and tolerances")
+        sp.set_defaults(func=cmd_info)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

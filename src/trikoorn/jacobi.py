@@ -213,30 +213,36 @@ def _shifted_table(nmax, a, b, x, nderiv=0, s=1.0, rows=None):
         step = max(1, _LIFT_BLOCK // max(x.shape[-1], 1))
         for lo in range(0, i.size, step):
             e, d1 = lift[i[lo : lo + step]], n[lo : lo + step, None] + 1
-            for d, row in enumerate(_lift(g[:, lo : lo + step], a[e, None], b[e, None], d1, *pts(e), nderiv)):
+            for d, row in enumerate(_lift(a[e, None], b[e, None], *pts(e), nderiv)(g[:, lo : lo + step], d1)):
                 T[d, rows[e, d1[:, 0]]] = row
     return T if lone or not grid else T.reshape((nderiv + 1,) + grid + (x.shape[-1],))
 
 
-def _lift(G, a, b, n, x, s, nderiv):
-    """Degree-n rows of the (a, b) table and its partials up to nderiv from the
+def _lift(a, b, x, s, nderiv):
+    """The lift step of the (a, b) entries at points x, s: step(G, n) yields the
+    degree-n rows of the (a, b) table and its partials up to nderiv from the
     degree-(n-1) rows G of the (a+1, b+1) table, two steps further from the
     singular sums, by the homogenized shifted ladders: 1T gives H, 1F its
-    x-partial, and 4T composed with 3T its s-partial.  Only n divides.  Yields
-    the rows in turn, the first formed in place, so that each may be stored
-    before the next is formed."""
+    x-partial, and 4T composed with 3T its s-partial.  The per-point factors
+    of 1T are formed once, here, for every degree; only n divides.  step
+    yields the rows in turn, the first formed in place, so that each may be
+    stored before the next is formed."""
     w = s - x
-    h = (a + 1) * x
-    h -= (b + 1) * w
-    h *= G[0]
-    h -= x * w * G[1]
-    h /= n
-    del w
-    yield h
-    if nderiv >= 1:
-        yield (n + a + b + 1) * G[0]
-    if nderiv == 2:
-        yield -(b + 1) * G[0] - x * (G[1] + G[2])
+    lin = (a + 1) * x
+    lin -= (b + 1) * w
+    xw = x * w
+
+    def step(G, n):
+        h = lin * G[0]
+        h -= xw * G[1]
+        h /= n
+        yield h
+        if nderiv >= 1:
+            yield (n + a + b + 1) * G[0]
+        if nderiv == 2:
+            yield -(b + 1) * G[0] - x * (G[1] + G[2])
+
+    return step
 
 
 def _rows(n, a, b, x, s=1.0, nderiv=0):
@@ -254,8 +260,9 @@ def _rows(n, a, b, x, s=1.0, nderiv=0):
             yield [row[0] for row in rows]
         return
     yield [np.ones(x.shape)] + [np.zeros(x.shape) for _ in range(nderiv)]
+    step = _lift(a, b, x, s, nderiv)
     for j, G in enumerate(_rows(n - 1, a + 1, b + 1, x, s, max(nderiv, 1)), 1):
-        yield list(_lift(G, a, b, j, x, s, nderiv))
+        yield list(step(G, j))
 
 
 def _homog_table(kmax, a, b, y, s, partials=False):

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: exit codes, file outputs, formats."""
 
+import argparse
 import itertools
 import json
 import os
@@ -79,6 +80,70 @@ def test_expand_past_the_float64_wall_prints_its_error_line_only(tmp_path):
     assert out.returncode == 3
     (line,) = out.stderr.splitlines()
     assert line.startswith("error: ") and "out of float64 range, the first at (n, k) = " in line
+
+
+# every argv path through the parser: help, usage errors at either level, runs
+_PARSER_ARGV = [
+    [], ["-h"], ["-h", "expand"], ["--"], ["--", "info"], ["bogus"], ["--bogus"], ["-x", "info"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    ["build-op", "--N", "3"],
+    ["expand", "--N", "3"],
+    ["verify", "--seed", "-1"],
+    ["verify", "--suite", "nope"],
+    ["solve", "--lambda", "nan", "--rhs", "one", "--N", "2"],
+    ["expand", "--name", "one", "--N"],
+    ["expand", "--name", "one", "--emit-nodes", "--N", "1"],
+    ["info", "--bogus"],
+    ["info", "extra"],
+    ["expand", "--name", "one", "--N", "1", "extra"],
+    ["build-op", "--name", "mult_x", "--N", "1", "--", "extra"],
+    ["info"],
+    ["build-op", "--name", "mult_x", "--N", "2"],
+    ["expand", "--name", "x", "--N", "1"],
+    ["solve", "--lambda", "2", "--rhs", "one", "--N", "1", "--grid", "1"],
+    ["verify", "--suite", "eigen"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_ARGV, ids=" ".join)
+def test_main_answers_as_the_full_parser(argv, monkeypatch, capsys):
+    # main builds only the invoked command's parser; its exit code, stdout
+    # and stderr are those of the full parser, byte for byte
+    got = main(argv), *capsys.readouterr()
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == (main(argv), *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, error", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+])
+def test_the_full_parser_names_its_command_argument(argv, error, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"trikoorn: error: {error}")
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    (["info"], 2),
+    (["expand", "--name", "one", "--N", "1"], 2),
+    (["build-op", "-h"], 2),
+    (["-h"], 6),
+    (["bogus"], 6),
+])
+def test_main_builds_the_invoked_commands_parser_alone(argv, parsers, monkeypatch, capsys):
+    # a known command: the top parser and its own, not one per command; no
+    # command, or a help flag before it: the full parser's six
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    main(argv)
+    assert len(built) == parsers
 
 
 def test_info_exits_zero(capsys):
@@ -645,6 +710,52 @@ def test_worst_records_a_nan_residual_as_inf():
     lhs = np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 3.0], [0.0, 9.0, 0.0]])
     rows.update_max(*cli._scaled_residual(lhs, np.zeros(3)), lambda i, j: {"row": i, "point": j})
     assert (rows.value, rows.case, rows.cases) == (float("inf"), {"row": 1, "point": 1}, 3)
+
+
+def _scaled_residual_four_passes(lhs, rhs):
+    # the reference: |lhs|, |rhs|, their maximum and lhs - rhs, each a new array
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    den = np.atleast_1d(np.maximum(np.abs(lhs), np.abs(rhs)))
+    rvec = np.atleast_1d(lhs - rhs)
+    np.abs(rvec, out=rvec)
+    rvec /= np.maximum(den, 1.0, out=den)
+    j = np.argmax(rvec, axis=-1)
+    r = np.take_along_axis(rvec, j[..., None], -1)[..., 0]
+    if np.isnan(r).any():
+        rvec[np.isnan(rvec)] = np.inf
+        j = np.argmax(rvec, axis=-1)
+        r = np.take_along_axis(rvec, j[..., None], -1)[..., 0]
+    return r, j
+
+
+def test_scaled_residual_equals_the_four_pass_formula():
+    rng = np.random.default_rng(26)
+    big = rng.standard_normal((8, 66, 20)) * 10.0 ** rng.integers(-3, 4, (8, 66, 20))
+    cases = [
+        (big, big + rng.standard_normal(big.shape) * 1e-12),
+        (rng.standard_normal((25, 21, 50)), rng.standard_normal((25, 21, 1))),  # rhs broadcasts
+        (rng.standard_normal((3, 7)), 0.0),
+        (1.5, 2.0),  # 0-d: one row of one point
+        ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),  # all zero: the first point
+        (np.ones((4, 6)), np.array([2.0, 0.0, 2.0, 0.0, 2.0, 0.0])),  # ties
+    ]
+    lhs, rhs = rng.standard_normal((6, 9)), np.zeros((6, 9))
+    lhs[0, 4] = np.nan
+    lhs[1, [2, 7]] = np.nan
+    lhs[2, 3], rhs[2, 3], lhs[2, 5] = 1e308, -1e308, np.nan  # an inf residual before the first NaN
+    lhs[3, 1], lhs[3, 6] = -np.inf, np.inf
+    lhs[4, :] = np.inf
+    rhs[5, [0, 5]] = np.inf
+    cases += [(lhs, rhs), (lhs, rhs[5])]
+    cases.append((np.array([1e308, -1e308, 0.0]), np.array([-1e308, 1e308, 1.0])))  # lhs - rhs overflows
+    for lhs, rhs in cases:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, inf / inf, 1e308 + 1e308
+            r, j = cli._scaled_residual(lhs, rhs)
+            want_r, want_j = _scaled_residual_four_passes(lhs, rhs)
+        assert r.shape == want_r.shape and j.shape == want_j.shape
+        assert np.array_equal(r, want_r) and np.array_equal(j, want_j)
+        assert not np.isnan(r).any()
 
 
 def test_a_nan_residual_fails_the_verification(monkeypatch, tmp_path):

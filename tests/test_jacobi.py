@@ -454,6 +454,26 @@ def test_rows_equal_the_shifted_table_rows(nderiv):
     assert list(_rows(-1, 0.5, 1.5, x, 1.0, nderiv)) == []
 
 
+@pytest.mark.parametrize("nderiv", [0, 1, 2])
+@pytest.mark.parametrize("pair, levels", [((-0.9, -0.9), 1), ((-2.5, 0.5), 2)], ids=["one-lift", "two-lifts"])
+def test_lifted_rows_equal_the_table_rows_on_a_triangle_grid(pair, levels, nderiv):
+    # the lift's per-point factors are formed once per lifted entry: its rows
+    # still equal the table's bit for bit at every degree, for one lift level
+    # and for two, at the second-factor points (y, 1 - x) of a barycentric grid
+    g = 30
+    i = np.repeat(np.arange(g + 1), np.arange(g + 1, 0, -1))
+    y = (np.arange(i.size) - (i * (2 * g + 3 - i)) // 2) / g
+    s = 1.0 - i / g
+    a, b = pair
+    assert [bool(_recurrence_safe(30 - k, a + k, b + k)) for k in range(levels + 1)] == [False] * levels + [True]
+    for ss in (s, 1.0):
+        want = _shifted_table(30, *pair, y, nderiv, ss)
+        for j, rows in enumerate(_rows(30, *pair, y, ss, nderiv)):
+            for d, row in enumerate(rows):
+                assert np.array_equal(row, want[d, j])
+        assert j == 30
+
+
 @pytest.mark.parametrize("pair", [(-0.9, -0.9), (0.5, 1.5)])
 def test_single_degree_evaluation_holds_rows_not_a_table(pair):
     # the whole (n + 1) x points table would take 194 MB at (-0.9, -0.9),
