@@ -48,10 +48,6 @@ from .operators import (
     CoeffVec,
     OP_BUILDERS,
     apply_op,
-    build_diff_y,
-    build_mult_same_x,
-    build_mult_same_y,
-    build_mult_same_z,
     descriptor_text,
     matrix_market_text,
     to_dense,
@@ -553,11 +549,12 @@ def sweep_operator_equivalence(seed):
         pts = np.column_stack([x, y])
         pset = {"a": params.a, "b": params.b, "c": params.c}
         hessian = _hessian_jets(N, params, x, y)
+        built = {}
         for name, builder in OP_BUILDERS.items():
             block, reference, bound = _OPERATOR_CHECKS[name]
             acc = accs[block]
             try:
-                op = builder(N, params)
+                op = built[name] = builder(N, params)
             except ValueError:
                 acc.skip()
                 acc_struct.skip()
@@ -570,13 +567,10 @@ def sweep_operator_equivalence(seed):
                 rhs = synthesize(apply_op(op, vec), pts)
                 r, j = _scaled_residual(reference(vec, params, x, y, pts, hessian), rhs)
                 acc.update(r, {"id": name, "trial": trial, **pset, "x": float(x[j]), "y": float(y[j])})
-        dy_op = build_diff_y(N, params)
-        count_ok = dy_op.nnz == N * (N + 1) // 2
+        count_ok = built["diff_y"].nnz == N * (N + 1) // 2
         acc_struct.update(0.0 if count_ok else 1.0, {"id": "diff_y", "check": "nnz", **pset})
         if min(params.a, params.b, params.c) > 0.0:
-            jx = to_dense(build_mult_same_x(N, params))
-            jy = to_dense(build_mult_same_y(N, params))
-            jz = to_dense(build_mult_same_z(N, params))
+            jx, jy, jz = (to_dense(built[f"mult_same_{e}"]) for e in "xyz")
             total = jx + jy + jz
             r = float(np.max(np.abs(total - np.eye(*total.shape))))
             acc_struct.update(r, {"id": "partition_of_unity", "check": "sum", **pset})

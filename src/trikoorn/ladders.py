@@ -11,11 +11,13 @@ columns, and one call covers all index pairs.  The composed identities
 recover derivative, conversion, multiplication, and eigenvalue relations
 from chains of at most two ladder applications; `_composition` evaluates
 them over index columns as well, and the public functions are its
-single-index case.  The chains are the one source of the banded stencils of
-operators.py and of the gradient expansion `_ladder_gradient`: a chain
-term's coefficient is the product of its ladder factors.  The two
-second-order (eigen) operators are written here once, for the ladder
-identities and the operator sweeps of cli.py.
+single-index case.  Every identity but the degree-eigen one is a chain
+(the k-eigen operator is minus y1+ after y1), and the chains are the one
+source of the stencils of operators.py but eigen_n, and of the gradient
+expansion `_ladder_gradient`: a chain term's coefficient is the product of
+its ladder factors.  The two second-order (eigen) operators are written
+here once, for the degree-eigen identity and as the pointwise references
+of the operator and eigen sweeps of cli.py.
 """
 
 from __future__ import annotations
@@ -293,6 +295,7 @@ _CHAINS = {
     CompositionId.MULT_Z: (
         (1, _y(2, True), _x(2, True)), (-1, _y(2, True), _x(4)), (1, _y(4), _x(4, True)), (-1, _y(4), _x(2))
     ),
+    CompositionId.EIG_K: ((-1, _y(1, True), _y(1)),),
 }
 
 # Closed-form side of every identity, with D = 2k + b + c + 1 and E = 2n + t + 2.
@@ -317,8 +320,9 @@ _CLOSED = {
 
 
 def _chain_sum(terms, n, k, params, x, y, ev, jet):
-    """Sum of outer(inner(P_{n,k})) terms, each inner taken via its index-space step."""
-    left = None
+    """Signed sum from 0 of outer(inner(P_{n,k})) terms, each inner taken via
+    its index-space step; every sign counts, the first term's too."""
+    left = 0.0
     for sign, outer, inner in terms:
         if inner is None:
             term = _pointwise(outer, n, k, params, x, y, *jet)
@@ -328,7 +332,7 @@ def _chain_sum(terms, n, k, params, x, y, ev, jet):
             for v in image:  # f times the target's rows, in place: ev returns new arrays
                 v *= f
             term = _pointwise(outer, n1, k1, q, x, y, *image)
-        left = term if left is None else left + term if sign > 0 else left - term
+        left = left + term if sign > 0 else left - term
     return left
 
 
@@ -351,15 +355,6 @@ def _second_order_n(params, x, y, jets):
         + (a + 1.0 - t * x) * ux
         + (b + 1.0 - t * y) * uy
     )
-
-
-def _eig_k_left(n, k, params, x, y, ev):
-    """y-eigen operator applied through two y1 ladder steps."""
-    f1, n1, k1, p1 = _step(_y(1), n, k, params)
-    f2, n2, k2, p2 = _step(_y(1), n1, k1, p1)
-    duy = f1 * ev(n1, k1, p1, False)[0]
-    duyy = f1 * f2 * ev(n2, k2, p2, False)[0]
-    return _second_order_k(params, x, y, (None, None, duy, None, None, duyy))
 
 
 def _eig_n_left(n, k, params, x, y, ev):
@@ -386,9 +381,6 @@ def _composition_families(cid, params):
     Returns (jets, values): the families read with their partials, params
     first, and those read for values only.  params may hold arrays.
     """
-    if cid is CompositionId.EIG_K:
-        p1 = _step(_y(1), 0, 0, params)[3]
-        return [params], [p1, _step(_y(1), 0, 0, p1)[3]]
     if cid is CompositionId.EIG_N:
         gx, gy, _ = _ladder_gradient(0, 0, params)
         first = [p1 for _, _, _, p1 in gx + gy]
@@ -410,9 +402,7 @@ def _composition(cid, n, k, params, x, y, ev, jet=None):
     """
     jet = ev(n, k, params) if jet is None else jet
     degenerate = np.zeros(np.shape(n), dtype=bool)
-    if cid is CompositionId.EIG_K:
-        left = _eig_k_left(n, k, params, x, y, ev)
-    elif cid is CompositionId.EIG_N:
+    if cid is CompositionId.EIG_N:
         left, degenerate = _eig_n_left(n, k, params, x, y, ev)
     else:
         left = _chain_sum(_CHAINS[cid], n, k, params, x, y, ev, jet)

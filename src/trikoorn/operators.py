@@ -10,8 +10,8 @@ Every banded operator is one entry of a stencil table: column (n, k) maps
 to at most four rows (n+dn, k+dk), each with a rational coefficient in
 (n, k, a, b, c).  The entries are derived from the ladder chains of
 ladders.py: a term's numerator is the product of its chain's ladder factors
-and its denominator the closed form's scale; only the two diagonal
-eigenvalue operators are written out.  One evaluator applies a table entry
+and its denominator the closed form's scale; only the degree-eigenvalue
+operator is written out.  One evaluator applies a table entry
 to all columns at once with numpy; mult_same_* sums two entries' products
 path by path, equal bit for bit to `compose`, the general numpy product of
 two operators.  Explicit zeros are never stored.
@@ -233,8 +233,8 @@ def _chain_stencil(doc, weighted, chain, sign, dens):
     return _Stencil(doc, shift, weighted, dens, tuple(terms))
 
 
-# Every banded stencil but the diagonal two is a ladder chain of the composed
-# identities over its closed form's scale, sign times the product of dens.
+# Every stencil but eigen_n is a ladder chain of the composed identities
+# over its closed form's scale, sign times the product of dens.
 _STENCILS = {
     "diff_x": _chain_stencil("d/dx as a map into the (a+1, b, c+1) basis, degrees N -> N-1.",
         False, _CHAINS[CompositionId.DX_IDENTITY], 1, (_DK,)),
@@ -260,10 +260,8 @@ _STENCILS = {
         False, _CHAINS[CompositionId.MULT_Y], 1, (_DN, _DK)),
     "mult_z": _chain_stencil("Multiplication by z into the (a, b, c-1) basis; requires c > 0.",
         False, _CHAINS[CompositionId.MULT_Z], 1, (_DN, _DK)),
-    "eigen_k": _Stencil("Diagonal operator with entries -k(k+b+c+1) (the k-degree eigenvalues).",
-        (0, 0, 0), False, (), (
-            (0, 0, lambda n, k, a, b, c: -k * (k + b + c + 1)),
-        )),
+    "eigen_k": _chain_stencil("Diagonal operator with entries -k(k+b+c+1) (the k-degree eigenvalues).",
+        False, _CHAINS[CompositionId.EIG_K], 1, ()),
     "eigen_n": _Stencil("Diagonal operator with entries -n(n+a+b+c+2) (the n-degree eigenvalues).",
         (0, 0, 0), False, (), (
             (0, 0, lambda n, k, a, b, c: -n * (n + a + b + c + 2)),

@@ -176,6 +176,10 @@ def test_degenerate_build_parameters_exit_three(capsys):
 def test_malformed_builtin_is_usage_error(capsys):
     assert main(["expand", "--name", "poly:bad", "--N", "3"]) == 2
     assert main(["solve", "--lambda", "1", "--rhs", "nosuchfunc", "--N", "3"]) == 2
+    capsys.readouterr()
+    for name, error in (("poly:a,b", "poly id must hold two integers"), ("poly:1,2", "poly id needs 0 <= k <= n")):
+        assert main(["expand", "--name", name, "--N", "3"]) == 2
+        assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scale", ["not-a-number", "inf", "nan", "1e400"])

@@ -166,6 +166,21 @@ def test_lowering_annihilates_bottom_mode():
 
 # ------------------------------------------------------------- compositions
 
+
+def test_chain_sum_honours_a_leading_minus_sign():
+    # the k-eigen chain is -y1+(y1(.)): its one term enters the sum negated
+    x, y = np.array([0.2, 0.35, 0.1]), np.array([0.3, 0.4, 0.6])
+    n, k = np.array([[3], [4], [5]]), np.array([[2], [1], [5]])
+    q = tk.TriParams(0.5, 1.5, 0.5, 0.0)
+    ev = ladders._core_rows(x, y)
+    y1, y1d = tk.LadderId("y", 1), tk.LadderId("y", 1, True)
+    args = (n, k, q, x, y, ev, ev(n, k, q))
+    plus = ladders._chain_sum(((1, y1d, y1),), *args)
+    minus = ladders._chain_sum(((-1, y1d, y1),), *args)
+    assert np.all(plus != 0.0)
+    np.testing.assert_array_equal(minus, -plus)
+
+
 _GENERAL_D = {
     tk.CompositionId.CONV_A,
     tk.CompositionId.CONV_B,

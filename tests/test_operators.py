@@ -158,6 +158,23 @@ def test_eigen_diagonals_frozen():
     assert dn0[i21] == -8.0
 
 
+_HALVES = [(a, b, c) for a in np.arange(6) / 2 for b in np.arange(6) / 2 for c in np.arange(6) / 2]
+
+
+@pytest.mark.parametrize(
+    "psets, maxulp", [(_HALVES, 0), ([(3.0, 0.1, 0.2), (1.0, 1 / 3, 0.3)], 2)], ids=["dyadic", "non_dyadic"]
+)
+def test_eigen_k_is_its_closed_form_diagonal(psets, maxulp):
+    # eigen_k is the chain -y1+(y1(.)), with factors (k+c+b+1) k: bit for bit
+    # -k(k+b+c+1) where the parameter sums are exact, within 2 ulps elsewhere
+    N = 40
+    k = np.array([tk.linear_to_index(i).k for i in range(tk.basis_size(N))])
+    for a, b, c in psets:
+        op = tk.build_eigen_k(N, tk.TriParams(a, b, c, 0.0))
+        assert np.array_equal(op.rows, op.cols)
+        np.testing.assert_array_max_ulp(np.diag(tk.to_dense(op)), -k * (k + b + c + 1.0), maxulp)
+
+
 def test_degenerate_recurrence_denominators_raise():
     # conv_a divides by 2n+a+b+c+2, zero at n = 0 for this parameter sum
     with pytest.raises(tk.DegenerateParameterError):
