@@ -1,4 +1,6 @@
-"""Row text for the Matrix Market and CSV writers: integer columns as %d, floats as %.17g.
+"""Row text for the Matrix Market and CSV files: integer columns as %d, floats as %.17g.
+
+`read_rows` parses them with numpy: a line holds exactly its format's fields, and no format has comment lines.
 
 `rows_text` is byte-identical to Python's own `'%d'` and `'%.17g'`, row by
 row. Short outputs are formatted by Python itself. Longer ones go through a
@@ -23,6 +25,7 @@ compress per chunk drops them.
 
 from __future__ import annotations
 
+import warnings
 from functools import cache
 
 import numpy as np
@@ -213,3 +216,20 @@ def rows_text(head, columns, sep):
         return head + (fmt * n) % tuple(cells)
     chunks = (_chunk_text([c[i : i + _CHUNK] for c in columns], sep) for i in range(0, n, _CHUNK))
     return "".join([head, *chunks])
+
+
+def read_rows(fh, fields, sep):
+    """The rest of the text file fh as a structured array of (name, dtype) fields, split by sep (None: whitespace).
+
+    Raises ValueError for a malformed line, a body with no rows, or a float that is not finite.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        rows = np.loadtxt(fh, dtype=fields, delimiter=sep, comments=None, ndmin=1)
+    if not rows.size:
+        raise ValueError("no rows after the header")
+    for name in rows.dtype.names:
+        ok = np.isfinite(rows[name])
+        if not ok.all():
+            raise ValueError(f"row {rows[np.argmin(ok)].tolist()} holds a value that is not finite")
+    return rows

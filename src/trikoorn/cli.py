@@ -849,14 +849,14 @@ def _grid_points(g):
 
 def cmd_solve(args):
     params = TriParams(args.a, args.b, args.c, 0.0)
-    if args.rhs.endswith(".csv") or os.path.exists(args.rhs):
+    builtin = args.rhs in _BUILTINS or args.rhs.startswith("poly:")
+    if not builtin and (args.rhs.endswith(".csv") or os.path.exists(args.rhs)):
         try:
             fc = load_coeffs_csv(args.rhs, BasisTag(params, False, args.N))
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read coefficients from {args.rhs!r}: {exc}")
     else:
-        f = resolve_builtin(args.rhs, params)
-        fc = analyze(f, args.N, params)
+        fc = analyze(resolve_builtin(args.rhs, params), args.N, params)
     u = _solve_coeffs(fc, args.lam)
     pts = _grid_points(args.grid)
     _emit(args.out, [("", coeffs_csv_text(u)), (".grid.csv", values_csv_text(pts, synthesize(u, pts)))], sep="\n")

@@ -9,6 +9,7 @@ corner line x = 1 where the classical quotient form y/(1-x) degenerates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -108,19 +109,15 @@ class Jet2:
 def index_to_linear(idx):
     """Linear position of (n, k) in the degree-graded ordering: n(n+1)/2 + k."""
     idx.validate()
-    return idx.n * (idx.n + 1) // 2 + idx.k
+    return int(idx.n) * (int(idx.n) + 1) // 2 + int(idx.k)
 
 
 def linear_to_index(i):
     """Inverse of index_to_linear."""
     if not isinstance(i, (int, np.integer)) or i < 0:
         raise ValueError(f"linear index must be a nonnegative integer, got {i!r}")
-    n = int((np.sqrt(8 * i + 1) - 1) // 2)
-    while n * (n + 1) // 2 > i:
-        n -= 1
-    while (n + 1) * (n + 2) // 2 <= i:
-        n += 1
-    return TriIndex(n, int(i - n * (n + 1) // 2))
+    n = (isqrt(8 * int(i) + 1) - 1) // 2
+    return TriIndex(n, int(i) - n * (n + 1) // 2)
 
 
 def basis_size(N):

@@ -412,7 +412,7 @@ def _composition(cid, n, k, params, x, y, ev, jet=None):
     return left, right, np.broadcast_to(degenerate, left.shape)
 
 
-def composition_residual(cid, idx, params, pt, _evaluator=None):
+def composition_residual(cid, idx, params, pt):
     """Evaluate both sides of a composed ladder identity at a point.
 
     Parameters
@@ -439,8 +439,7 @@ def composition_residual(cid, idx, params, pt, _evaluator=None):
     x, y = np.broadcast_arrays(np.asarray(pt.x, dtype=float), np.asarray(pt.y, dtype=float))
     shape = x.shape
     x, y = x.ravel(), y.ravel()
-    ev = _evaluator if _evaluator is not None else _core_rows(x, y)
-    left, right, degenerate = _composition(cid, np.array([[idx.n]]), np.array([[idx.k]]), params, x, y, ev)
+    left, right, degenerate = _composition(cid, np.array([[idx.n]]), np.array([[idx.k]]), params, x, y, _core_rows(x, y))
     if degenerate.any():
         raise DegenerateParameterError(
             f"{cid.name} at (n, k) = ({idx.n}, {idx.k}): an x-derivative expansion divides by "

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._text import rows_text
+from ._text import read_rows, rows_text
 from .koornwinder import TriParams, _graded_indices, basis_size
 from .ladders import _CHAINS, CompositionId, DegenerateParameterError, LadderId, _chain_factor, _chain_move
 
@@ -464,19 +464,12 @@ def load_matrix_market(path):
         if len(sizes) != 3:
             raise ValueError(f"size line must hold 3 integers, got {sizes!r}")
         nr, nc, nnz = (int(s) for s in sizes)
-        entry = np.dtype([("row", np.int64), ("col", np.int64), ("val", float)])
-        entries = np.loadtxt(fh, dtype=entry, ndmin=1) if nnz else np.zeros(0, entry)
+        entry = [("row", np.int64), ("col", np.int64), ("val", float)]
+        entries = read_rows(fh, entry, None) if nnz else np.zeros(0, entry)
     if entries.size != nnz:
         raise ValueError(f"expected {nnz} matrix entries, found {entries.size}")
-    if not np.all(np.isfinite(entries["val"])):
-        raise ValueError("matrix entries must be finite")
-    kv = {}
     with open(path + ".desc") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                key, _, val = line.partition("=")
-                kv[key] = val
+        kv = dict(line.strip().partition("=")[::2] for line in fh if line.strip())
     dom = _parse_tag(kv, "domain")
     ran = _parse_tag(kv, "range")
     if (ran.size, dom.size) != (nr, nc):

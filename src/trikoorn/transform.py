@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._text import rows_text
+from ._text import read_rows, rows_text
 from .jacobi import _rows, _shifted_table
 from .koornwinder import (
     TriParams,
@@ -302,31 +302,30 @@ def save_coeffs_csv(vec, path):
     Path(path).write_text(coeffs_csv_text(vec))
 
 
-def load_coeffs_csv(path, basis):
-    """Read a coefficient CSV written by save_coeffs_csv for a known basis."""
+def _read_csv(path, fields):
+    """The rows of a CSV file whose header names the fields, as read by `read_rows`."""
+    head = ",".join(name for name, _ in fields)
     with open(str(path)) as fh:
         header = fh.readline().strip()
-        if header != "n,k,value":
-            raise ValueError(f"expected header 'n,k,value', got {header!r}")
-        vals, seen = np.zeros(basis.size), np.zeros(basis.size, dtype=bool)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            n_s, k_s, v_s = line.split(",")
-            n, k = int(n_s), int(k_s)
-            if not 0 <= k <= n <= basis.maxdeg:
-                raise ValueError(f"index ({n}, {k}) outside basis of degree {basis.maxdeg}")
-            v = float(v_s)
-            if not np.isfinite(v):
-                raise ValueError(f"coefficient of ({n}, {k}) is not finite: {v_s!r}")
-            i = n * (n + 1) // 2 + k
-            if seen[i]:
-                raise ValueError(f"index ({n}, {k}) appears twice")
-            vals[i], seen[i] = v, True
-    if not seen.all():
-        raise ValueError(f"expected {basis.size} rows, got {seen.sum()}")
-    return CoeffVec(basis, vals)
+        if header != head:
+            raise ValueError(f"expected header {head!r}, got {header!r}")
+        return read_rows(fh, fields, ",")
+
+
+def load_coeffs_csv(path, basis):
+    """Read a coefficient CSV written by save_coeffs_csv for a known basis."""
+    rows = _read_csv(path, [("n", np.int64), ("k", np.int64), ("value", float)])
+    n, k = rows["n"], rows["k"]
+    out = ~((0 <= k) & (k <= n) & (n <= basis.maxdeg))
+    if out.any():
+        raise ValueError(f"index ({n[out][0]}, {k[out][0]}) outside basis of degree {basis.maxdeg}")
+    i = n * (n + 1) // 2 + k
+    repeated = np.bincount(i, minlength=basis.size)[i] > 1
+    if repeated.any():
+        raise ValueError(f"index ({n[repeated][0]}, {k[repeated][0]}) appears twice")
+    if i.size != basis.size:
+        raise ValueError(f"expected {basis.size} rows, got {i.size}")
+    return CoeffVec(basis, rows["value"][np.argsort(i)])
 
 
 def values_csv_text(pts, vals):
@@ -342,18 +341,5 @@ def save_values_csv(pts, vals, path):
 
 def load_values_csv(path):
     """Read a CSV with header x,y,value; returns (points, values)."""
-    pts, vals = [], []
-    with open(str(path)) as fh:
-        header = fh.readline().strip()
-        if header != "x,y,value":
-            raise ValueError(f"expected header 'x,y,value', got {header!r}")
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            xs, ys, vs = (float(f) for f in line.split(","))
-            if not np.isfinite([xs, ys, vs]).all():
-                raise ValueError(f"row {line!r} holds a value that is not finite")
-            pts.append((xs, ys))
-            vals.append(vs)
-    return np.array(pts, dtype=float), np.array(vals, dtype=float)
+    rows = _read_csv(path, [("x", float), ("y", float), ("value", float)])
+    return np.column_stack([rows["x"], rows["y"]]), rows["value"].copy()

@@ -182,6 +182,18 @@ def test_malformed_builtin_is_usage_error(capsys):
         assert error in capsys.readouterr().err
 
 
+def test_a_file_named_as_a_builtin_does_not_hijack_solve_rhs(tmp_path, monkeypatch, capsys):
+    argv = ["solve", "--lambda", "1", "--rhs", "runge", "--N", "3"]
+    want = (main(argv), capsys.readouterr())
+    (tmp_path / "runge").write_text("hello\n")
+    monkeypatch.chdir(tmp_path)
+    assert (main(argv), capsys.readouterr()) == want
+    assert want[0] == 0
+    # the file itself is read when named as a path
+    assert main(["solve", "--lambda", "1", "--rhs", "./runge", "--N", "3"]) == 2
+    assert "expected header 'n,k,value', got 'hello'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("scale", ["not-a-number", "inf", "nan", "1e400"])
 def test_bad_tolerance_scale_is_usage_error(scale, monkeypatch, capsys):
     monkeypatch.setenv("TRIKOORN_TOL_SCALE", scale)
@@ -814,11 +826,11 @@ def _per_set_ladder_sweep(seed, nmax, npts):
         cids = [c for c in tk.CompositionId if c not in _NEEDS_D0]
         cids += [c for c in tk.CompositionId if c in _NEEDS_D0 and pd == 0.0]
         for cid, (n, k) in itertools.product(cids, pairs):
-            try:
-                L, R = tk.composition_residual(cid, tk.TriIndex(n, k), params, pt, _evaluator=ev)
-            except tk.DegenerateParameterError:
+            L, R, degenerate = ladders._composition(cid, np.array([[n]]), np.array([[k]]), params, x, y, ev)
+            if degenerate.any():
                 acc_b.skip()
                 continue
+            L, R = L[0], R[0]
             r, j = cli._scaled_residual(L, R)
             case = {"id": cid.name, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
             acc_b.update(r, {**case, "x": float(x[j]), "y": float(y[j])})

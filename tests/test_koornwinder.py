@@ -47,6 +47,18 @@ def test_linear_index_round_trip():
             lin += 1
 
 
+@pytest.mark.parametrize("n", [2**31, 2**32, 10**12])
+def test_linear_index_round_trip_at_large_degrees(n):
+    # 8i + 1 exceeds int64 from n = 2**31 on, and n(n + 1) from n = 2**32 on
+    for k in (0, n // 2, n):
+        lin = n * (n + 1) // 2 + k
+        for cast in (int, np.int64):
+            assert tk.index_to_linear(tk.TriIndex(cast(n), cast(k))) == lin
+        for i in (lin, np.int64(lin)) if lin < 2**63 else (lin,):
+            back = tk.linear_to_index(i)
+            assert (back.n, back.k) == (n, k)
+
+
 def test_basis_size_counts_graded_indices():
     for N in range(7):
         assert tk.basis_size(N) == (N + 1) * (N + 2) // 2

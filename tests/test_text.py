@@ -1,9 +1,10 @@
-"""Tests for the row text kernel behind the Matrix Market and CSV writers."""
+"""Tests for the row text kernel behind the Matrix Market and CSV writers, and for their one reader."""
 
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import trikoorn as tk
 from trikoorn import _text
+from trikoorn.cli import main
 from trikoorn._text import _CHUNK, _SHORT, rows_text
 
 
@@ -139,3 +141,81 @@ def test_cli_import_loads_neither_fractions_nor_decimal():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False False False"
+
+
+# ----------------------------------------------------------------- reader
+
+_EDGE = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 0.1, 1 / 3]
+)
+
+
+@pytest.mark.parametrize("N", [3, 24], ids=["python-rows", "kernel-rows"])
+def test_every_format_reads_back_edge_doubles_bit_for_bit(tmp_path, N):
+    basis = tk.BasisTag(tk.TriParams(0, 0, 0, 0), False, N)
+    rng = np.random.default_rng(N)
+    tail = rng.standard_normal(basis.size - _EDGE.size) * 10.0 ** rng.integers(-300, 300, basis.size - _EDGE.size)
+    v = np.concatenate([_EDGE, tail])
+    tk.save_coeffs_csv(tk.CoeffVec(basis, v), tmp_path / "c.csv")
+    got = [tk.load_coeffs_csv(tmp_path / "c.csv", basis).values]
+    tk.save_values_csv(np.column_stack([v, v[::-1]]), -v, tmp_path / "v.csv")
+    pts, vals = tk.load_values_csv(tmp_path / "v.csv")
+    got += [pts[:, 0], pts[:, 1][::-1], -vals]
+    i = np.arange(basis.size)
+    tk.save_matrix_market(tk.SparseOp.from_triplets(basis, basis, i, i, v), tmp_path / "o.mtx")
+    got.append(tk.load_matrix_market(tmp_path / "o.mtx").vals)
+    for g in got:
+        assert np.array_equal(g.view(np.int64), v.view(np.int64))
+
+
+_BASIS1 = tk.BasisTag(tk.TriParams(0, 0, 0, 0), False, 1)
+_LOADERS = {
+    "coeffs": lambda path: tk.load_coeffs_csv(path, _BASIS1),
+    "values": tk.load_values_csv,
+    "matrix": tk.load_matrix_market,
+}
+# each fault mangles the body lines of a file whose columns are split by sep;
+# the message fragment is pinned where it does not depend on the format
+_FAULTS = {
+    "missing-field": (lambda body, sep: [body[0].rsplit(sep, 1)[0], *body[1:]], None),
+    "extra-field": (lambda body, sep: [body[0] + sep + "1", *body[1:]], None),
+    "comment-line": (lambda body, sep: ["# a comment", *body], None),
+    "empty-body": (lambda body, sep: [], "no rows after the header"),
+    "nan": (lambda body, sep: [body[0].rsplit(sep, 1)[0] + sep + "nan", *body[1:]], "not finite"),
+}
+
+
+def _mangled(tmp_path, fmt, fault):
+    """A library-written file of format fmt with one fault in its body."""
+    path = tmp_path / ("f.mtx" if fmt == "matrix" else "f.csv")
+    if fmt == "coeffs":
+        tk.save_coeffs_csv(tk.CoeffVec(_BASIS1, np.array([1.0, 2.0, 3.0])), path)
+    elif fmt == "values":
+        tk.save_values_csv(np.array([[0.1, 0.2], [0.3, 0.4]]), np.array([1.0, 2.0]), path)
+    else:
+        tk.save_matrix_market(tk.build_conv_a(2, tk.TriParams(0.5, 0.5, 0.5, 0.0)), path)
+    sep, nhead = (" ", 2) if fmt == "matrix" else (",", 1)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:nhead] + _FAULTS[fault][0](lines[nhead:], sep)) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+@pytest.mark.parametrize("fmt", list(_LOADERS))
+def test_each_loader_rejects_a_malformed_body_without_a_warning(tmp_path, fmt, fault):
+    path = _mangled(tmp_path, fmt, fault)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=_FAULTS[fault][1]):
+            _LOADERS[fmt](path)
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+@pytest.mark.parametrize("fmt", ["coeffs", "values"])
+def test_cli_reports_a_malformed_file_in_one_error_line(tmp_path, capsys, fmt, fault):
+    path = str(_mangled(tmp_path, fmt, fault))
+    flags = ["solve", "--lambda", "1", "--rhs", path] if fmt == "coeffs" else ["expand", "--values", path]
+    assert main([*flags, "--N", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
