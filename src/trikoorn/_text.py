@@ -221,11 +221,14 @@ def rows_text(head, columns, sep):
 def read_rows(fh, fields, sep):
     """The rest of the text file fh as a structured array of (name, dtype) fields, split by sep (None: whitespace).
 
-    Raises ValueError for a malformed line, a body with no rows, or a float that is not finite.
+    Raises ValueError for a malformed line, naming the first by its number in
+    the file, a body with no rows, or a float that is not finite.
     """
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        rows = np.loadtxt(fh, dtype=fields, delimiter=sep, comments=None, ndmin=1)
+    start = fh.tell()
+    try:
+        rows = _loadtxt(fh, fields, sep)
+    except ValueError:
+        raise ValueError(_first_bad_line(fh, start, fields, sep)) from None
     if not rows.size:
         raise ValueError("no rows after the header")
     for name in rows.dtype.names:
@@ -233,3 +236,41 @@ def read_rows(fh, fields, sep):
         if not ok.all():
             raise ValueError(f"row {rows[np.argmin(ok)].tolist()} holds a value that is not finite")
     return rows
+
+
+def _loadtxt(lines, fields, sep):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(lines, dtype=fields, delimiter=sep, comments=None, ndmin=1)
+
+
+def _reads(lines, fields, sep):
+    try:
+        _loadtxt(lines, fields, sep)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_bad_line(fh, start, fields, sep):
+    """What is wrong with the first line from position start on that loadtxt cannot read, numbered from the file's first line.
+
+    Each line reads on its own, so a bisection of the body by loadtxt itself
+    finds that line; numpy's own message counts rows from the body and may
+    advise options no caller can set.
+    """
+    fh.seek(start)
+    lines = fh.read().split("\n")
+    fh.seek(0)
+    first = fh.read().count("\n") - len(lines) + 2  # the line number of lines[0]
+    lo, hi = 0, len(lines)  # lines[:lo] read, and lines[lo:hi] holds a line that does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _reads(lines[lo:mid], fields, sep) else (lo, mid)
+    tokens = lines[lo].split(sep)
+    if len(tokens) != len(fields):
+        return f"line {first + lo}: expected {len(fields)} fields, found {len(tokens)}"
+    for token, (_, dtype) in zip(tokens, fields):
+        if not (token and _reads([token], dtype, sep)):
+            return f"line {first + lo}: cannot read {token.strip()!r} as {np.dtype(dtype).name}"
+    return f"line {first + lo}: cannot read {lines[lo]!r}"

@@ -92,15 +92,16 @@ _TRI_GRID = (-0.5, 0.0, 0.5, 1.5)
 # parameter sets per chunk of the ladders sweep, half of the 16 consecutive
 # sets that share (a, b). Memory bounds the chunk, not time: a chunk holds
 # about 0.27 MB per set at its peak, which sets verify's peak RSS, while a
-# chunk of 16 still takes about 15% less time than one of 8
+# chunk of 16 still takes about 8-13% less time than one of 8
 _LADDER_CHUNK = 8
 # sets with d = 0 per run of the d = 0 identities, which read 11 families
 # with partials or for values: 4 of them peak below a chunk of 8
 _D0_BATCH = 4
-# parameter sets per chunk of the appendix sweep: a chunk holds about 0.09 MB
-# per set at its peak, so 16 sets hold less than the ladders sweep's peak (1.5
-# MB against 2.4 MB), which sets verify's peak RSS
-_LINK_CHUNK = 16
+# parameter sets per chunk of the appendix sweep, whose time follows its
+# number of kernel calls: a chunk holds about 0.04 MB per set at its peak, so
+# 32 sets stay below the ladders sweep's peak (1.3 MB against 2.4 MB), which
+# sets verify's peak RSS, and 64 would not (2.6 MB)
+_LINK_CHUNK = 32
 
 _OPERATOR_PARAM_SETS = (
     TriParams(0.0, 0.0, 0.0),
@@ -387,9 +388,11 @@ def sweep_product_links(seed, nmax=10, npts=10):
     of the params from their factor tables (koornwinder._Factors); the left
     routes read, built independently of them, the first
     factors at (A_k, a) and (A_k + 1, a + 1) and the second factors at
-    (c, b) and (c + 1, b + 1) at tau = y/(1-x), one kernel call each.  Rows
-    are reduced in (set, n, k, link) order, so the report equals that of a
-    case-by-case loop.
+    (c, b) and (c + 1, b + 1) at tau = y/(1-x), one kernel call each.  Each
+    array is dropped after its last use and each link reduced on its own,
+    so a chunk holds about 0.04 MB per set at its peak.  Rows are reduced
+    in (set, n, k, link) order, so the report equals that of a case-by-case
+    loop.
     """
     rng = np.random.default_rng([seed, 40])
     acc = _Worst()
@@ -407,33 +410,39 @@ def sweep_product_links(seed, nmax=10, npts=10):
         x, y = pts[:, lo : lo + len(sets)]
         pa, pb, pc, pd = np.array(sets).T[:, :, None]
         P = TriParams(pa[..., None], pb[..., None], pc[..., None], pd[..., None])
-        u, ux, uy = _Factors.over(nmax, P, x, y, [P])(n, k, P)
         s = 1.0 - x
+        u, ux, uy = _Factors.over(nmax, P, x, y, [P])(n, k, P)
+        R_jjp, R_jpj = s[:, None] * uy, k * u  # the right routes, R_jpj formed in place
+        R_jpj += s[:, None] * ux
+        R_jpj -= y[:, None] * uy
+        del u, ux, uy
         tau = y / s
         A = _first_factor_param(np.arange(nmax + 1), TriParams(pa, pb, pc, pd))
-        (F,) = _first_factors(nmax, A, pa[:, 0], x)
-        (F1,) = _first_factors(nmax - 1, A[:, :nmax] + 1, pa[:, 0] + 1, x)
-        G = _shifted_table(nmax, pc, pb, tau)[0]
-        G1 = _shifted_table(nmax - 1, pc + 1, pb + 1, tau)[0]
-        dG = np.zeros_like(G)
-        dG[:, 1:] = (np.arange(1, nmax + 1)[:, None] + pc[:, None] + pb[:, None] + 1) * G1
-        dF = np.zeros_like(F)
-        dF[:, lower] = (n - k + A[:, k] + pa[:, None] + 1)[:, lower] * F1[:, below]
         # integer powers as the per-case routes take them, one per k
         pw = np.stack([s**j for j in range(nmax + 2)], axis=1)
-        L = np.empty((len(sets), 2 * n.size, npts))
-        R = np.empty_like(L)
-        L[:, 0::2] = F * pw[:, kr] * dG[:, kr]
-        R[:, 0::2] = s[:, None] * uy
-        L[:, 1::2] = dF * pw[:, kr + 1] * G[:, kr]
-        R[:, 1::2] = k * u + s[:, None] * ux - y[:, None] * uy
+        G = _shifted_table(nmax, pc, pb, tau)[0]
+        dG = np.zeros_like(G)
+        G1 = _shifted_table(nmax - 1, pc + 1, pb + 1, tau)[0]
+        dG[:, 1:] = (np.arange(1, nmax + 1)[:, None] + pc[:, None] + pb[:, None] + 1) * G1
+        (F,) = _first_factors(nmax, A, pa[:, 0], x)
+        L = F * pw[:, kr] * dG[:, kr]
+        del F, dG
+        r, j = np.empty((len(sets), 2 * n.size)), np.empty((len(sets), 2 * n.size), int)
+        r[:, 0::2], j[:, 0::2] = _scaled_residual(L, R_jjp)
+        del L, R_jjp
+        (F1,) = _first_factors(nmax - 1, A[:, :nmax] + 1, pa[:, 0] + 1, x)
+        dF = np.zeros_like(R_jpj)
+        dF[:, lower] = (n - k + A[:, k] + pa[:, None] + 1)[:, lower] * F1[:, below]
+        L = dF * pw[:, kr + 1] * G[:, kr]
+        r[:, 1::2], j[:, 1::2] = _scaled_residual(L, R_jpj)
+        del F1, dF, G, L, R_jpj
 
-        def case(i, j):
-            q, row = divmod(i, L.shape[1])
-            where = dict(zip("abcd", sets[q]), x=float(x[q, j]), y=float(y[q, j]))
+        def case(i, jj):
+            q, row = divmod(i, r.shape[1])
+            where = dict(zip("abcd", sets[q]), x=float(x[q, jj]), y=float(y[q, jj]))
             return {"id": links[row % 2], "n": int(n[row // 2, 0]), "k": int(kr[row // 2]), **where}
 
-        acc.update_max(*(v.reshape(-1) for v in _scaled_residual(L, R)), case)
+        acc.update_max(r.reshape(-1), j.reshape(-1), case)
     return [acc.block("product_links", "exact")]
 
 

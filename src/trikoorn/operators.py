@@ -465,7 +465,10 @@ def load_matrix_market(path):
             raise ValueError(f"size line must hold 3 integers, got {sizes!r}")
         nr, nc, nnz = (int(s) for s in sizes)
         entry = [("row", np.int64), ("col", np.int64), ("val", float)]
-        entries = read_rows(fh, entry, None) if nnz else np.zeros(0, entry)
+        if nnz:
+            entries = read_rows(fh, entry, None)
+        else:  # no body to parse, but every entry line still counts against the size line
+            entries = np.zeros(sum(1 for line in fh if line.strip()), entry)
     if entries.size != nnz:
         raise ValueError(f"expected {nnz} matrix entries, found {entries.size}")
     with open(path + ".desc") as fh:

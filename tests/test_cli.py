@@ -1229,7 +1229,7 @@ def test_product_links_sweep_at_the_lowest_degrees_equals_a_per_case_loop(nmax):
 
 def test_product_links_reports_do_not_depend_on_the_chunk_size(monkeypatch):
     want = cli.sweep_product_links(1, nmax=2, npts=3)
-    for chunk in (1, 3, 256):
+    for chunk in (1, 3, 16, 32, 256):
         monkeypatch.setattr(cli, "_LINK_CHUNK", chunk)
         assert cli.sweep_product_links(1, nmax=2, npts=3) == want
 
@@ -1259,7 +1259,7 @@ def test_stacked_product_links_break_ties_as_the_per_set_loop(monkeypatch):
     monkeypatch.setattr(cli, "_Factors", Factors)
     monkeypatch.setattr(cli, "_first_factors", lambda *args: 0.0 * first_factors(*args))
     monkeypatch.setattr(cli, "_shifted_table", lambda *args: 0.0 * shifted_table(*args))
-    for chunk in (16, 1):
+    for chunk in (32, 16, 1):
         monkeypatch.setattr(cli, "_LINK_CHUNK", chunk)
         (got,) = cli.sweep_product_links(seed, nmax=2, npts=npts)
         x, y = cli._interior_points(np.random.default_rng([seed, 40]), 2 * npts)
@@ -1269,17 +1269,54 @@ def test_stacked_product_links_break_ties_as_the_per_set_loop(monkeypatch):
         assert got.worst_case == {"id": "jpj", "n": 1, "k": 0, **where}
 
 
-def test_product_links_sweep_keeps_its_numpy_peak_small():
-    # all 256 sets at the suite's degree and points: a chunk of 16 sets holds
-    # about 1.5 MB at its peak, and all 256 at once about 22 MB
+def test_product_links_per_link_residuals_equal_one_over_the_interleaved_rows(monkeypatch):
+    # each chunk reduces its jjp rows and its jpj rows by one call each, into
+    # columns 0::2 and 1::2; one call over the two links' rows interleaved, as
+    # (set, n, k, link), gives the same residuals and points bit for bit
+    calls, scaled_residual = [], cli._scaled_residual
+
+    def record(L, R):
+        calls.append((L, R, *scaled_residual(L, R)))
+        return calls[-1][2:]
+
+    monkeypatch.setattr(cli, "_scaled_residual", record)
+    cli.sweep_product_links(0, nmax=3, npts=4)
+    assert len(calls) == 2 * -(-256 // cli._LINK_CHUNK)
+    for jjp, jpj in zip(calls[0::2], calls[1::2]):
+        L, R, r, j = (np.stack(v, 2).reshape(len(v[0]), -1, *v[0].shape[2:]) for v in zip(jjp, jpj))
+        want_r, want_j = scaled_residual(L, R)
+        assert L.shape[1:] == (2 * 10, 4)
+        assert np.array_equal(r.view(np.int64), want_r.view(np.int64)) and np.array_equal(j, want_j)
+
+
+def _traced_peak(run):
+    """run()'s result, and the peak that tracemalloc traces above what was held before it."""
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
     try:
-        (block,) = cli.sweep_product_links(0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return run(), tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+def test_product_links_sweep_keeps_its_numpy_peak_small():
+    # all 256 sets at the suite's degree and points: a chunk of 32 sets holds
+    # about 1.3 MB at its peak, and all 256 at once about 10 MB.  A small run
+    # first makes the one-time allocations of a first call
+    cli.sweep_product_links(0, nmax=2, npts=3)
+    (block,), peak = _traced_peak(lambda: cli.sweep_product_links(0))
     assert block.cases == 33792
-    assert peak < 4e6
+    assert peak < 2.4e6
+
+
+@pytest.mark.parametrize("suite", ["jacobi", "operators", "eigen"])
+def test_other_suites_peak_below_the_ladders_suite(suite):
+    # the ladders suite's numpy peak, about 2.4 MB, sets verify's peak RSS;
+    # these suites peak at about 2.0, 0.4 and 0.2 MB (seed 0, after a first
+    # call has made its one-time allocations)
+    cli._SUITE_FUNCS[suite](0)
+    _, peak = _traced_peak(lambda: cli._SUITE_FUNCS[suite](0))
+    assert peak < 2.4e6

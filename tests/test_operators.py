@@ -473,6 +473,21 @@ def test_matrix_market_rejects_truncated_files(tmp_path, mangle):
         tk.load_matrix_market(path)
 
 
+def test_matrix_market_zero_entry_count_holds_no_entry_lines(tmp_path):
+    # a size line edited to 0 entries over a body of 9 entry lines is an
+    # error; an operator with no entries (d/dx at degree 0) reads back
+    path = tmp_path / "op.mtx"
+    tk.save_matrix_market(tk.build_conv_a(2, tk.TriParams(0.5, 0.5, 0.5, 0.0)), path)
+    path.write_text(path.read_text().replace("\n6 6 9\n", "\n6 6 0\n"))
+    with pytest.raises(ValueError, match="expected 0 matrix entries, found 9"):
+        tk.load_matrix_market(path)
+    op = tk.build_diff_x(0, tk.TriParams(0.5, 1.5, 2.5))
+    assert op.shape == (1, 1) and op.nnz == 0
+    tk.save_matrix_market(op, path)
+    back = tk.load_matrix_market(path)
+    assert (back.shape, back.nnz, back.domain, back.range) == (op.shape, 0, op.domain, op.range)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_matrix_market_rejects_non_finite_entries(tmp_path, bad):
     op = tk.build_conv_a(2, tk.TriParams(0.5, 0.5, 0.5, 0.0))

@@ -175,14 +175,26 @@ _LOADERS = {
     "matrix": tk.load_matrix_market,
 }
 # each fault mangles the body lines of a file whose columns are split by sep;
-# the message fragment is pinned where it does not depend on the format
+# the message fragment is pinned where it does not depend on the format, {0}
+# and {1} standing for the numbers of the first two body lines in the file
 _FAULTS = {
-    "missing-field": (lambda body, sep: [body[0].rsplit(sep, 1)[0], *body[1:]], None),
-    "extra-field": (lambda body, sep: [body[0] + sep + "1", *body[1:]], None),
+    "missing-field": (lambda body, sep: [body[0].rsplit(sep, 1)[0], *body[1:]], "line {0}: expected 3 fields, found 2"),
+    "extra-field": (lambda body, sep: [body[0] + sep + "1", *body[1:]], "line {0}: expected 3 fields, found 4"),
+    "bad-token": (
+        lambda body, sep: [body[0], body[1].rsplit(sep, 1)[0] + sep + "zz", *body[2:]],
+        "line {1}: cannot read 'zz' as float64",
+    ),
     "comment-line": (lambda body, sep: ["# a comment", *body], None),
     "empty-body": (lambda body, sep: [], "no rows after the header"),
     "nan": (lambda body, sep: [body[0].rsplit(sep, 1)[0] + sep + "nan", *body[1:]], "not finite"),
 }
+
+
+def _message(fmt, fault):
+    """The pinned message fragment of fault in a file of format fmt, or None."""
+    want = _FAULTS[fault][1]
+    first = 3 if fmt == "matrix" else 2
+    return want and want.format(first, first + 1)
 
 
 def _mangled(tmp_path, fmt, fault):
@@ -206,7 +218,7 @@ def test_each_loader_rejects_a_malformed_body_without_a_warning(tmp_path, fmt, f
     path = _mangled(tmp_path, fmt, fault)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=_FAULTS[fault][1]):
+        with pytest.raises(ValueError, match=_message(fmt, fault)):
             _LOADERS[fmt](path)
 
 
@@ -219,3 +231,17 @@ def test_cli_reports_a_malformed_file_in_one_error_line(tmp_path, capsys, fmt, f
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usecols" not in err
+    want = _message(fmt, fault)
+    assert want is None or want in err
+
+
+def test_a_malformed_body_is_named_by_its_first_bad_line(tmp_path):
+    # lines 3 and 5 are bad, and line 4 is blank, which loadtxt skips
+    path = tmp_path / "v.csv"
+    path.write_text("x,y,value\n0.1,0.2,1\n0.1,0.2\n\n0.1,0.2,zz\n0.3,0.4,2\n")
+    with pytest.raises(ValueError, match="^line 3: expected 3 fields, found 2$"):
+        tk.load_values_csv(path)
+    path.write_text("x,y,value\n0.1,0.2,1\n\n0.1,0.2,zz\n0.1,0.2\n")
+    with pytest.raises(ValueError, match="^line 4: cannot read 'zz' as float64$"):
+        tk.load_values_csv(path)
