@@ -90,13 +90,15 @@ _JAC_FAMILIES = (
 )
 _TRI_GRID = (-0.5, 0.0, 0.5, 1.5)
 # parameter sets per chunk of the ladders sweep, half of the 16 consecutive
-# sets that share (a, b). Memory bounds the chunk, not time: a chunk holds
-# about 0.27 MB per set at its peak, which sets verify's peak RSS, while a
-# chunk of 16 still takes about 8-13% less time than one of 8
+# sets that share (a, b). Memory bounds the chunk, not time: the suite peaks
+# at about 2.35 MB, in a chunk's a - 1 first-factor build, which sets
+# verify's peak RSS, while a chunk of 16 peaks at 4.4 MB and still takes
+# about 8-13% less time than one of 8
 _LADDER_CHUNK = 8
 # sets with d = 0 per run of the d = 0 identities, which read 11 families
-# with partials or for values: 4 of them peak below a chunk of 8
-_D0_BATCH = 4
+# with partials or for values: 8 of them peak at 2.30 MB, below a chunk of
+# 8, and take about 8% less time than 4
+_D0_BATCH = 8
 # parameter sets per chunk of the appendix sweep, whose time follows its
 # number of kernel calls: a chunk holds about 0.04 MB per set at its peak, so
 # 32 sets stay below the ladders sweep's peak (1.3 MB against 2.4 MB), which
@@ -283,13 +285,15 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
     nmax.  Every family is read from factor tables that families share
     (koornwinder._Factors): each y-ladder target reads the params' first
     factors, each x-ladder target their second factors.  A chunk builds, one
-    kernel call per kind, the first factors that keep a, with x-derivatives,
-    and all second factors, which serve the identities and the ladders onto
-    them; then the first factors with a + 1, then with a - 1, each dropping
-    the last.  The d = 0 identities run apart, on _D0_BATCH sets with d = 0
-    at a time, just before the first chunk that holds them, and their rows
-    join that chunk's.  Rows are reduced in (set, operator, n, k) order, so
-    the reports equal those of a case-by-case loop.
+    kernel call per kind, the first factors that keep a, and all second
+    factors, which serve the identities and the ladders onto them; then the
+    first factors with a + 1, then with a - 1, each dropping the last.  A
+    first factor gets x-derivatives only where some term reads u_x of its
+    family: the images that only y-ladders read are read as (u, u_y).  The d
+    = 0 identities run apart, on _D0_BATCH sets with d = 0 at a time, just
+    before the first chunk that holds them, and their rows join that
+    chunk's.  Rows are reduced in (set, operator, n, k) order, so the
+    reports equal those of a case-by-case loop.
     """
     rng = np.random.default_rng([seed, 20])
     accA = _Worst()
@@ -306,8 +310,7 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
     # parameter of exactly -1 are skipped, so not built
     targets = [_step(lid, 0, 0, P)[3] for lid in ids]
     reads = [
-        [(q, on, i == 0) for cid in cs for i, fams in enumerate(_composition_families(cid, P)) for q in fams]
-        for cs, on in zip(cids, (every, d0))
+        [(q, on, how) for cid in cs for q, how in _composition_families(cid, P)] for cs, on in zip(cids, (every, d0))
     ]
     reads[0] += [(q, ~_at_minus_one(q).ravel(), False) for q in targets]
     plans = [_Factors.plan(r, P) for r in reads]
@@ -331,6 +334,7 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
         for c, cid in enumerate(cids):
             L, R, degenerate = _composition(cid, n, k, params, x, y, tabs, jet)
             r[:, c], j[:, c] = _scaled_residual(L, R)
+            del L, R
             keep[:, c] = ~degenerate[..., 0]
             accB.skip(degenerate[..., 0].sum())
         return r, j, keep, jet
@@ -352,7 +356,7 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
         rows = (np.concatenate(v, 1) for v in zip(rows, held))
         _reduce(accB, *rows, [cid.name for cid in cids[0] + cids[1]], sets, n, k, x, y)
         shape = (sel.size, len(ids), n.size)
-        r, j, keep = np.zeros(shape), np.zeros(shape, int), np.zeros(shape, bool)
+        r, j, keep = np.zeros(shape), np.zeros(shape, np.min_scalar_type(npts - 1)), np.zeros(shape, bool)
         for da in (0, 1, -1):  # the ladders onto first factors of each move of a in turn
             if da:
                 tabs.build({key: (w[sel], p) for key, (w, p) in first.items() if key[0] == da})

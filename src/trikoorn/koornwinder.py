@@ -242,23 +242,23 @@ def _jet_rows(F, h, parts=()):
 
     parts yields H_s, then H_y, the s- and y-partials of h: u = F h, u_x = F' h
     - F H_s and u_y = F H_y, formed in place on F, F' and H_y (H_s overwritten).
-    Each partial row is drawn once the rows before it are formed, H_s dropped
-    first, so a caller that gathers them lazily holds four row arrays at most.
+    Given F = (F,) and parts yielding H_y alone, the rows are (u, None, u_y),
+    formed by the same operations.  Each partial row is drawn once the rows
+    before it are formed, H_s dropped first, so a caller that gathers them
+    lazily holds four row arrays at most.
     """
-    f = F[0]
-    if len(F) == 1:
-        f *= h
-        return (f,)
-    df, parts = F[1], iter(parts)
-    df *= h
-    hs = next(parts)
-    hs *= f
-    df -= hs
-    del hs
-    uy = next(parts)
-    uy *= f
+    f, df, parts = F[0], (F[1] if len(F) > 1 else None), iter(parts)
+    if df is not None:
+        df *= h
+        hs = next(parts)
+        hs *= f
+        df -= hs
+        del hs
+    uy = next(parts, None)
+    if uy is not None:
+        uy *= f
     f *= h
-    return f, df, uy
+    return (f,) if uy is None else (f, df, uy)
 
 
 def _tri_tables(N, params, x, y, partials=False, second=None):
@@ -304,11 +304,12 @@ class _Factors:
     the shifted sums are exact, as they are on a grid of multiples of 1/2,
     and where the params' first factors take the recurrence at any degree,
     as with all parameters >= -1/2.  Calling the object as ev(n, k, q,
-    partials=True) returns the rows (u, ux, uy), or (u,), of the elements at
-    index columns n, k of family q, one per set, shape (S, m, npts), zero
-    rows out of range: the products of their factor rows, formed by
-    _jet_rows as _tri_tables forms them, so a zero move reads each set's
-    _tri_tables rows bit for bit.
+    partials=True) returns the rows (u, ux, uy), or (u,) for partials=False,
+    of the elements at index columns n, k of family q, one per set, shape
+    (S, m, npts), zero rows out of range: the products of their factor rows,
+    formed by _jet_rows as _tri_tables forms them, so a zero move reads each
+    set's _tri_tables rows bit for bit.  partials="y" reads (u, None, uy),
+    the same bits, without the x-derivatives, which a y-ladder never reads.
     """
 
     def __init__(self, N, params, x, y):
@@ -327,13 +328,14 @@ class _Factors:
         """The tables that reads need: ({(da, sigma): (sets, nderiv)}, {(db, dc): (sets, partials)}).
 
         Each read (q, sets, partials) names a family over the parameter sets
-        params, the sets that read it, and whether its partials are read.
+        params, the sets that read it, and its partials as __call__ takes
+        them: the first factors get x-derivatives for partials=True only.
         """
         plans = {}, {}
         for q, need, partials in reads:
-            for plan, key in zip(plans, _Factors.keys(_move(q, params))[::2]):
+            for plan, key, kind in zip(plans, _Factors.keys(_move(q, params))[::2], (partials is True, partials)):
                 was, p = plan.get(key, (False, False))
-                plan[key] = (was | need, int(p or partials))
+                plan[key] = (was | need, int(bool(p or kind)))
         return plans
 
     @staticmethod
@@ -374,15 +376,16 @@ class _Factors:
             F, H = ([T.reshape(-1, T.shape[-1]) for T in tabs if T is not None] for tabs in (F, H))
             self.found[move] = F, eF[:, None] * basis_size(self.N), H, eH[:, None] * (self.N + 1), (eF >= 0) & (eH >= 0)
         F, eF, H, eH, has = self.found[move]
-        if (~dead.all(-1) & ~has).any():
+        ux = partials is True
+        if (~dead.all(-1) & ~has).any() or len(F) < 1 + ux or len(H) < 1 + 2 * bool(partials):
             raise ValueError("a family read was not built")
         j, k = (np.where(dead, 0, n - k), np.where(dead, 0, k)) if dead.any() else (n - k, k)
         c = k + off
         row, k = eF + (j + c) * (j + c + 1) // 2 + c, eH + k
-        parts = (T.take(k, 0) for T in (H[2], H[1])) if partials else ()
-        rows = _jet_rows([T.take(row, 0) for T in F[: 2 if partials else 1]], H[0].take(k, 0), parts)
+        parts = (T.take(k, 0) for T in (H[2], H[1])[1 - ux :]) if partials else ()
+        rows = _jet_rows([T.take(row, 0) for T in F[: 1 + ux]], H[0].take(k, 0), parts)
         if dead.any():
-            for v in rows:
+            for v in (v for v in rows if v is not None):
                 np.copyto(v, 0.0, where=dead[..., None])
         return rows
 

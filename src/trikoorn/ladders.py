@@ -298,6 +298,9 @@ _CHAINS = {
     CompositionId.EIG_K: ((-1, _y(1, True), _y(1)),),
 }
 
+# The partials that each axis's ladders read of an image: a y-ladder reads u and u_y only (_y_rule).
+_IMAGE_PARTIALS = {"x": True, "y": "y"}
+
 # Closed-form side of every identity, with D = 2k + b + c + 1 and E = 2n + t + 2.
 _CLOSED = {
     CompositionId.DX_IDENTITY: lambda n, k, p, x, y, z, D, E, u, ux, uy: D * ux,
@@ -321,19 +324,32 @@ _CLOSED = {
 
 def _chain_sum(terms, n, k, params, x, y, ev, jet):
     """Signed sum from 0 of outer(inner(P_{n,k})) terms, each inner taken via
-    its index-space step; every sign counts, the first term's too."""
+    its index-space step and read with the partials outer reads; every sign
+    counts, the first term's too.  0 +- the first term makes the sum, and
+    each later term is added to it in place."""
     left = 0.0
     for sign, outer, inner in terms:
         if inner is None:
             term = _pointwise(outer, n, k, params, x, y, *jet)
         else:
             f, n1, k1, q = _step(inner, n, k, params)
-            image = ev(np.where(f != 0.0, n1, -1), k1, q)
-            for v in image:  # f times the target's rows, in place: ev returns new arrays
+            image = ev(np.where(f != 0.0, n1, -1), k1, q, _IMAGE_PARTIALS[outer.axis])
+            for v in (v for v in image if v is not None):  # f times the target's rows, in place: ev returns new arrays
                 v *= f
             term = _pointwise(outer, n1, k1, q, x, y, *image)
-        left = left + term if sign > 0 else left - term
+        if sign > 0:
+            left += term
+        else:
+            left -= term
     return left
+
+
+def _sum(terms):
+    """sum(terms): 0 + the first term, then each later one added in place."""
+    total = 0
+    for v in terms:
+        total += v
+    return total
 
 
 def _second_order_k(params, x, y, jets):
@@ -360,33 +376,35 @@ def _second_order_n(params, x, y, jets):
 def _eig_n_left(n, k, params, x, y, ev):
     """Degree-eigen operator applied through the gradient expansions, plus the degenerate mask."""
     gx, gy, degenerate = _ladder_gradient(n, k, params)
-    dux = sum(cf * ev(n1, k1, p1, False)[0] for cf, n1, k1, p1 in gx)
-    duy = sum(cf * ev(n1, k1, p1, False)[0] for cf, n1, k1, p1 in gy)
+    dux = _sum(cf * ev(n1, k1, p1, False)[0] for cf, n1, k1, p1 in gx)
+    duy = _sum(cf * ev(n1, k1, p1, False)[0] for cf, n1, k1, p1 in gy)
     duxx = duxy = duyy = 0.0
     for cf, n1, k1, p1 in gx:
         g2x, g2y, deg = _ladder_gradient(n1, k1, p1)
         degenerate = degenerate | deg & _in_range(n1, k1)
-        duxx += cf * sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2x)
-        duxy += cf * sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2y)
+        duxx += cf * _sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2x)
+        duxy += cf * _sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2y)
     for cf, n1, k1, p1 in gy:
         _, g2y, deg = _ladder_gradient(n1, k1, p1)
         degenerate = degenerate | deg & _in_range(n1, k1)
-        duyy += cf * sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2y)
+        duyy += cf * _sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2y)
     return _second_order_n(params, x, y, (None, dux, duy, duxx, duxy, duyy)), degenerate
 
 
 def _composition_families(cid, params):
     """The parameter families whose tables `_composition` reads for one identity.
 
-    Returns (jets, values): the families read with their partials, params
-    first, and those read for values only.  params may hold arrays.
+    Returns (family, partials) pairs, params first with all its partials,
+    each family with the partials that `ev` reads it with.  params may hold
+    arrays.
     """
     if cid is CompositionId.EIG_N:
         gx, gy, _ = _ladder_gradient(0, 0, params)
         first = [p1 for _, _, _, p1 in gx + gy]
         second = [p2 for p1 in first for g in _ladder_gradient(0, 0, p1)[:2] for _, _, _, p2 in g]
-        return [params], first + second
-    return [params] + [_step(inner, 0, 0, params)[3] for _, _, inner in _CHAINS[cid] if inner is not None], []
+        return [(params, True)] + [(q, False) for q in first + second]
+    images = [(inner, _IMAGE_PARTIALS[outer.axis]) for _, outer, inner in _CHAINS[cid] if inner is not None]
+    return [(params, True)] + [(_step(inner, 0, 0, params)[3], how) for inner, how in images]
 
 
 def _composition(cid, n, k, params, x, y, ev, jet=None):
@@ -394,7 +412,8 @@ def _composition(cid, n, k, params, x, y, ev, jet=None):
 
     `ev(n, k, params, partials=True)` returns the jet rows (u, ux, uy) of the
     elements at index arrays, or (u,) without partials, zero rows out of
-    range, as new arrays; jet may hold those of params at n, k already.
+    range, as new arrays, and may leave ux None for partials="y"; jet may
+    hold those of params at n, k already.
     params may hold arrays that broadcast against the index columns, as x
     and y do.  Returns (left, right, degenerate), where degenerate, shaped as
     left, marks the samples whose gradient expansion divides by zero (their

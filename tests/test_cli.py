@@ -868,7 +868,7 @@ def test_ladder_sweep_reports_do_not_depend_on_the_chunk_size(monkeypatch):
     # end in a part batch, or cover all 27 at once
     monkeypatch.setattr(cli, "_TRI_GRID", (-0.5, 0.0, 1.5))
     want = cli.sweep_triangle_ladders(1, nmax=3, npts=6)
-    for chunk, batch in ((1, 1), (3, 2), (16, 5), (8, 27)):
+    for chunk, batch in ((1, 1), (3, 2), (16, 5), (8, 4), (8, 8), (8, 27)):
         monkeypatch.setattr(cli, "_LADDER_CHUNK", chunk)
         monkeypatch.setattr(cli, "_D0_BATCH", batch)
         assert cli.sweep_triangle_ladders(1, nmax=3, npts=6) == want
@@ -876,13 +876,18 @@ def test_ladder_sweep_reports_do_not_depend_on_the_chunk_size(monkeypatch):
 
 def test_ladder_sweep_builds_each_table_once_per_chunk_of_sets(monkeypatch):
     # per chunk of 8 sets: first, for a set with d = 0 not yet run, the d = 0
-    # identities' tables on the next 4 such sets (first factors for values
-    # and with x-derivatives, second factors for values and with partials);
-    # then over all 8 the first factors that keep a, with x-derivatives, and
-    # every second factor, for values and with partials; then the first
-    # factors with a + 1, and those with a - 1 on the sets with a != 0 (at
-    # a = 0 every such target has a = -1 and is skipped).  No (family, set)
-    # entry is built twice in one call, and none on demand
+    # identities' tables on the next 8 such sets (first factors for values,
+    # first factors with x-derivatives, second factors for values and with
+    # partials); then over all 8 the first factors that keep a, for values
+    # and with x-derivatives, and every second factor, for values and with
+    # partials; then the first factors with a + 1, and those with a - 1 on
+    # the sets with a != 0 (at a = 0 every such target has a = -1 and is
+    # skipped).  A first-factor key, (da, sigma) as _Factors.keys names it,
+    # gets x-derivatives only where some term reads u_x of it: the keys that
+    # only the images under a y-ladder read (the main chunk's (0, +-1), which
+    # CONV_B, CONV_C, MULT_Y and MULT_Z read through their x2 and x4 images,
+    # and the d = 0 batch's (1, -1), (-1, -1) and (-1, 1)) are built without.
+    # No (family, set) entry is built twice in one call, and none on demand
     npts, chunk = 20, cli._LADDER_CHUNK
     grid = list(itertools.product(cli._TRI_GRID, repeat=4))
     xs, ys = cli._interior_points(np.random.default_rng([0, 20]), len(grid) * npts)
@@ -893,7 +898,8 @@ def test_ladder_sweep_builds_each_table_once_per_chunk_of_sets(monkeypatch):
     def counted_first(N, A, a, x, nderiv=0):
         sets = [set_of[row.tobytes()] for row in x]
         assert len(set(zip(A[:, 0], a, sets))) == len(sets)
-        calls.append(("first", nderiv, sorted(set(sets))))
+        keys = {(round(ai - grid[s][0]), round(A0 - sum(grid[s][1:]) - 1)) for A0, ai, s in zip(A[:, 0], a, sets)}
+        calls.append(("first", nderiv, sorted(set(sets)), sorted(keys)))
         return first_factors(N, A, a, x, nderiv)
 
     def counted_second(N, c, b, y, s, partials=False):
@@ -911,10 +917,12 @@ def test_ladder_sweep_builds_each_table_once_per_chunk_of_sets(monkeypatch):
         for s in (s for s in every if s in d0 and s not in done):
             batch = d0[d0.index(s) :][: cli._D0_BATCH]
             done.update(batch)
-            want += [(kind, d, batch) for kind in ("first", "second") for d in (0, 1)]
-        want += [("first", 1, every), ("second", 0, every), ("second", 1, every), ("first", 0, every)]
+            want += [("first", 0, batch, [(-1, -1), (-1, 1), (1, -1), (1, 1), (1, 3), (2, 2)])]
+            want += [("first", 1, batch, [(0, 0)]), ("second", 0, batch), ("second", 1, batch)]
+        want += [("first", 0, every, [(0, -1), (0, 1)]), ("first", 1, every, [(0, 0)])]
+        want += [("second", 0, every), ("second", 1, every), ("first", 0, every, [(1, -1), (1, 0), (1, 1)])]
         moved = [s for s in every if grid[s][0] != 0.0]
-        want += [("first", 0, moved)] if moved else []
+        want += [("first", 0, moved, [(-1, -1), (-1, 0), (-1, 1)])] if moved else []
     assert calls == want
 
 
@@ -954,40 +962,24 @@ def test_stacked_ladder_sweep_breaks_ties_as_the_per_set_loop(monkeypatch):
 
 def test_ladder_sweep_keeps_its_numpy_peak_small(monkeypatch):
     # two chunks of 8 parameter sets at the suite's degree and points; one
-    # chunk holds about 3 MB at its peak, and all 256 sets of the suite at
+    # chunk holds about 2.35 MB at its peak, and all 256 sets of the suite at
     # once would hold about 190 MB of tables
     monkeypatch.setattr(cli, "_TRI_GRID", (-0.5, 0.0))
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        blocks = cli.sweep_triangle_ladders(0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    blocks, peak = _traced_peak(lambda: cli.sweep_triangle_ladders(0))
     assert blocks[0].cases > 0 and blocks[1].cases > 0
     assert peak < 8e6
 
 
-def test_ladders_suite_keeps_its_numpy_peak_under_3_mb():
+def test_ladders_suite_keeps_its_numpy_peak_under_2_4_mb():
     # the whole suite at seed 0: its 256 sets in chunks of 8, its 64 sets with
-    # d = 0 in batches of 4; its peak sets verify's peak RSS.  A small run
-    # first makes the one-time allocations of a first call (lazy imports,
-    # free lists), and the peak is taken over what was traced before
+    # d = 0 in batches of 8; it peaks at about 2.35 MB, which sets verify's
+    # peak RSS.  A small run first makes the one-time allocations of a first
+    # call (lazy imports, free lists), and the peak is taken over what was
+    # traced before
     cli.sweep_triangle_ladders(0, nmax=2, npts=3)
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    base = tracemalloc.get_traced_memory()[0]
-    tracemalloc.reset_peak()
-    try:
-        blocks = cli.sweep_triangle_ladders(0)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    blocks, peak = _traced_peak(lambda: cli.sweep_triangle_ladders(0))
     assert [(b.cases, b.skipped) for b in blocks] == [(329568, 75936), (156244, 44)]
-    assert peak <= 3.0e6
+    assert peak <= 2.4e6
 
 
 def test_vectorized_eigen_sweep_equals_a_per_case_loop():
@@ -1180,17 +1172,12 @@ def test_jacobi_sweep_makes_one_table_call_per_target_shift(monkeypatch):
 
 def test_jacobi_sweep_keeps_its_numpy_peak_small():
     # the suite's pairs, degree and points: a shift's target table holds
-    # 0.22 MB and the sources 0.42 MB, and the sweep's peak (2.0 MB) stays
-    # below the 2.9 MB of a ladders sweep chunk, which sets verify's
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        blocks = cli.sweep_jacobi_ladders(0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    # 0.22 MB and the sources 0.42 MB.  The sweep peaks at about 2.0 MB once
+    # a first call has made its one-time allocations (lazy imports, free
+    # lists), below the ladders suite's 2.35 MB, which sets verify's peak
+    # RSS (test_other_suites_peak_below_the_ladders_suite); this run may be
+    # that first call, which peaks at about 2.8 MB
+    blocks, peak = _traced_peak(lambda: cli.sweep_jacobi_ladders(0))
     assert [b.cases for b in blocks] == [6300, 6300]
     assert peak < 2.9e6
 

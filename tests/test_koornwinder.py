@@ -313,6 +313,38 @@ def test_multi_family_tables_at_point_rows_equal_one_call_per_family(N, partials
             assert np.array_equal(g[f], w)
 
 
+def _bits(v):
+    return np.asarray(v).view(np.int64)
+
+
+@pytest.mark.parametrize("pset", [(0.5, 1.5, -0.5, 0.0), (0.3, 0.1, 0.2, 0.0)])
+def test_a_read_without_u_x_equals_the_full_reads_u_and_u_y_bit_for_bit(pset):
+    # partials="y", a y-ladder's read of an image: its first factors are
+    # built and gathered without x-derivatives, and its u and u_y are those
+    # of the full read bit for bit, dead rows (k > n, negative degree) and
+    # families keyed apart from the params' own first factors included
+    rng, N = _rng(15), 6
+    P = tk.TriParams(*(np.full((2, 1, 1), v) for v in pset))
+    x = rng.uniform(0.0, 1.0, (2, 9))
+    y = rng.uniform(0.0, 1.0, x.shape) * (1.0 - x)
+    n, k = np.array([[0], [3], [5], [2], [-1], [6], [4]]), np.array([[0], [1], [5], [3], [0], [2], [4]])
+    for move in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, -2)):
+        q, every = P.shifted(*move), np.ones(2, bool)
+        full, bare = _Factors(N, P, x, y), _Factors(N, P, x, y)
+        full.build(*_Factors.plan([(q, every, True)], P))
+        first, second = _Factors.plan([(q, every, "y")], P)
+        assert [d for _, d in first.values()] == [0] and [p for _, p in second.values()] == [1]
+        bare.build(first, second)
+        u, ux, uy = full(n, k, q)
+        for tabs in (bare, full):
+            got = tabs(n, k, q, partials="y")
+            assert got[1] is None and len(got) == 3
+            assert np.array_equal(_bits(got[0]), _bits(u)) and np.array_equal(_bits(got[2]), _bits(uy))
+        assert not u[:, 3:5].any() and not uy[:, 3:5].any()
+        with pytest.raises(ValueError, match="not built"):
+            bare(n, k, q)  # u_x of first factors built without x-derivatives
+
+
 @pytest.mark.parametrize("N", [0, 1, 11])
 @pytest.mark.parametrize("pset", [(0.5, 1.5, 2.5, 0.0), (1.0, -0.9, -0.9, 0.5)])
 def test_a_supplied_second_factor_table_multiplies_the_first_factors(pset, N):

@@ -5,6 +5,7 @@ import pytest
 
 import trikoorn as tk
 from trikoorn import ladders
+from trikoorn.koornwinder import _Factors, _graded_indices
 
 
 def _rng(tag):
@@ -179,6 +180,28 @@ def test_chain_sum_honours_a_leading_minus_sign():
     minus = ladders._chain_sum(((-1, y1d, y1),), *args)
     assert np.all(plus != 0.0)
     np.testing.assert_array_equal(minus, -plus)
+
+
+@pytest.mark.parametrize("pset", [(0.5, 1.5, -0.5, 0.5), (0.3, 0.1, 0.2, 0.0)])
+def test_conv_b_sides_from_reads_without_u_x_equal_the_public_ones_bit_for_bit(pset):
+    # CONV_B's terms are y-ladders of x2 and x4 images.  The public
+    # composition_residual reads those images with all their partials; a
+    # sweep's factor tables, planned from _composition_families, build and
+    # read them without u_x.  Both give the same sides bit for bit
+    cid, N = tk.CompositionId.CONV_B, 5
+    x, y = np.array([0.2, 0.35, 0.1, 0.6]), np.array([0.3, 0.4, 0.6, 0.05])
+    n, k = (v[:, None] for v in _graded_indices(N))
+    P = tk.TriParams(*(np.full((1, 1, 1), v) for v in pset))
+    reads = [(q, np.ones(1, bool), how) for q, how in ladders._composition_families(cid, P)]
+    assert [how for _, _, how in reads] == [True] + ["y"] * 4
+    tabs = _Factors(N + 1, P, x[None], y[None])
+    tabs.build(*_Factors.plan(reads, P))
+    left, right, _ = ladders._composition(cid, n, k, P, x[None], y[None], tabs)
+    pt = tk.TriPoint(x, y)
+    for i, (nn, kk) in enumerate(zip(n.ravel(), k.ravel())):
+        want = tk.composition_residual(cid, tk.TriIndex(int(nn), int(kk)), tk.TriParams(*pset), pt)
+        for got, w in zip((left[0, i], right[0, i]), want):
+            assert np.array_equal(got.view(np.int64), w.view(np.int64))
 
 
 _GENERAL_D = {
