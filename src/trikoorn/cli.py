@@ -312,7 +312,7 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
     reads = [
         [(q, on, how) for cid in cs for q, how in _composition_families(cid, P)] for cs, on in zip(cids, (every, d0))
     ]
-    reads[0] += [(q, ~_at_minus_one(q).ravel(), False) for q in targets]
+    reads[0] += [(q, ~_at_minus_one(q).ravel(), "") for q in targets]
     plans = [_Factors.plan(r, P) for r in reads]
     a_move = [_move(q, P)[0] for q in targets]
     d0sets, pending = np.flatnonzero(d0), {}
@@ -368,7 +368,7 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
                 # polynomial in the parameters, so the relation is asserted even
                 # outside the integrable family
                 skip = (f != 0.0) & _at_minus_one(q)
-                (v,) = tabs(np.where((f != 0.0) & ~skip, n1, -1), k1, q, partials=False)
+                (v,) = tabs(np.where((f != 0.0) & ~skip, n1, -1), k1, q, partials="")
                 r[:, i], j[:, i] = _scaled_residual(lhs, f * v)
                 keep[:, i] = ~skip[..., 0]
         accA.skip(keep.size - np.count_nonzero(keep))

@@ -242,23 +242,26 @@ def _jet_rows(F, h, parts=()):
 
     parts yields H_s, then H_y, the s- and y-partials of h: u = F h, u_x = F' h
     - F H_s and u_y = F H_y, formed in place on F, F' and H_y (H_s overwritten).
-    Given F = (F,) and parts yielding H_y alone, the rows are (u, None, u_y),
-    formed by the same operations.  Each partial row is drawn once the rows
-    before it are formed, H_s dropped first, so a caller that gathers them
-    lazily holds four row arrays at most.
+    Given F = (F, None) and parts yielding H_y alone, the rows are (u, None,
+    u_y), formed by the same operations.  Each partial row is drawn once the
+    rows before it are formed, H_s dropped first, so a caller that gathers
+    them lazily holds four row arrays at most.
     """
-    f, df, parts = F[0], (F[1] if len(F) > 1 else None), iter(parts)
+    f = F[0]
+    if len(F) == 1:
+        f *= h
+        return (f,)
+    df, parts = F[1], iter(parts)
     if df is not None:
         df *= h
         hs = next(parts)
         hs *= f
         df -= hs
         del hs
-    uy = next(parts, None)
-    if uy is not None:
-        uy *= f
+    uy = next(parts)
+    uy *= f
     f *= h
-    return (f,) if uy is None else (f, df, uy)
+    return f, df, uy
 
 
 def _tri_tables(N, params, x, y, partials=False, second=None):
@@ -304,12 +307,13 @@ class _Factors:
     the shifted sums are exact, as they are on a grid of multiples of 1/2,
     and where the params' first factors take the recurrence at any degree,
     as with all parameters >= -1/2.  Calling the object as ev(n, k, q,
-    partials=True) returns the rows (u, ux, uy), or (u,) for partials=False,
-    of the elements at index columns n, k of family q, one per set, shape
-    (S, m, npts), zero rows out of range: the products of their factor rows,
-    formed by _jet_rows as _tri_tables forms them, so a zero move reads each
-    set's _tri_tables rows bit for bit.  partials="y" reads (u, None, uy),
-    the same bits, without the x-derivatives, which a y-ladder never reads.
+    partials) returns the rows of the elements at index columns n, k of
+    family q, one per set, shape (S, m, npts), zero rows out of range:
+    partials names the partials read, "xy" for (u, ux, uy), "y" for (u,
+    None, uy), which is all a y-ladder reads, and "" for (u,).  The rows are
+    the products of their factor rows, formed by _jet_rows as _tri_tables
+    forms them, so a zero move reads each set's _tri_tables rows bit for
+    bit, and a "y" read the same u and uy bits as an "xy" one.
     """
 
     def __init__(self, N, params, x, y):
@@ -320,7 +324,7 @@ class _Factors:
     def over(cls, N, params, x, y, fams):
         """The tables of every family of fams, each read by every set with its partials, built."""
         tabs = cls(N, params, x, y)
-        tabs.build(*cls.plan([(q, np.ones(len(x), bool), True) for q in fams], params))
+        tabs.build(*cls.plan([(q, np.ones(len(x), bool), "xy") for q in fams], params))
         return tabs
 
     @staticmethod
@@ -328,14 +332,15 @@ class _Factors:
         """The tables that reads need: ({(da, sigma): (sets, nderiv)}, {(db, dc): (sets, partials)}).
 
         Each read (q, sets, partials) names a family over the parameter sets
-        params, the sets that read it, and its partials as __call__ takes
-        them: the first factors get x-derivatives for partials=True only.
+        params, the sets that read it, and the partials it reads, named as
+        __call__ takes them: the first factors get x-derivatives for reads
+        of "x", the second factors partials for reads of "y".
         """
         plans = {}, {}
         for q, need, partials in reads:
-            for plan, key, kind in zip(plans, _Factors.keys(_move(q, params))[::2], (partials is True, partials)):
+            for plan, key, kind in zip(plans, _Factors.keys(_move(q, params))[::2], ("x" in partials, "y" in partials)):
                 was, p = plan.get(key, (False, False))
-                plan[key] = (was | need, int(bool(p or kind)))
+                plan[key] = (was | need, int(p or kind))
         return plans
 
     @staticmethod
@@ -362,11 +367,13 @@ class _Factors:
             self.second = _built(second, lambda s, db, dc, partials: _homog_table(
                 N, p.c[s, 0, 0] + dc, p.b[s, 0, 0] + db, y[s], 1.0 - x[s], partials=partials))
 
-    def __call__(self, n, k, q, partials=True):
+    def __call__(self, n, k, q, partials="xy"):
         n, k = n[..., 0], k[..., 0]
         dead = (k < 0) | (k > n)
+        ux = "x" in partials
         if dead.all():
-            return tuple(np.zeros((len(self.x), n.shape[-1], self.x.shape[-1])) for _ in range(3 if partials else 1))
+            shape = (len(self.x), n.shape[-1], self.x.shape[-1])
+            return tuple(np.zeros(shape) if i != 1 or ux else None for i in range(3 if partials else 1))
         move = _move(q, self.params)
         fkey, off, hkey = self.keys(move)
         if fkey not in self.first or hkey not in self.second:
@@ -376,14 +383,14 @@ class _Factors:
             F, H = ([T.reshape(-1, T.shape[-1]) for T in tabs if T is not None] for tabs in (F, H))
             self.found[move] = F, eF[:, None] * basis_size(self.N), H, eH[:, None] * (self.N + 1), (eF >= 0) & (eH >= 0)
         F, eF, H, eH, has = self.found[move]
-        ux = partials is True
         if (~dead.all(-1) & ~has).any() or len(F) < 1 + ux or len(H) < 1 + 2 * bool(partials):
             raise ValueError("a family read was not built")
         j, k = (np.where(dead, 0, n - k), np.where(dead, 0, k)) if dead.any() else (n - k, k)
         c = k + off
         row, k = eF + (j + c) * (j + c + 1) // 2 + c, eH + k
         parts = (T.take(k, 0) for T in (H[2], H[1])[1 - ux :]) if partials else ()
-        rows = _jet_rows([T.take(row, 0) for T in F[: 1 + ux]], H[0].take(k, 0), parts)
+        f = F[0].take(row, 0), (F[1].take(row, 0) if ux else None)
+        rows = _jet_rows(f[: 2 if partials else 1], H[0].take(k, 0), parts)
         if dead.any():
             for v in (v for v in rows if v is not None):
                 np.copyto(v, 0.0, where=dead[..., None])

@@ -23,7 +23,9 @@ of the operator and eigen sweeps of cli.py.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -222,7 +224,7 @@ _NEEDS_D0 = {
 def _core_rows(x, y):
     """Row evaluator from single-element evaluations (zero rows out of range)."""
 
-    def ev(n, k, p, partials=True):
+    def ev(n, k, p, partials="xy"):
         jets = [_tri_core(int(i), int(j), p, x, y, partials=True) for i, j in zip(n.ravel(), k.ravel())]
         return tuple(np.stack(rows) for rows in zip(*jets))[: 3 if partials else 1]
 
@@ -299,7 +301,7 @@ _CHAINS = {
 }
 
 # The partials that each axis's ladders read of an image: a y-ladder reads u and u_y only (_y_rule).
-_IMAGE_PARTIALS = {"x": True, "y": "y"}
+_IMAGE_PARTIALS = {"x": "xy", "y": "y"}
 
 # Closed-form side of every identity, with D = 2k + b + c + 1 and E = 2n + t + 2.
 _CLOSED = {
@@ -344,14 +346,6 @@ def _chain_sum(terms, n, k, params, x, y, ev, jet):
     return left
 
 
-def _sum(terms):
-    """sum(terms): 0 + the first term, then each later one added in place."""
-    total = 0
-    for v in terms:
-        total += v
-    return total
-
-
 def _second_order_k(params, x, y, jets):
     """The y-eigen operator on the jets (u, ux, uy, uxx, uxy, uyy); it reads uy and uyy."""
     _, _, uy, _, _, uyy = jets
@@ -376,44 +370,44 @@ def _second_order_n(params, x, y, jets):
 def _eig_n_left(n, k, params, x, y, ev):
     """Degree-eigen operator applied through the gradient expansions, plus the degenerate mask."""
     gx, gy, degenerate = _ladder_gradient(n, k, params)
-    dux = _sum(cf * ev(n1, k1, p1, False)[0] for cf, n1, k1, p1 in gx)
-    duy = _sum(cf * ev(n1, k1, p1, False)[0] for cf, n1, k1, p1 in gy)
+    dux = reduce(operator.iadd, (cf * ev(n1, k1, p1, "")[0] for cf, n1, k1, p1 in gx), 0)
+    duy = reduce(operator.iadd, (cf * ev(n1, k1, p1, "")[0] for cf, n1, k1, p1 in gy), 0)
     duxx = duxy = duyy = 0.0
     for cf, n1, k1, p1 in gx:
         g2x, g2y, deg = _ladder_gradient(n1, k1, p1)
         degenerate = degenerate | deg & _in_range(n1, k1)
-        duxx += cf * _sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2x)
-        duxy += cf * _sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2y)
+        duxx += cf * reduce(operator.iadd, (c2 * ev(n2, k2, p2, "")[0] for c2, n2, k2, p2 in g2x), 0)
+        duxy += cf * reduce(operator.iadd, (c2 * ev(n2, k2, p2, "")[0] for c2, n2, k2, p2 in g2y), 0)
     for cf, n1, k1, p1 in gy:
         _, g2y, deg = _ladder_gradient(n1, k1, p1)
         degenerate = degenerate | deg & _in_range(n1, k1)
-        duyy += cf * _sum(c2 * ev(n2, k2, p2, False)[0] for c2, n2, k2, p2 in g2y)
+        duyy += cf * reduce(operator.iadd, (c2 * ev(n2, k2, p2, "")[0] for c2, n2, k2, p2 in g2y), 0)
     return _second_order_n(params, x, y, (None, dux, duy, duxx, duxy, duyy)), degenerate
 
 
 def _composition_families(cid, params):
     """The parameter families whose tables `_composition` reads for one identity.
 
-    Returns (family, partials) pairs, params first with all its partials,
-    each family with the partials that `ev` reads it with.  params may hold
+    Returns (family, partials) pairs, params first with partials "xy", each
+    family with the partials that `ev` reads it with.  params may hold
     arrays.
     """
     if cid is CompositionId.EIG_N:
         gx, gy, _ = _ladder_gradient(0, 0, params)
         first = [p1 for _, _, _, p1 in gx + gy]
         second = [p2 for p1 in first for g in _ladder_gradient(0, 0, p1)[:2] for _, _, _, p2 in g]
-        return [(params, True)] + [(q, False) for q in first + second]
+        return [(params, "xy")] + [(q, "") for q in first + second]
     images = [(inner, _IMAGE_PARTIALS[outer.axis]) for _, outer, inner in _CHAINS[cid] if inner is not None]
-    return [(params, True)] + [(_step(inner, 0, 0, params)[3], how) for inner, how in images]
+    return [(params, "xy")] + [(_step(inner, 0, 0, params)[3], how) for inner, how in images]
 
 
 def _composition(cid, n, k, params, x, y, ev, jet=None):
     """Both sides of one identity for every row of the index columns n, k.
 
-    `ev(n, k, params, partials=True)` returns the jet rows (u, ux, uy) of the
-    elements at index arrays, or (u,) without partials, zero rows out of
-    range, as new arrays, and may leave ux None for partials="y"; jet may
-    hold those of params at n, k already.
+    `ev(n, k, params, partials="xy")` returns the jet rows (u, ux, uy) of the
+    elements at index arrays, zero rows out of range, as new arrays: (u,)
+    for partials "", and ux may be None for "y"; jet may hold those of
+    params at n, k already.
     params may hold arrays that broadcast against the index columns, as x
     and y do.  Returns (left, right, degenerate), where degenerate, shaped as
     left, marks the samples whose gradient expansion divides by zero (their

@@ -816,7 +816,7 @@ def _per_set_ladder_sweep(seed, nmax, npts):
                 tables[key] = koornwinder._tri_tables(nmax + 1, q, x, y, partials=True)
             return tables[key]
 
-        def ev(n, k, q, partials=True):
+        def ev(n, k, q, partials="xy"):
             n, k = np.ravel(n), np.ravel(k)
             ok = (k >= 0) & (k <= n)
             rows = np.where(ok, n * (n + 1) // 2 + k, 0)
@@ -1234,7 +1234,7 @@ def test_stacked_product_links_break_ties_as_the_per_set_loop(monkeypatch):
     first_factors, shifted_table = cli._first_factors, cli._shifted_table
 
     class Factors(koornwinder._Factors):
-        def __call__(self, n, k, q, partials=True):
+        def __call__(self, n, k, q, partials="xy"):
             u, ux, uy = (np.zeros((len(self.x), n.size, npts)) for _ in range(3))
             for i, key in enumerate(zip(*(v[:, 0, 0] for v in (q.a, q.b, q.c, q.d)))):
                 if key == grid[1]:

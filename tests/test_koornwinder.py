@@ -278,9 +278,9 @@ def _zero_move_reads(N, fams, x, y, partials):
     # each family one parameter set of a _Factors, read at its own params
     P = tk.TriParams(*np.array([(q.a, q.b, q.c, q.d) for q in fams]).T[:, :, None, None])
     n, k = (v[:, None] for v in _graded_indices(N))
-    tabs = _Factors(N, P, x, y)
-    tabs.build(*_Factors.plan([(P, np.ones(len(x), bool), partials)], P))
-    return tabs(n, k, P, partials=partials)
+    tabs, how = _Factors(N, P, x, y), "xy" if partials else ""
+    tabs.build(*_Factors.plan([(P, np.ones(len(x), bool), how)], P))
+    return tabs(n, k, P, partials=how)
 
 
 @pytest.mark.parametrize("partials", [False, True])
@@ -322,7 +322,8 @@ def test_a_read_without_u_x_equals_the_full_reads_u_and_u_y_bit_for_bit(pset):
     # partials="y", a y-ladder's read of an image: its first factors are
     # built and gathered without x-derivatives, and its u and u_y are those
     # of the full read bit for bit, dead rows (k > n, negative degree) and
-    # families keyed apart from the params' own first factors included
+    # families keyed apart from the params' own first factors included; a
+    # read of dead rows alone leaves u_x None too
     rng, N = _rng(15), 6
     P = tk.TriParams(*(np.full((2, 1, 1), v) for v in pset))
     x = rng.uniform(0.0, 1.0, (2, 9))
@@ -331,7 +332,7 @@ def test_a_read_without_u_x_equals_the_full_reads_u_and_u_y_bit_for_bit(pset):
     for move in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, -1), (0, 1, 1, -2)):
         q, every = P.shifted(*move), np.ones(2, bool)
         full, bare = _Factors(N, P, x, y), _Factors(N, P, x, y)
-        full.build(*_Factors.plan([(q, every, True)], P))
+        full.build(*_Factors.plan([(q, every, "xy")], P))
         first, second = _Factors.plan([(q, every, "y")], P)
         assert [d for _, d in first.values()] == [0] and [p for _, p in second.values()] == [1]
         bare.build(first, second)
@@ -341,6 +342,10 @@ def test_a_read_without_u_x_equals_the_full_reads_u_and_u_y_bit_for_bit(pset):
             assert got[1] is None and len(got) == 3
             assert np.array_equal(_bits(got[0]), _bits(u)) and np.array_equal(_bits(got[2]), _bits(uy))
         assert not u[:, 3:5].any() and not uy[:, 3:5].any()
+        for tabs in (bare, full):
+            got = tabs(n[3:5], k[3:5], q, partials="y")
+            assert len(got) == 3 and got[1] is None
+            assert got[0].shape == got[2].shape == (2, 2, 9) and not got[0].any() and not got[2].any()
         with pytest.raises(ValueError, match="not built"):
             bare(n, k, q)  # u_x of first factors built without x-derivatives
 

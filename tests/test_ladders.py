@@ -193,7 +193,7 @@ def test_conv_b_sides_from_reads_without_u_x_equal_the_public_ones_bit_for_bit(p
     n, k = (v[:, None] for v in _graded_indices(N))
     P = tk.TriParams(*(np.full((1, 1, 1), v) for v in pset))
     reads = [(q, np.ones(1, bool), how) for q, how in ladders._composition_families(cid, P)]
-    assert [how for _, _, how in reads] == [True] + ["y"] * 4
+    assert [how for _, _, how in reads] == ["xy"] + ["y"] * 4
     tabs = _Factors(N + 1, P, x[None], y[None])
     tabs.build(*_Factors.plan(reads, P))
     left, right, _ = ladders._composition(cid, n, k, P, x[None], y[None], tabs)
