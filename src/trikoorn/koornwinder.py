@@ -9,6 +9,7 @@ corner line x = 1 where the classical quotient form y/(1-x) degenerates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
 
 import numpy as np
@@ -18,6 +19,8 @@ from .jacobi import (
     _check_degree,
     _eval_core,
     _homog_table,
+    _recurrence,
+    _recurrence_safe,
     _shifted_table,
     shifted_jacobi_deriv,
     shifted_jacobi_eval,
@@ -264,17 +267,21 @@ def _jet_rows(F, h, parts=()):
     return f, df, uy
 
 
-def _tri_tables(N, params, x, y, partials=False, second=None):
+def _tri_tables(N, params, x, y, partials=False, second=None, against=None):
     """Tables of all basis elements of degree <= N of one family at raw coordinate arrays.
 
     Returns (U, UX, UY), each of shape (basis_size(N), npts) at the raveled
     points, the partial tables None unless requested; the rows are formed in
     place, degree block by degree block.  second, if given, is an (N + 1,
     npts) table by k taken in place of the second factors H_k(y, 1 - x),
-    without partials.  No parameter validation (used on ladder-target
+    without partials; with it, against = (G, w) returns in place of U the sums
+    num_r = sum_i U_ri G_{k_r, i} and den_r = sum_i U_ri^2 w_i by _contracted,
+    in O(N^2 + npts) memory.  No parameter validation (used on ladder-target
     families too).  Reads of several families go through _Factors.
     """
     x, y = (np.asarray(v, dtype=float).ravel() for v in (x, y))
+    if against is not None:
+        return _contracted(N, params, x, second, *against)
     F = _first_factors(N, _first_factor_param(np.arange(N + 1), params), params.a, x, 1 if partials else 0)
     H = _homog_table(N, params.c, params.b, y, 1.0 - x, partials)[: 3 if partials else 1] if second is None else (second,)
     UY = np.empty_like(F[0]) if partials else None
@@ -286,6 +293,38 @@ def _tri_tables(N, params, x, y, partials=False, second=None):
         if partials:
             UY[blk] = rows[2]
     return F[0], (F[1] if partials else None), UY
+
+
+# values per block of rows that _contracted sums at once
+_SUM_BLOCK = 1 << 15
+
+
+def _contracted(N, params, x, second, G, w):
+    """_tri_tables' (num, den) against (G, w) from its rows, each formed in one multiply as _jet_rows forms it:
+    the safe entries' rows stream from the recurrence degree by degree, for every k at once, the lifted ones'
+    (only k = 0 lifts) come from one _shifted_table call, and _SUM_BLOCK values at a time are summed and dropped."""
+    k = np.arange(N + 1)
+    deg, A, b = N - k, _first_factor_param(k, params), np.full((N + 1, 1), float(params.a))
+    safe = _recurrence_safe(deg, A, b[:, 0])
+    run, lift = k[safe], k[~safe]
+    # each row's degree and k: the recurrence's degree by degree, then the lifted entries' in turn
+    (j, i), (e, jl) = np.nonzero(k[:, None] <= deg[run]), np.nonzero(k <= deg[lift][:, None])
+    kr, n = np.concatenate((run[i], lift[e])), np.concatenate((run[i] + j, lift[e] + jl))
+    lin = n * (n + 1) // 2 + kr
+    lifted = (_shifted_table(deg[lift], A[lift], b[lift, 0], x)[0][e, jl], second[lift[e]]) if lift.size else (x[:0],) * 2
+    num, den, step = np.empty(lin.size), np.empty(lin.size), max(1, _SUM_BLOCK // x.size)
+    buf, at, fill = np.empty((min(step, lin.size), x.size)), 0, 0
+    hr = second[run]  # each stretch of first-factor rows f meets the second-factor rows h of its k
+    for f, h in chain(((f, hr) for f, in _recurrence(deg[run], A[run, None], b[run], x, 1.0)), [lifted]):
+        while len(f):
+            put = min(len(f), step - fill)
+            np.multiply(f[:put], h[:put], out=buf[fill : fill + put])
+            f, h, fill = f[put:], h[put:], fill + put
+            if fill == step or at + fill == lin.size:
+                r, E = slice(at, at + fill), buf[:fill]
+                num[lin[r]], den[lin[r]] = np.einsum("ri,ri->r", E, G[kr[r]]), np.einsum("ri,ri,i->r", E, E, w)
+                at, fill = at + fill, 0
+    return num, den
 
 
 def _move(q, p):

@@ -148,31 +148,35 @@ def duffy_rule(m, params):
     return QuadRule(pts, np.outer(ws, wt).ravel(), params, int(m), 2 * int(m) - 1)
 
 
-def _edge_tables(N, params, s, ws, t, wt):
-    """E, Q, the k of each row r and den_r of the degree <= N basis on the Duffy nodes.
+def _edge_tables(N, params, s, ws, t, wt, vals=None):
+    """E, Q and the k of each row r of the degree <= N basis on the Duffy nodes; given samples vals, num and den.
 
     There P_{n,k}(s, (1-s) t) = E_r(s) Q_k(t): E_r(s) = P_{n,k}(s, 1-s) on the edge
-    z = 0, Q_k = P~_k / P~_k(1).  den_r = (sum_i ws E_r^2)(sum_j wt Q_k^2) is the norm.
-    E_r = F_r(s) (1-s)^k P~_k(1) takes P~_k(1) from the row that normalizes Q, so
-    its roundoff cancels in den_r and in `analyze`'s numerator; the homogenized
-    second factor at y = 1 - s carries up to 2e-15 of it.
+    z = 0, Q_k = P~_k / P~_k(1).  den_r = (sum_i ws E_r^2)(sum_j wt Q_k^2) is the norm
+    and num_r = sum_i E_r g_ik, g = (ws vals wt) Q^T the samples summed over t, are
+    sums that stream the rows E_r = F_r(s) (1-s)^k P~_k(1) through _tri_tables, in
+    O(N^2) memory.  E_r takes P~_k(1) from the row that normalizes Q, so its roundoff
+    cancels in num / den; the homogenized second factor at y = 1 - s carries up to 2e-15 of it.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # callers name the first (n, k) out of range
         P = _shifted_table(N, params.c, params.b, np.append(t, 1.0))[0]
-        Q = P[:, :-1] / P[:, -1:]
-        k = _graded_indices(N)[1]
-        E = _tri_tables(N, params, s, 1 - s, second=P[:, -1:] * (1 - s) ** np.arange(N + 1)[:, None])[0]
-        den = np.einsum("ri,ri,i->r", E, E, ws) * ((Q * Q) @ wt)[k]
-    return E, Q, k, den
+        Q, k = P[:, :-1] / P[:, -1:], _graded_indices(N)[1]
+        H = P[:, -1:] * (1 - s) ** np.arange(N + 1)[:, None]
+        if vals is None:
+            return _tri_tables(N, params, s, 1 - s, second=H)[0], Q, k
+        g = (ws[:, None] * vals.reshape(s.size, t.size) * wt) @ Q.T
+        num, den = _tri_tables(N, params, s, 1 - s, second=H, against=(g.T, ws))
+        den *= ((Q * Q) @ wt)[k]
+    return num, den
 
 
 def norm_sq(idx, params):
-    """Squared weighted norm of one element: its denominator in `analyze` at N = n, m = n + 1.
+    """Squared weighted norm of one element: its streamed denominator in `analyze` at N = n, m = n + 1.
 
     Raises ValueError where it is zero or not finite in float64.
     """
     idx.validate()
-    den = _edge_tables(idx.n, params, *_duffy_factors(idx.n + 1, params))[3]
+    den = _edge_tables(idx.n, params, *_duffy_factors(idx.n + 1, params), np.zeros((idx.n + 1) ** 2))[1]
     nsq = float(den[idx.k - idx.n - 1])  # in the last degree block
     if not 0.0 < nsq < inf:
         raise ValueError(f"the squared norm of (n, k) = ({idx.n}, {idx.k}) is out of float64 range")
@@ -214,7 +218,7 @@ def analyze(f, N, params, m=None):
     CoeffVec
         Coefficients in ascending linear index order.  Each coefficient is
         the quadrature inner product divided by the quadrature norm of the
-        same element, so rule-level bias cancels between the two.
+        same element, so rule-level bias cancels; both take O(N^2) memory.
     """
     m = N + 1 if m is None else m
     _check_rule_size(N, m)
@@ -228,10 +232,7 @@ def analyze(f, N, params, m=None):
     bad = np.count_nonzero(~np.isfinite(vals))
     if bad:
         raise ValueError(f"{bad} of {vals.size} samples are not finite")
-    # sum over t, then over s
-    E, Q, k, den = _edge_tables(N, params, s, ws, t, wt)
-    g = (ws[:, None] * vals.reshape(m, m) * wt) @ Q.T
-    num = np.einsum("ri,ri->r", E, g.T[k])
+    num, den = _edge_tables(N, params, s, ws, t, wt, vals)
     with np.errstate(divide="ignore", invalid="ignore"):
         coef = num / den
     _check_in_range(np.isfinite(coef), "coefficients are")
@@ -284,7 +285,7 @@ def gram_matrix(N, params, m):
     """
     _check_rule_size(N, m)
     s, ws, t, wt = _duffy_factors(m, params)
-    E, Q, k, _ = _edge_tables(N, params, s, ws, t, wt)
+    E, Q, k = _edge_tables(N, params, s, ws, t, wt)
     G = (E * ws) @ E.T
     G *= ((Q * wt) @ Q.T)[np.ix_(k, k)]
     d = np.diag(G)

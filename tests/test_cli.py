@@ -72,14 +72,14 @@ def test_compose_imports_no_scipy():
 
 
 def test_expand_past_the_float64_wall_prints_its_error_line_only(tmp_path):
-    # at b = c = 300 the degree-200 edge tables overflow: the run exits 3
-    # naming the first (n, k) out of range, and numpy's overflow and
-    # invalid-value warnings stay off stderr
+    # at b = c = 300 the degree-200 edge rows overflow: the run exits 3
+    # naming how many coefficients and the first (n, k) are out of range,
+    # and numpy's overflow and invalid-value warnings stay off stderr
     argv = ["expand", "--name", "runge", "--N", "200", "--b", "300", "--c", "300", "--out", str(tmp_path / "c.csv")]
     out = subprocess.run([sys.executable, "-m", "trikoorn.cli", *argv], env=_fresh_env(), capture_output=True, text=True)
     assert out.returncode == 3
     (line,) = out.stderr.splitlines()
-    assert line.startswith("error: ") and "out of float64 range, the first at (n, k) = " in line
+    assert line == "error: 3240 coefficients are out of float64 range, the first at (n, k) = (121, 121)"
 
 
 # every argv path through the parser: help, usage errors at either level, runs

@@ -14,9 +14,10 @@ from scipy.special import beta as beta_fn
 from scipy.special import roots_jacobi
 
 import trikoorn as tk
+from trikoorn import koornwinder
 from trikoorn.jacobi import _shifted_table
-from trikoorn.koornwinder import _first_factor_param, _first_factors
-from trikoorn.transform import _duffy_factors, _edge_tables
+from trikoorn.koornwinder import _first_factor_param, _first_factors, _graded_indices, _tri_tables
+from trikoorn.transform import _duffy_factors, _duffy_points
 
 
 def _rng(tag):
@@ -334,6 +335,51 @@ def test_factored_analyze_matches_the_dense_projection(pset, N, m):
     assert np.array_equal(tk.analyze(vals, N, q, m).values, got)
 
 
+def _table_sums(N, q, m, vals):
+    # analyze's numerator and denominator by the whole (basis, m) edge table
+    # and its gathered t-sums: the table route the streamed sums must equal
+    s, ws, t, wt = _duffy_factors(m, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = _shifted_table(N, q.c, q.b, np.append(t, 1.0))[0]
+        Q, k = P[:, :-1] / P[:, -1:], _graded_indices(N)[1]
+        E = _tri_tables(N, q, s, 1 - s, second=P[:, -1:] * (1 - s) ** np.arange(N + 1)[:, None])[0]
+        den = np.einsum("ri,ri,i->r", E, E, ws) * ((Q * Q) @ wt)[k]
+    g = (ws[:, None] * vals.reshape(m, m) * wt) @ Q.T
+    return np.einsum("ri,ri->r", E, g.T[k]), den
+
+
+_LIFTED = [(-0.9, -0.95, -0.95, 0.0), (-0.95, -0.9, -0.95, 0.0)]  # the k = 0 first factor lifts
+
+
+@pytest.mark.parametrize("rows", [1, 3, None])  # rows per block; None is _SUM_BLOCK's own
+@pytest.mark.parametrize(
+    "pset, N, m",
+    [
+        ((0.5, 1.5, 2.5, 0.0), 0, 1),
+        ((0.5, 1.5, 2.5, 0.0), 1, 2),
+        ((0.5, 1.5, 2.5, 0.0), 5, 6),
+        ((0.5, 1.5, 2.5, 0.0), 40, 41),
+        ((1.0, 0.5, 2.5, 0.7), 5, 9),  # d != 0, m > N + 1
+        ((0.5, -0.9, -0.9, 0.0), 40, 47),  # the t-direction table lifts
+        (_LIFTED[0], 5, 6),
+        (_LIFTED[0], 40, 41),
+        (_LIFTED[1], 40, 43),
+    ],
+)
+def test_streamed_sums_equal_the_table_route_bit_for_bit(monkeypatch, pset, N, m, rows):
+    # blocks of 1 and 3 rows split inside a degree, whose rows exceed a block
+    if rows:
+        monkeypatch.setattr(koornwinder, "_SUM_BLOCK", rows * m + m - 1)
+    q = tk.TriParams(*pset)
+    s, _, t, _ = _duffy_factors(m, q)
+    vals = _smooth(*_duffy_points(s, t))
+    num, den = _table_sums(N, q, m, vals)
+    assert np.array_equal(tk.analyze(vals, N, q, m).values, num / den)
+    if m == N + 1:
+        for k in range(N + 1):
+            assert tk.norm_sq(tk.TriIndex(N, k), q) == den[N * (N + 1) // 2 + k]
+
+
 def _dense_synthesize(vec, pts):
     # the sum over the full points x basis table, and the sum of its |terms|
     B = tk.basis_eval_all(vec.basis.maxdeg, vec.basis.params, pts)
@@ -446,40 +492,42 @@ def test_weighted_synthesize_names_the_first_point_where_the_weight_is_infinite(
         assert np.isfinite(tk.synthesize(vec, np.array([[0.3, 0.2]]))).all()
 
 
-def test_synthesize_at_degree_60_on_the_200_grid_keeps_its_numpy_peak_under_8_mb():
-    # the whole (N + 1) x points second-factor table and its gathered first
-    # factors would take 23.3 MB; the streamed sum holds a few rows of points
-    q = tk.TriParams(1.0, 0.5, 0.5, 0.0)
-    vec = tk.CoeffVec(tk.BasisTag(q, False, 60), _rng(13).standard_normal(tk.basis_size(60)))
-    pts = _grid(200)
+def _numpy_peak(fn, *args):
+    """fn(*args), and the peak of the memory tracemalloc traces during the call, in bytes."""
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     base = tracemalloc.get_traced_memory()[0]
     tracemalloc.reset_peak()
     try:
-        vals = tk.synthesize(vec, pts)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return fn(*args), tracemalloc.get_traced_memory()[1] - base
     finally:
         if not was_tracing:
             tracemalloc.stop()
+
+
+def test_synthesize_at_degree_60_on_the_200_grid_keeps_its_numpy_peak_under_8_mb():
+    # the whole (N + 1) x points second-factor table and its gathered first
+    # factors would take 23.3 MB; the streamed sum holds a few rows of points
+    q = tk.TriParams(1.0, 0.5, 0.5, 0.0)
+    vec = tk.CoeffVec(tk.BasisTag(q, False, 60), _rng(13).standard_normal(tk.basis_size(60)))
+    vals, peak = _numpy_peak(tk.synthesize, vec, _grid(200))
     assert np.isfinite(vals).all()
     assert peak < 8e6
 
 
 def test_analyze_at_degree_100_keeps_its_numpy_peak_small():
-    # a points x basis table at N = 100 would take 10201 x 5151 doubles, 420 MB
-    q = tk.TriParams(0.5, 0.5, 1.0, 0.0)
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        coef = tk.analyze(_smooth, 100, q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    # a points x basis table at N = 100 would take 10201 x 5151 doubles, 420 MB,
+    # and the (basis, m) edge table 5151 x 101 doubles, 4.2 MB; the rows stream
+    coef, peak = _numpy_peak(tk.analyze, _smooth, 100, tk.TriParams(0.5, 0.5, 1.0, 0.0))
     assert np.isfinite(coef.values).all()
-    assert peak < 60e6
+    assert peak < 4e6
+
+
+def test_analyze_at_degree_400_keeps_its_numpy_peak_in_o_n_squared():
+    # the edge table alone would take 80601 x 401 doubles, 259 MB
+    coef, peak = _numpy_peak(tk.analyze, _smooth, 400, tk.TriParams(0.5, 0.5, 1.0, 0.0))
+    assert np.isfinite(coef.values).all()
+    assert peak < 40e6
 
 
 # ------------------------------------------------------- norms and the Gram
@@ -558,11 +606,12 @@ def test_norms_match_the_closed_form(pset):
     assert np.all(np.abs(diag - want) <= 1e-13 * want)
 
 
-@pytest.mark.parametrize("pset", _NORM_PSETS)
+@pytest.mark.parametrize("pset", _NORM_PSETS + _LIFTED)
 def test_norm_sq_reads_the_edge_tables_denominator(pset):
+    # norm_sq streams the rows whose sums the table route takes whole
     q = tk.TriParams(*pset)
     for n in range(9):
-        den = _edge_tables(n, q, *_duffy_factors(n + 1, q))[3]
+        den = _table_sums(n, q, n + 1, np.zeros((n + 1) ** 2))[1]
         for k in range(n + 1):
             assert tk.norm_sq(tk.TriIndex(n, k), q) == den[n * (n + 1) // 2 + k]
 
@@ -597,15 +646,7 @@ def test_gram_at_degree_60_keeps_its_numpy_peak_small():
     # the output takes 1891^2 doubles, 29 MB; a points x basis table would add
     # 3721 x 1891 doubles, and its weighted copy as many again
     q = tk.TriParams(0.5, 0.5, 1.0, 0.0)
-    was_tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        G = tk.gram_matrix(60, q, 61)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        if not was_tracing:
-            tracemalloc.stop()
+    G, peak = _numpy_peak(tk.gram_matrix, 60, q, 61)
     assert np.isfinite(G).all()
     assert peak < 80e6
 
