@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,8 +80,6 @@ TOLERANCES = {
     "structure": 1e-12,
 }
 
-SUITE_NAMES = ("jacobi", "ladders", "operators", "appendix", "eigen")
-
 _JAC_GRID = (-0.5, 0.0, 0.5, 1.0, 2.5)
 # name, lower end of the sampled interval, map to (0, 1), 2**e scale applied
 _JAC_FAMILIES = (
@@ -130,36 +128,26 @@ def _tol_scale():
 
 @dataclass
 class SweepBlock:
-    """One homogeneous batch of checks: a residual max under a single tolerance class."""
-
-    name: str
-    tol_class: str
-    cases: int
-    skipped: int
-    max_residual: float
-    worst_case: dict
-
-
-class _Worst:
-    """Tracks the largest scaled residual and the case that produced it.
+    """One homogeneous batch of checks under a single tolerance class: its counts and largest scaled residual.
 
     A non-finite residual is recorded as inf, so it fails every tolerance.
     """
 
-    def __init__(self):
-        self.value = 0.0
-        self.case = {}
-        self.cases = 0
-        self.skipped = 0
+    name: str
+    tolerance_class: str
+    cases: int = 0
+    skipped: int = 0
+    max_residual: float = 0.0
+    worst_case: dict = field(default_factory=dict)
 
     def update(self, resid, case):
         self.cases += 1
         r = float(resid)
         if not math.isfinite(r):
             r = math.inf
-        if r > self.value:
-            self.value = r
-            self.case = case
+        if r > self.max_residual:
+            self.max_residual = r
+            self.worst_case = case
 
     def update_max(self, r, j, case_of):
         """update() with each row residual r[i], largest at point j[i], in turn."""
@@ -170,9 +158,6 @@ class _Worst:
 
     def skip(self, count=1):
         self.skipped += int(count)
-
-    def block(self, name, tol_class):
-        return SweepBlock(name, tol_class, self.cases, self.skipped, self.value, self.case)
 
 
 def _interior_points(rng, npts):
@@ -270,9 +255,8 @@ def sweep_jacobi_ladders(seed, nmax=20, npts=50):
             (s, dagger), (a_, b_) = ops[o][0], pairs[p]
             return {"s": s, "dagger": dagger, "n": int(row), "a": a_, "b": b_, "x": float(X[p, jj])}
 
-        acc = _Worst()
-        acc.update_max(r.reshape(-1), j.reshape(-1), case)
-        blocks.append(acc.block(f"{family}_ladders", "exact"))
+        blocks.append(SweepBlock(f"{family}_ladders", "exact"))
+        blocks[-1].update_max(r.reshape(-1), j.reshape(-1), case)
     return blocks
 
 
@@ -296,8 +280,8 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
     reports equal those of a case-by-case loop.
     """
     rng = np.random.default_rng([seed, 20])
-    accA = _Worst()
-    accB = _Worst()
+    accA = SweepBlock("triangle_ladders", "exact")
+    accB = SweepBlock("composition_identities", "exact")
     ids = all_ladder_ids()
     n, k = (v[:, None] for v in _graded_indices(nmax))
     grid = list(itertools.product(_TRI_GRID, repeat=4))
@@ -376,10 +360,7 @@ def sweep_triangle_ladders(seed, nmax=10, npts=20):
 
     for lo in range(0, len(grid), _LADDER_CHUNK):
         chunk(np.arange(lo, min(lo + _LADDER_CHUNK, len(grid))))
-    return [
-        accA.block("triangle_ladders", "exact"),
-        accB.block("composition_identities", "exact"),
-    ]
+    return [accA, accB]
 
 
 def sweep_product_links(seed, nmax=10, npts=10):
@@ -399,7 +380,7 @@ def sweep_product_links(seed, nmax=10, npts=10):
     loop.
     """
     rng = np.random.default_rng([seed, 40])
-    acc = _Worst()
+    acc = SweepBlock("product_links", "exact")
     n, k = (v[:, None] for v in _graded_indices(nmax))
     kr = k[:, 0]
     # the rows with n > k, and the rows (n - 1, k) of the (A_k + 1, a + 1)
@@ -447,7 +428,7 @@ def sweep_product_links(seed, nmax=10, npts=10):
             return {"id": links[row % 2], "n": int(n[row // 2, 0]), "k": int(kr[row // 2]), **where}
 
         acc.update_max(r.reshape(-1), j.reshape(-1), case)
-    return [acc.block("product_links", "exact")]
+    return [acc]
 
 
 def _synth_jets(vec, x, y, tables):
@@ -554,8 +535,9 @@ def sweep_operator_equivalence(seed):
     coordinate partition of unity.
     """
     rng = np.random.default_rng([seed, 30])
-    accs = {name: _Worst() for name in ("exact_equivalence", "derivative_equivalence", "second_order_equivalence")}
-    acc_struct = _Worst()
+    names = ("exact_equivalence", "derivative_equivalence", "second_order_equivalence")
+    accs = {name: SweepBlock(name, "exact") for name in names}
+    acc_struct = SweepBlock("structure", "structure")
     N = _OPERATOR_N
     for params in _OPERATOR_PARAM_SETS:
         x, y = _interior_points(rng, _OPERATOR_NPTS)
@@ -589,7 +571,7 @@ def sweep_operator_equivalence(seed):
             acc_struct.update(r, {"id": "partition_of_unity", "check": "sum", **pset})
         else:
             acc_struct.skip()
-    return [acc.block(name, "exact") for name, acc in accs.items()] + [acc_struct.block("structure", "structure")]
+    return [*accs.values(), acc_struct]
 
 
 def _solve_coeffs(fc, lam):
@@ -624,7 +606,7 @@ def sweep_eigen(seed, nmax=6, npts=20):
     against the right-hand side through the same pointwise expression.
     """
     rng = np.random.default_rng([seed, 50])
-    acc_pt = _Worst()
+    acc_pt = SweepBlock("second_order_pointwise", "exact")
     n, k = (v[:, None] for v in _graded_indices(nmax))
     for params in _OPERATOR_PARAM_SETS:
         x, y = _interior_points(rng, npts)
@@ -649,7 +631,7 @@ def sweep_eigen(seed, nmax=6, npts=20):
                 "y": float(y[j]),
             },
         )
-    acc_solve = _Worst()
+    acc_solve = SweepBlock("solve_residual", "exact")
     solve_cases = (
         (_OPERATOR_PARAM_SETS[0], 1.0, "one"),
         (_OPERATOR_PARAM_SETS[1], -3.3, "runge"),
@@ -678,7 +660,7 @@ def sweep_eigen(seed, nmax=6, npts=20):
                 "y": float(y[j]),
             },
         )
-    return [acc_pt.block("second_order_pointwise", "exact"), acc_solve.block("solve_residual", "exact")]
+    return [acc_pt, acc_solve]
 
 
 _SUITE_FUNCS = {
@@ -688,6 +670,7 @@ _SUITE_FUNCS = {
     "appendix": sweep_product_links,
     "eigen": sweep_eigen,
 }
+SUITE_NAMES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(name, seed, scale=1.0):
@@ -699,7 +682,7 @@ def run_suite(name, seed, scale=1.0):
     scaled residuals, the first names the worst case.
     """
     blocks = _SUITE_FUNCS[name](seed)
-    scaled = [b.max_residual * (TOLERANCES["exact"] / TOLERANCES[b.tol_class]) for b in blocks]
+    scaled = [b.max_residual * (TOLERANCES["exact"] / TOLERANCES[b.tolerance_class]) for b in blocks]
     worst = int(np.argmax(scaled))
     tol = TOLERANCES["exact"] * scale
     return {
@@ -710,18 +693,7 @@ def run_suite(name, seed, scale=1.0):
         "worst_case": {"block": blocks[worst].name, **blocks[worst].worst_case},
         "tolerance": tol,
         "pass": scaled[worst] <= tol,
-        "blocks": [
-            {
-                "name": b.name,
-                "tolerance_class": b.tol_class,
-                "tolerance": TOLERANCES[b.tol_class] * scale,
-                "cases": b.cases,
-                "skipped": b.skipped,
-                "max_residual": b.max_residual,
-                "worst_case": b.worst_case,
-            }
-            for b in blocks
-        ],
+        "blocks": [{**asdict(b), "tolerance": TOLERANCES[b.tolerance_class] * scale} for b in blocks],
     }
 
 
@@ -912,6 +884,9 @@ _NONNEGATIVE = _checked(int, lambda v: v >= 0, "must be a nonnegative integer")
 _COUNT = _checked(int, lambda v: v >= 1, "must be a positive integer")
 _FINITE = _checked(float, math.isfinite, "must be a finite number")
 _COMMANDS = ("verify", "build-op", "expand", "solve", "info")
+# flags whose value may be negative in exponent notation, as -1e3, which
+# argparse takes for an option: it reads only -5 and -.5 as negative numbers
+_REAL_FLAGS = ("--lambda", "--a", "--b", "--c")
 
 
 def _add_params(sp):
@@ -975,6 +950,13 @@ def build_parser(command=None):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
+    for i in reversed(range(1, len(argv))):  # a real flag takes the next token whenever float() reads it
+        if argv[i - 1] in _REAL_FLAGS:
+            try:
+                float(argv[i])
+            except ValueError:
+                continue
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)

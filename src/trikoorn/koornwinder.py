@@ -183,7 +183,7 @@ def _tri_core(n, k, params, x, y, partials=False):
         out[:] = _jet_rows(F, H[0][k], (H[2][k], H[1][k]) if partials else ())
     if x.ndim == 0 and y.ndim == 0:
         return tuple(float(v[0]) for v in out) if partials else float(out[0, 0])
-    out = out.reshape((-1,) + xx.shape)
+    out = out.reshape(out.shape[:1] + xx.shape)
     return tuple(out) if partials else out[0]
 
 
@@ -248,7 +248,8 @@ def _jet_rows(F, h, parts=()):
     Given F = (F, None) and parts yielding H_y alone, the rows are (u, None,
     u_y), formed by the same operations.  Each partial row is drawn once the
     rows before it are formed, H_s dropped first, so a caller that gathers
-    them lazily holds four row arrays at most.
+    them lazily holds four row arrays at most.  Its callers _Factors, for
+    tables, and _tri_core, for one element, are all that form partial rows.
     """
     f = F[0]
     if len(F) == 1:
@@ -267,32 +268,25 @@ def _jet_rows(F, h, parts=()):
     return f, df, uy
 
 
-def _tri_tables(N, params, x, y, partials=False, second=None, against=None):
-    """Tables of all basis elements of degree <= N of one family at raw coordinate arrays.
+def _tri_tables(N, params, x, y, second=None, against=None):
+    """The values of all basis elements of degree <= N of one family at raw coordinate arrays.
 
-    Returns (U, UX, UY), each of shape (basis_size(N), npts) at the raveled
-    points, the partial tables None unless requested; the rows are formed in
-    place, degree block by degree block.  second, if given, is an (N + 1,
-    npts) table by k taken in place of the second factors H_k(y, 1 - x),
-    without partials; with it, against = (G, w) returns in place of U the sums
-    num_r = sum_i U_ri G_{k_r, i} and den_r = sum_i U_ri^2 w_i by _contracted,
-    in O(N^2 + npts) memory.  No parameter validation (used on ladder-target
-    families too).  Reads of several families go through _Factors.
+    Returns (U,), U of shape (basis_size(N), npts) at the raveled points, its
+    rows formed in place, degree block by degree block; partial rows come
+    from _Factors and _tri_core.  second, if given, is an (N + 1, npts) table
+    by k taken in place of the second factors H_k(y, 1 - x); with it, against
+    = (G, w) returns in place of (U,) the sums num_r = sum_i U_ri G_{k_r, i}
+    and den_r = sum_i U_ri^2 w_i by _contracted, in O(N^2 + npts) memory.
+    No parameter validation (used on ladder-target families too).
     """
     x, y = (np.asarray(v, dtype=float).ravel() for v in (x, y))
     if against is not None:
         return _contracted(N, params, x, second, *against)
-    F = _first_factors(N, _first_factor_param(np.arange(N + 1), params), params.a, x, 1 if partials else 0)
-    H = _homog_table(N, params.c, params.b, y, 1.0 - x, partials)[: 3 if partials else 1] if second is None else (second,)
-    UY = np.empty_like(F[0]) if partials else None
-    # degree block n (k = 0..n) meets the second factors' rows k <= n row by row,
-    # and the copies of their partial rows that _jet_rows overwrites
-    for n in range(N + 1):
-        blk = slice(n * (n + 1) // 2, (n + 1) * (n + 2) // 2)
-        rows = _jet_rows(F[:, blk], H[0][: n + 1], (T[: n + 1].copy() for T in H[:0:-1]))
-        if partials:
-            UY[blk] = rows[2]
-    return F[0], (F[1] if partials else None), UY
+    (U,) = _first_factors(N, _first_factor_param(np.arange(N + 1), params), params.a, x)
+    H = _homog_table(N, params.c, params.b, y, 1.0 - x)[0] if second is None else second
+    for n in range(N + 1):  # degree block n (k = 0..n) meets the second factors' rows k <= n
+        U[n * (n + 1) // 2 : (n + 1) * (n + 2) // 2] *= H[: n + 1]
+    return (U,)
 
 
 # values per block of rows that _contracted sums at once
@@ -335,8 +329,8 @@ def _move(q, p):
 class _Factors:
     """Tables of the families params.shifted(*move) that S parameter sets read, held as their factors.
 
-    Every read of several families, or of one family over several sets,
-    goes through here; _tri_tables builds one family's table.  params holds
+    Every table with partials, and each sweep's read of several families or
+    of one family over several sets, goes through here.  params holds
     the sets' parameters, each field (S, 1, 1), and x and y their points,
     (S, npts).  A family's first factors F^{(A_k, a)}, A_k = 2k + b + c + d
     + 1, are fixed by its moves of a and of A, da and sigma = db + dc + dd;
@@ -350,9 +344,9 @@ class _Factors:
     family q, one per set, shape (S, m, npts), zero rows out of range:
     partials names the partials read, "xy" for (u, ux, uy), "y" for (u,
     None, uy), which is all a y-ladder reads, and "" for (u,).  The rows are
-    the products of their factor rows, formed by _jet_rows as _tri_tables
-    forms them, so a zero move reads each set's _tri_tables rows bit for
-    bit, and a "y" read the same u and uy bits as an "xy" one.
+    the products of their factor rows, formed by _jet_rows, each u the
+    product _tri_tables forms, so a zero move reads each set's _tri_tables
+    rows bit for bit, and a "y" read the same u and uy bits as an "xy" one.
     """
 
     def __init__(self, N, params, x, y):

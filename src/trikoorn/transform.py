@@ -243,8 +243,9 @@ def synthesize(vec, pts):
     """Evaluate a coefficient vector at points (TriPoint list or (npts, 2) array).
 
     Weighted bases multiply the polynomial sum by x^a y^b z^c; a
-    negative exponent then requires interior points, and a point where its
-    factor vanishes raises ValueError.  The first factors are summed once
+    negative exponent then requires interior points, and a fractional one
+    points of the triangle: a point where the weight is infinite or not a
+    real number raises ValueError.  The first factors are summed once
     per distinct x: G_k(x) = sum_n c_{n,k} F_{n-k}(x).  The second factors
     H_k(y, 1-x) stream from the recurrence one degree at a time, each added
     in turn to u = sum_k H_k(y, 1-x) G_k(x), k = 0..N, so that beside the
@@ -264,13 +265,14 @@ def synthesize(vec, pts):
         g *= H
         out += g
     if vec.basis.weighted:
-        with np.errstate(divide="ignore", over="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w = weight_eval(q, TriPoint(pts[:, 0], pts[:, 1]))
-        lost = np.flatnonzero(np.isinf(w))
-        if lost.size:
-            x, y = pts[lost[0]].tolist()
-            raise ValueError(f"the weight is infinite at {lost.size} of {len(pts)} points, the first at (x, y) = "
-                f"({x!r}, {y!r}): a negative exponent needs interior points")
+        for what, lost in (("infinite", np.isinf(w)), ("not a real number", np.isnan(w))):
+            if lost.any():
+                x, y = pts[np.argmax(lost)].tolist()
+                raise ValueError(f"the weight is {what} at {np.count_nonzero(lost)} of {len(pts)} points, the first at "
+                    f"(x, y) = ({x!r}, {y!r}): a negative exponent needs interior points, and a fractional one "
+                    "points of the triangle")
         out *= w
     return out
 

@@ -16,6 +16,8 @@ from trikoorn import cli, koornwinder, ladders, operators
 from trikoorn.cli import main
 from trikoorn.ladders import _NEEDS_D0
 
+from per_k_tables import tri_tables_per_k
+
 
 def _write_full_coeffs(path, N, nonzero):
     lines = ["n,k,value"]
@@ -220,6 +222,36 @@ def test_bad_tolerance_scale_is_usage_error(scale, monkeypatch, capsys):
 def test_bad_numeric_flags_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert "argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "base, reals",
+    [
+        (["solve", "--rhs", "runge", "--N", "3"], [("--lambda", "-1e3"), ("--a", "-2.5E-1")]),
+        (["expand", "--name", "runge", "--N", "3"], [("--a", "-5e-1"), ("--b", "-2E-1")]),
+        (["build-op", "--name", "conv_a", "--N", "3"], [("--c", "-5e-1")]),
+    ],
+)
+def test_negative_reals_in_exponent_notation_are_flag_values(base, reals, tmp_path):
+    # argparse alone reads "-1e3" as an option, and fails with "expected one argument"
+    spaced = [text for pair in reals for text in pair]
+    joined = [f"{flag}={value}" for flag, value in reals]
+    for name, argv in (("spaced", spaced), ("joined", joined)):
+        assert main(base + argv + ["--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "spaced").read_text() == (tmp_path / "joined").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--lambda", "-inf", "--rhs", "one", "--N", "3"], "argument --lambda: must be a finite number"),
+        (["expand", "--name", "one", "--N", "3", "--b", "-1e999"], "argument --b: must be a finite number"),
+        (["solve", "--lambda", "--rhs", "one", "--N", "3"], "argument --lambda: expected one argument"),
+    ],
+)
+def test_flag_values_that_read_as_negative_reals_are_still_checked(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -718,14 +750,14 @@ def test_expand_rejects_non_finite_sampled_values(tmp_path, capsys):
 
 
 def test_worst_records_a_nan_residual_as_inf():
-    acc = cli._Worst()
+    acc = cli.SweepBlock("cases", "exact")
     acc.update(float("nan"), {"id": "first"})
     acc.update(1e-14, {"id": "second"})
-    assert (acc.value, acc.case, acc.cases) == (float("inf"), {"id": "first"}, 2)
-    rows = cli._Worst()
+    assert (acc.max_residual, acc.worst_case, acc.cases) == (float("inf"), {"id": "first"}, 2)
+    rows = cli.SweepBlock("rows", "exact")
     lhs = np.array([[1.0, 2.0, 3.0], [1.0, np.nan, 3.0], [0.0, 9.0, 0.0]])
     rows.update_max(*cli._scaled_residual(lhs, np.zeros(3)), lambda i, j: {"row": i, "point": j})
-    assert (rows.value, rows.case, rows.cases) == (float("inf"), {"row": 1, "point": 1}, 3)
+    assert (rows.max_residual, rows.worst_case, rows.cases) == (float("inf"), {"row": 1, "point": 1}, 3)
 
 
 def _scaled_residual_four_passes(lhs, rhs):
@@ -802,7 +834,7 @@ def _per_set_ladder_sweep(seed, nmax, npts):
     """The ladders suite as a loop over parameter sets, operators and (n, k),
     each set's tables built one family at a time at its re-drawn points."""
     rng = np.random.default_rng([seed, 20])
-    acc_a, acc_b = cli._Worst(), cli._Worst()
+    acc_a, acc_b = cli.SweepBlock("triangle_ladders", "exact"), cli.SweepBlock("composition_identities", "exact")
     pairs = [(n, k) for n in range(nmax + 1) for k in range(n + 1)]
     for pa, pb, pc, pd in itertools.product(cli._TRI_GRID, repeat=4):
         params = tk.TriParams(pa, pb, pc, pd)
@@ -813,7 +845,7 @@ def _per_set_ladder_sweep(seed, nmax, npts):
         def jets(q):
             key = (q.a, q.b, q.c, q.d)
             if key not in tables:
-                tables[key] = koornwinder._tri_tables(nmax + 1, q, x, y, partials=True)
+                tables[key] = tri_tables_per_k(nmax + 1, q, x, y, True)
             return tables[key]
 
         def ev(n, k, q, partials="xy"):
@@ -848,7 +880,7 @@ def _per_set_ladder_sweep(seed, nmax, npts):
             r, j = cli._scaled_residual(lhs, rhs)
             case = {"id": lid.label, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
             acc_a.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
-    return [acc_a.block("triangle_ladders", "exact"), acc_b.block("composition_identities", "exact")]
+    return [acc_a, acc_b]
 
 
 def test_vectorized_ladder_sweep_equals_a_per_case_loop(monkeypatch):
@@ -986,7 +1018,7 @@ def test_vectorized_eigen_sweep_equals_a_per_case_loop():
     seed, nmax, npts = 0, 3, 5
     got = cli.sweep_eigen(seed, nmax=nmax, npts=npts)
     rng = np.random.default_rng([seed, 50])
-    acc = cli._Worst()
+    acc = cli.SweepBlock("second_order_pointwise", "exact")
     for params in cli._OPERATOR_PARAM_SETS:
         a, b, c = params.a, params.b, params.c
         x, y = cli._interior_points(rng, npts)
@@ -1015,7 +1047,7 @@ def test_vectorized_eigen_sweep_equals_a_per_case_loop():
                 ):
                     r, j = cli._scaled_residual(lhs, mu * u)
                     acc.update(r, {"id": name, "n": n, "k": k, **pset, "x": float(x[j]), "y": float(y[j])})
-    assert got[0] == acc.block("second_order_pointwise", "exact")
+    assert got[0] == acc
 
 
 @pytest.mark.parametrize(
@@ -1026,12 +1058,12 @@ def test_hessian_jets_match_a_fourth_order_difference(params):
     N, h = 8, 1e-3
     x, y = cli._interior_points(np.random.default_rng(7), 12)
     u, ux, uy, uxx, uxy, uyy = cli._hessian_jets(N, params, x, y)
-    for got, want in zip((u, ux, uy), koornwinder._tri_tables(N, params, x, y, partials=True)):
+    for got, want in zip((u, ux, uy), tri_tables_per_k(N, params, x, y, True)):
         assert np.array_equal(got, want)
 
     def diff4(which, dx, dy):
         # fourth-order central difference of an exact first-partial table
-        at = [koornwinder._tri_tables(N, params, x + s * dx, y + s * dy, partials=True)[which] for s in (-2, -1, 1, 2)]
+        at = [tri_tables_per_k(N, params, x + s * dx, y + s * dy, True)[which] for s in (-2, -1, 1, 2)]
         return (at[0] - 8.0 * at[1] + 8.0 * at[2] - at[3]) / (12.0 * h)
 
     for got, want in ((uxx, diff4(1, h, 0.0)), (uxy, diff4(2, h, 0.0)), (uyy, diff4(2, 0.0, h))):
@@ -1039,7 +1071,7 @@ def test_hessian_jets_match_a_fourth_order_difference(params):
 
 
 def _hessian_jets_by_tables(N, params, x, y):
-    """The second partials from one whole _tri_tables table per family: the
+    """The second partials from one whole per-k table per family: the
     params, y1's image (a, b+1, c+1, d) and x5's (a+1, b, c, d)."""
     n, k = (v[:, None] for v in koornwinder._graded_indices(N))
     fy, ny, ky, qy = ladders._step(tk.LadderId("y", 1), n, k, params)
@@ -1048,9 +1080,9 @@ def _hessian_jets_by_tables(N, params, x, y):
     def rows(q, n, k):
         dead = (k < 0) | (k > n)
         at = np.where(dead, 0, n * (n + 1) // 2 + k)[:, 0]
-        return [np.where(dead, 0.0, T[at]) for T in koornwinder._tri_tables(N, q, x, y, partials=True)]
+        return [np.where(dead, 0.0, T[at]) for T in tri_tables_per_k(N, q, x, y, True)]
 
-    u, ux, uy = koornwinder._tri_tables(N, params, x, y, partials=True)
+    u, ux, uy = tri_tables_per_k(N, params, x, y, True)
     _, qy_x, qy_y = rows(qy, ny, ky)
     _, qx_x, _ = rows(qx, nx, kx)
     uxy = fy * qy_x
@@ -1092,7 +1124,7 @@ def test_vectorized_jacobi_sweep_equals_a_per_case_loop():
     want = []
     for fam_i, (family, lo, dscale, step, pointwise) in enumerate(families):
         rng = np.random.default_rng([seed, 10 + fam_i])
-        acc = cli._Worst()
+        acc = cli.SweepBlock(f"{family}_ladders", "exact")
         for a, b in itertools.product(cli._JAC_GRID, repeat=2):
             p = tk.JacobiParams(a, b)
             X = rng.uniform(lo, 1.0, npts)
@@ -1110,7 +1142,7 @@ def test_vectorized_jacobi_sweep_equals_a_per_case_loop():
                     rhs = st.factor * tables[key][0, st.n]
                 r, j = cli._scaled_residual(lhs, rhs)
                 acc.update(r, {"s": s, "dagger": dagger, "n": n, "a": a, "b": b, "x": float(X[j])})
-        want.append(acc.block(f"{family}_ladders", "exact"))
+        want.append(acc)
     assert got == want
 
 
@@ -1185,7 +1217,7 @@ def test_jacobi_sweep_keeps_its_numpy_peak_small():
 def _per_case_product_links(seed, nmax, npts):
     """The appendix suite as a loop over parameter sets, (n, k) and links, through jjp_residual and jpj_residual."""
     rng = np.random.default_rng([seed, 40])
-    acc = cli._Worst()
+    acc = cli.SweepBlock("product_links", "exact")
     for pa, pb, pc, pd in itertools.product(cli._TRI_GRID, repeat=4):
         params = tk.TriParams(pa, pb, pc, pd)
         x, y = cli._interior_points(rng, npts)
@@ -1197,7 +1229,7 @@ def _per_case_product_links(seed, nmax, npts):
                     r, j = cli._scaled_residual(L, R)
                     case = {"id": which, "n": n, "k": k, "a": pa, "b": pb, "c": pc, "d": pd}
                     acc.update(r, {**case, "x": float(x[j]), "y": float(y[j])})
-    return [acc.block("product_links", "exact")]
+    return [acc]
 
 
 def test_vectorized_product_links_sweep_equals_a_per_case_loop():

@@ -7,8 +7,9 @@ import pytest
 from scipy.special import eval_jacobi
 
 import trikoorn as tk
-from trikoorn.jacobi import _homog_table, _shifted_table
 from trikoorn.koornwinder import _Factors, _first_factor_param, _first_factors, _graded_indices, _jet_rows, _tri_tables
+
+from per_k_tables import tri_tables_per_k
 
 
 def _rng(tag):
@@ -198,6 +199,30 @@ def test_jet_partials_match_central_differences():
         assert abs(jet.uy - fy) < 1e-6 * scale
 
 
+@pytest.mark.parametrize("nk", [(3, 1), (0, 0), (2, 3), (-1, 0)])
+@pytest.mark.parametrize("shape", [(0,), (0, 3)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        tk.tri_eval,
+        tk.tri_eval_jet,
+        tk.jjp_residual,
+        tk.jpj_residual,
+        lambda idx, q, pt: tk.composition_residual(tk.CompositionId.DX_IDENTITY, idx, q, pt),
+    ],
+    ids=["tri_eval", "tri_eval_jet", "jjp_residual", "jpj_residual", "composition_residual"],
+)
+def test_empty_point_arrays_give_empty_outputs(call, shape, nk):
+    q, idx, pt = tk.TriParams(0.5, 1.5, 2.5), tk.TriIndex(*nk), tk.TriPoint(np.empty(shape), np.empty(shape))
+    if not 0 <= idx.k <= idx.n and call not in (tk.tri_eval, tk.tri_eval_jet):
+        with pytest.raises(ValueError, match="index must satisfy"):  # the checks reject it, as at any points
+            call(idx, q, pt)
+        return
+    out = call(idx, q, pt)
+    out = (out.u, out.ux, out.uy) if isinstance(out, tk.Jet2) else out if isinstance(out, tuple) else (out,)
+    assert [np.shape(v) for v in out] == [shape] * len(out)
+
+
 # ------------------------------------------------------------- batch tables
 
 
@@ -212,25 +237,6 @@ def test_basis_eval_all_rows_match_tri_eval():
         for lin in range(tk.basis_size(N)):
             idx = tk.linear_to_index(lin)
             assert abs(tab[i, lin] - tk.tri_eval(idx, q, pt)) < 1e-13
-
-
-def _tri_tables_per_k(N, params, x, y, partials):
-    # the per-k loop the batched tables replaced: one first-factor table per
-    # k, decided on its own degree N - k, and one row product per (n, k)
-    U = np.empty((tk.basis_size(N), x.size))
-    UX = np.empty_like(U)
-    UY = np.empty_like(U)
-    H, Hy, Hs = _homog_table(N, params.c, params.b, y, 1.0 - x, partials=partials)
-    for k in range(N + 1):
-        A = 2 * k + params.b + params.c + params.d + 1
-        Ftab = _shifted_table(N - k, A, params.a, x, nderiv=1 if partials else 0)
-        for n in range(k, N + 1):
-            i = n * (n + 1) // 2 + k
-            U[i] = Ftab[0, n - k] * H[k]
-            if partials:
-                UX[i] = Ftab[1, n - k] * H[k] - Ftab[0, n - k] * Hs[k]
-                UY[i] = Ftab[0, n - k] * Hy[k]
-    return (U, UX, UY) if partials else (U, None, None)
 
 
 @pytest.mark.parametrize("partials", [False, True])
@@ -255,10 +261,14 @@ def test_batched_tables_equal_the_per_k_loop(pset, N, partials):
     x = np.concatenate([rng.uniform(0.0, 1.0, 7), [0.0, 1.0, 0.5]])
     y = np.concatenate([rng.uniform(0.0, 1.0, 7) * (1.0 - x[:7]), [0.0, 0.0, 0.5]])
     q = tk.TriParams(*pset)
-    got = _tri_tables(N, q, x, y, partials=partials)
-    want = _tri_tables_per_k(N, q, x, y, partials)
+    if partials:  # tables with partials are batched as a _Factors read
+        got = [g[0] for g in _zero_move_reads(N, [q], x[None], y[None], partials)]
+    else:
+        got = _tri_tables(N, q, x, y)
+    want = tri_tables_per_k(N, q, x, y, partials)
+    assert len(got) == (3 if partials else 1)
     for g, w in zip(got, want):
-        assert (g is None and w is None) or np.array_equal(g, w)
+        assert np.array_equal(g, w)
 
 
 # families whose tables lift: a < -1 (every first factor of degree >= 2); a
@@ -293,7 +303,7 @@ def test_multi_family_tables_equal_the_per_family_ones(N, partials):
     got = _zero_move_reads(N, fams, np.tile(x, (len(fams), 1)), np.tile(y, (len(fams), 1)), partials)
     assert len(got) == (3 if partials else 1)
     for f, q in enumerate(fams):
-        for g, w in zip(got, _tri_tables(N, q, x, y, partials=partials)):
+        for g, w in zip(got, tri_tables_per_k(N, q, x, y, partials)):
             assert np.array_equal(g[f], w)
 
 
@@ -309,7 +319,7 @@ def test_multi_family_tables_at_point_rows_equal_one_call_per_family(N, partials
     got = _zero_move_reads(N, fams, x, y, partials)
     assert len(got) == (3 if partials else 1)
     for f, q in enumerate(fams):
-        for g, w in zip(got, _tri_tables(N, q, x[f], y[f], partials=partials)):
+        for g, w in zip(got, tri_tables_per_k(N, q, x[f], y[f], partials)):
             assert np.array_equal(g[f], w)
 
 
@@ -360,8 +370,7 @@ def test_a_supplied_second_factor_table_multiplies_the_first_factors(pset, N):
     x = rng.uniform(0.0, 1.0, 9)
     T = rng.standard_normal((N + 1, x.size))
     (F,) = _first_factors(N, _first_factor_param(np.arange(N + 1), q), q.a, x)
-    U, UX, UY = _tri_tables(N, q, x, 1.0 - x, second=T)
-    assert UX is None and UY is None
+    (U,) = _tri_tables(N, q, x, 1.0 - x, second=T)
     assert np.array_equal(U, F * T[_graded_indices(N)[1]])
 
 

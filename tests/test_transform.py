@@ -492,6 +492,26 @@ def test_weighted_synthesize_names_the_first_point_where_the_weight_is_infinite(
         assert np.isfinite(tk.synthesize(vec, np.array([[0.3, 0.2]]))).all()
 
 
+@pytest.mark.parametrize(
+    "pset, pts, lost, first",
+    [
+        ((0.5, 1.5, 2.5, 0.0), [[0.3, 0.2], [0.7, 0.7], [-0.1, 0.3]], 2, "(0.7, 0.7)"),  # z < 0, then x < 0
+        ((0.5, 1.5, 2.5, 0.0), [[-0.1, 0.3]], 1, "(-0.1, 0.3)"),
+        ((-0.5, 0.5, 0.5, 0.0), [[0.0, 0.0]], 1, "(0.0, 0.0)"),  # an infinite x^a times y^b = 0
+    ],
+)
+def test_weighted_synthesize_names_the_first_point_where_the_weight_is_not_real(pset, pts, lost, first):
+    q, pts = tk.TriParams(*pset), np.array(pts)
+    vec = tk.CoeffVec(tk.BasisTag(q, True, 3), np.ones(tk.basis_size(3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the power on the way
+        want = rf"not a real number at {lost} of {len(pts)} points, the first at \(x, y\) = {re.escape(first)}"
+        with pytest.raises(ValueError, match=want):
+            tk.synthesize(vec, pts)
+        # the unweighted field still evaluates there
+        assert np.isfinite(tk.synthesize(tk.CoeffVec(tk.BasisTag(q, False, 3), np.ones(tk.basis_size(3))), pts)).all()
+
+
 def _numpy_peak(fn, *args):
     """fn(*args), and the peak of the memory tracemalloc traces during the call, in bytes."""
     was_tracing = tracemalloc.is_tracing()
